@@ -16,18 +16,8 @@ from typing import Union
 
 Number = Union[int, Fraction, float]
 
-#: relative roundoff floor used when comparing float-track results
-FLOAT_RTOL = 1e-12
-
-
 def is_exact(x: Number) -> bool:
     return isinstance(x, (int, Fraction)) and not isinstance(x, bool)
-
-
-def as_fraction(x: Number) -> Fraction:
-    if isinstance(x, float):
-        return Fraction(x)
-    return Fraction(x)
 
 
 def integral_part(x: Number) -> int | None:
@@ -184,9 +174,3 @@ class ExtendedValue:
             sign = 1 if (float(self.value) > 0) == (c > 0) else -1
             return ExtendedValue.infinite(sign, divergent=self.divergent)
         return ExtendedValue(c * self.value, self.divergent, self.truncated)
-
-
-def close(a: float, b: float, rtol: float, atol: float = 0.0) -> bool:
-    if math.isinf(a) or math.isinf(b):
-        return a == b
-    return abs(a - b) <= max(atol, rtol * max(abs(a), abs(b)))

@@ -40,7 +40,7 @@ from .numeric import ExtendedValue, Number, fpow, is_exact, ppow
 from .padic import PAdicVector
 from .radial import RadialFunction, RadialTerm, shell_sum
 from .sampling import MCEstimate, integrate_mc
-from .series import t_series
+from .series import _rpow, t_series
 
 #: shells probed when validating kernel nonnegativity
 _KERNEL_PROBE = 96
@@ -388,10 +388,6 @@ def commutator_apply(
 
 
 # -- cumulative closed forms for the maximal engine -------------------------------
-
-
-def _rpow(r: Number, e: int) -> Number:
-    return Fraction(r) ** e if is_exact(r) else fpow(float(r), float(e))
 
 
 def _cum_below_poly(r: Number, t: int) -> dict[int, Number]:

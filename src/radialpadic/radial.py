@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .numeric import ExtendedValue, Number, is_exact, ppow
 from .padic import check_prime
@@ -260,11 +260,6 @@ class RadialFunction:
                 c = scale * comb(t.logpow, j) * d ** (t.logpow - j)
                 new_terms.append(RadialTerm(c, t.beta, j, lo, hi))
         return RadialFunction(self.p, self.n, tuple(new_terms))
-
-    def abs_on_shells(self) -> Callable[[int], Number]:
-        def h(gamma: int) -> Number:
-            return abs(self.value_on_shell(gamma))
-        return h
 
 
 def _max_lo(a: int | None, b: int | None) -> int | None:

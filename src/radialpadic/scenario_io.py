@@ -30,7 +30,7 @@ from .families import ConstantMatrix, Family, ScalarRadial
 from .harness import ConstantId, Scenario, SpaceParams
 from .numeric import Number
 from .operators import KernelSpec
-from .padic import PAdicMatrix
+from .padic import PAdicMatrix, is_prime
 from .radial import RadialFunction, RadialTerm
 from .weights import Weight
 
@@ -196,17 +196,6 @@ def _require(value, name: str):
     return value
 
 
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
-
-
 def radial_from_terms(p: int, n: int, terms) -> RadialFunction:
     out = []
     for coeff, beta, logpow, lo, hi in terms:
@@ -268,7 +257,7 @@ def build_scenario(model: ScenarioModel) -> BuiltScenario:
     conditions surface per operation.
     """
     p, n = model.prime, model.dim
-    if not _is_prime(p):
+    if not is_prime(p):
         raise SchemaError(f"field 'prime': {p} is not prime")
     rs = tuple(model.rs) if model.rs else tuple(range(1, 9))
     if any(r < 1 for r in rs):

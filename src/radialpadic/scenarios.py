@@ -1,7 +1,7 @@
 """Seeded generators for scenario suites and cross-check batches.
 
-The bundled verification suites are generated once from ``SUITE_SEED`` and
-frozen as JSON under ``radialpadic/suites/<name>/``; envelope constants were
+The bundled verification suites are regenerated by ``suite_rows`` from
+``SUITE_SEED``; no suite files ship with the package.  Envelope constants were
 fitted on an independent sweep from ``CALIBRATION_SEED``.  The generators
 stay importable so tests can rebuild randomized batches (exactness sweeps,
 Monte Carlo cross-checks) without shipping fixtures.

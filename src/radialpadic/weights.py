@@ -362,12 +362,21 @@ def morrey_norm(
 
 def cmo_norm(b: RadialFunction, w: Weight, r: Number, window: int = 48) -> NormResult:
     """Central oscillation norm: sup over balls of the weighted L^r deviation
-    of b from its unweighted ball average, normalized by the ball's weight mass."""
+    of b from its unweighted ball average, normalized by the ball's weight mass.
+
+    Ball quotients are memoized within one call, keyed on the deviation as
+    integrated (dilated to the unit ball for a power weight) and the ball it
+    is integrated over.  The reuse is exact: for fixed w and r the quotient is
+    a function of that pair alone, and for a power weight the pair is
+    (dev.dilate(g), 0), which for a log symbol is the same function on every
+    ball.  Other weights integrate over B_g itself, so their keys never repeat.
+    """
     if r < 1:
         raise ValueError("r must be at least 1")
     if b.is_zero():
         return NormResult(ExtendedValue.finite(Fraction(0)))
     rescale = w.power_exponent() is not None
+    quotients: dict[tuple, float] = {}
 
     def d_at(g: int) -> float:
         avg = ball_average(b, g)
@@ -379,6 +388,14 @@ def cmo_norm(b: RadialFunction, w: Weight, r: Number, window: int = 48) -> NormR
             dev, gam = dev.dilate(g), 0
         else:
             gam = g
+        # Fraction(1, 2) and 0.5 compare and hash equal; the number types keep
+        # an exact deviation from sharing a quotient with a float one
+        key = (dev, gam, tuple((type(t.coeff), type(t.beta)) for t in dev.terms))
+        if key not in quotients:
+            quotients[key] = quotient(dev, gam)
+        return quotients[key]
+
+    def quotient(dev: RadialFunction, gam: int) -> float:
         mass = weight_ball_mass(w, gam)
         if not mass.is_finite:
             return math.inf
@@ -439,16 +456,16 @@ def ap_constant(w: Weight, ell: Number, window: int = 40) -> ExtendedValue:
     if ell == 1:
         dom = _dominant_term(w.profile, -1)
         vanishes_deep = dom is not None and float(dom[0]) > 0
+        flat_deep = dom is not None and float(dom[0]) == 0 and dom[1] == 0
         best = -math.inf
+        low = math.inf  # min of w over the shells floor..g
         for g in range(-window, window + 1):
             mass, tflag = _ball_mass_windowed(
                 lambda k: float_sat(w.value(k)), p, n, g, floor, weight_ball_mass(w, g)
             )
             truncated |= tflag
-            lowvals = [float_sat(w.value(k)) for k in range(floor, g + 1)]
-            if dom is not None and float(dom[0]) == 0 and dom[1] == 0:
-                lowvals.append(float(dom[2]))
-            essinf = min(lowvals)
+            low = min(low, float_sat(w.value(g)))
+            essinf = min(low, float(dom[2])) if flat_deep else low
             truncated |= vanishes_deep
             avg = mass / fpow(float(p), n * g)
             best = max(best, avg / essinf)

@@ -7,10 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from radialpadic import weights
+from radialpadic.numeric import exp_sat, float_sat, fpow, is_exact, log_exact
 from radialpadic.radial import RadialFunction, RadialTerm, ball_measure
 from radialpadic.weights import (
+    _GROWTH_PROBES,
     NormResult,
     Weight,
+    _dominant_term,
     ap_constant,
     ball_average,
     cmo_norm,
@@ -333,3 +337,102 @@ def test_norm_result_float_protocol():
     res = lebesgue_norm(RadialFunction.chi_ball(2, 1, 0), power_weight(2, 1, 0), 1)
     assert isinstance(res, NormResult)
     assert float(res) == 1.0
+
+
+# -- memo and running-min references -------------------------------------------
+
+
+def cmo_reference(b, w, r, window):
+    """cmo_norm without the per-call memo: every ball quotient from scratch."""
+    rescale = w.power_exponent() is not None
+
+    def d_at(g):
+        dev = b - RadialFunction.constant(b.p, b.n, ball_average(b, g))
+        dev, gam = (dev.dilate(g), 0) if rescale else (dev, g)
+        mass = weight_ball_mass(w, gam)
+        osc = integral_abs_power(dev, w, r, None, gam)
+        if not (mass.is_finite and osc.is_finite):
+            return math.inf
+        if osc.value == 0 or (not is_exact(osc.value) and float(osc.value) == 0.0):
+            return 0.0
+        return exp_sat((log_exact(osc.value) - log_exact(mass.value)) / float(r))
+
+    best, witness = -math.inf, None
+    for g in range(-window, window + 1):
+        v = d_at(g)
+        if v > best:
+            best, witness = v, g
+    probes = [d_at(s * (window + off)) for off in _GROWTH_PROBES for s in (1, -1)]
+    if math.isinf(best) or any(v > best * (1 + 1e-9) + 1e-300 for v in probes):
+        return math.inf, witness
+    return best, witness
+
+
+def count_calls(monkeypatch, name):
+    calls = []
+    original = getattr(weights, name)
+
+    def counted(*args, **kw):
+        calls.append(args)
+        return original(*args, **kw)
+
+    monkeypatch.setattr(weights, name, counted)
+    return calls
+
+
+LOG = RadialFunction.power(2, 1, 1, 0, logpow=1)
+
+
+@pytest.mark.parametrize(
+    "b, w, window, integrations",
+    [
+        # a log symbol's dilated deviation is the same function on every
+        # ball, so the 33 window balls and 8 probes share one quotient
+        (LOG, power_weight(2, 1, Fraction(1, 2)), 16, 1),
+        # cut off above shell 3: the cut moves under each dilation, so the
+        # 13 window balls and 8 probes all differ
+        (LOG.restrict(None, 3), power_weight(2, 1, Fraction(1, 2)), 6, 21),
+        # not a power weight: every ball keeps gam = g, so no key repeats
+        (LOG, Weight(RadialFunction.constant(2, 1, 1) + RadialFunction.power(2, 1, 1, Fraction(1, 2))), 6, 21),
+    ],
+    ids=["log", "cut-log", "non-power-weight"],
+)
+def test_cmo_memo_matches_reference(monkeypatch, b, w, window, integrations):
+    want, want_witness = cmo_reference(b, w, 2, window)
+    calls = count_calls(monkeypatch, "integral_abs_power")
+    res = cmo_norm(b, w, 2, window=window)
+    assert len(calls) == integrations
+    assert float(res.value) == want
+    assert res.witness_shell == want_witness
+
+
+def a1_reference(w, window):
+    """A_1 with the essential infimum rebuilt over floor..g for every ball."""
+    p, n = w.p, w.n
+    dom = _dominant_term(w.profile, -1)
+    best = -math.inf
+    for g in range(-window, window + 1):
+        mass = weight_ball_mass(w, g)
+        assert mass.is_finite
+        lowvals = [float_sat(w.value(k)) for k in range(-window, g + 1)]
+        if dom is not None and dom[0] == 0 and dom[1] == 0:
+            lowvals.append(float(dom[2]))
+        best = max(best, float_sat(mass.value) / fpow(float(p), n * g) / min(lowvals))
+    return best, dom is not None and dom[0] > 0
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        RadialFunction.power(2, 1, 1, Fraction(-1, 2)),  # minimum at shell 0, not the floor
+        RadialFunction.constant(2, 1, 2),  # flat deep end: infimum is the limit 2
+        RadialFunction.power(2, 1, 1, 1),  # vanishes deep: truncated
+    ],
+    ids=["interior-min", "flat-deep", "vanishes-deep"],
+)
+def test_a1_running_min_matches_quadratic_reference(extra):
+    w = Weight(RadialFunction.power(2, 1, 1, Fraction(1, 2)) + extra)
+    want, want_truncated = a1_reference(w, 20)
+    got = ap_constant(w, 1, window=20)
+    assert float(got) == want
+    assert got.truncated == want_truncated
