@@ -14,6 +14,15 @@ divergent tail is truncated at the window floor and flagged: the returned
 number is then a windowed diagnostic and the untruncated constant is
 infinite.  This keeps in-range constants exactly window-stable while
 out-of-range constants grow without bound as the window widens.
+
+The windowed sups (Morrey, CMO, A_ell, reverse Holder) take the quantities
+of all balls B_g, |g| <= window, from one upward sweep instead of
+integrating every ball from -inf: ball integrals of |f|^q w reuse each piece
+below the ball (_ball_integrals), and plain ball totals step from one ball to
+the next where the closed form is exact (_ball_totals).  Each ball still gets
+exactly the value the direct call gives, because exact parts are equal as
+rationals and float parts go through the same math.fsum; a running float sum
+would round differently, so none is kept.
 """
 
 from __future__ import annotations
@@ -36,7 +45,16 @@ from .numeric import (
     nth_root,
     ppow,
 )
-from .radial import RadialFunction, ball_measure, integrate_radial
+from .radial import (
+    RadialFunction,
+    RadialTerm,
+    ball_measure,
+    canonical_order,
+    dilate_terms,
+    integrate_radial,
+    restrict_terms,
+    sphere_measure,
+)
 from .series import power_log_sum
 
 #: probe offsets used to classify growth beyond a sup window
@@ -68,9 +86,14 @@ class Weight:
 
     def __post_init__(self) -> None:
         w = self.profile
-        for g in range(-_POSITIVITY_WINDOW, _POSITIVITY_WINDOW + 1):
-            if w.value_on_shell(g) <= 0:
-                raise ValueError(f"weight must be positive on every shell; fails at {g}")
+        t = w.terms[0] if w.is_single_power() else None
+        # c|x|^beta with exact c > 0 and exact beta is an exact positive
+        # number on every shell; a float coefficient or exponent can underflow
+        # to 0 on a probed shell, so those keep the scan
+        if not (t is not None and is_exact(t.coeff) and is_exact(t.beta) and t.coeff > 0):
+            for g in range(-_POSITIVITY_WINDOW, _POSITIVITY_WINDOW + 1):
+                if w.value_on_shell(g) <= 0:
+                    raise ValueError(f"weight must be positive on every shell; fails at {g}")
         for end in (-1, +1):
             dom = _dominant_term(w, end)
             if dom is not None:
@@ -126,10 +149,44 @@ def ball_average(f: RadialFunction, gamma: int) -> Number:
 
     Raises ValueError when f is not integrable on the ball.
     """
-    total = integrate_radial(f.restrict(None, gamma))
+    return _average(integrate_radial(f.restrict(None, gamma)), f.p, f.n, gamma)
+
+
+def _average(total: ExtendedValue, p: int, n: int, gamma: int) -> Number:
+    """A ball total over B_gamma divided by the ball's measure."""
     if not total.is_finite:
         raise ValueError("function is not integrable on the ball")
-    return total.value / ball_measure(f.p, f.n, gamma)
+    return total.value / ball_measure(p, n, gamma)
+
+
+def _ball_totals(f: RadialFunction, window: int) -> list[ExtendedValue]:
+    """integrate_radial(f.restrict(None, g)) for g = -window..window, in one pass.
+
+    Each ball's total equals its closed form as a rational wherever the
+    closed form is exact:
+
+      * c|x|^beta with exact c and beta has the closed form C r^g with
+        r = p^(beta+n) (series.tail_to_minus_inf), so each ball is the one
+        below it times r;
+      * with exact coefficients and integral exponents, each ball is the one
+        below it plus f(g)|S_g|.
+
+    Otherwise each ball keeps its own closed form: a running float sum would
+    round differently.
+    """
+    totals = [integrate_radial(f.restrict(None, -window))]
+    exact = totals[0].is_finite and all(is_exact(t.coeff) and is_exact(t.beta) for t in f.terms)
+    ratio = ppow(f.p, f.terms[0].beta + f.n) if exact and f.is_single_power() else None
+    running = exact and all(integral_part(t.beta) is not None for t in f.terms)
+    for g in range(-window + 1, window + 1):
+        if ratio is not None:
+            totals.append(ExtendedValue.finite(totals[-1].value * ratio))
+        elif running:
+            shell = f.value_on_shell(g) * sphere_measure(f.p, f.n, g)
+            totals.append(ExtendedValue.finite(totals[-1].value + shell))
+        else:
+            totals.append(integrate_radial(f.restrict(None, g)))
+    return totals
 
 
 def _tail_exponent(fsub: RadialFunction, wsub: RadialFunction, q: Number, n: int, end: int) -> Number:
@@ -205,71 +262,97 @@ def _interval_pieces(
     return pieces
 
 
+def _piece_integral(
+    f: RadialFunction, w: RadialFunction, q: Number, a: int | None, b: int | None
+) -> ExtendedValue | None:
+    """integral of |f|^q * w over shells a..b, a piece of _interval_pieces.
+
+    None when f vanishes there; infinite with ``divergent`` set when the
+    piece diverges.  If f has one active term there (and either no log factor
+    or an integral q) the integrand is a single power-log expression with a
+    closed form; otherwise the piece is summed numerically with rescaled
+    evaluation and a classified tail.
+    """
+    fsub = f.restrict(a, b)
+    if fsub.is_zero():
+        return None
+    p, n = f.p, f.n
+    wsub = w.restrict(a, b)
+    qi = integral_part(q)
+    if len(fsub.terms) == 1 and len(wsub.terms) == 1 and (fsub.terms[0].logpow == 0 or qi is not None):
+        ft, wt = fsub.terms[0], wsub.terms[0]
+        kf = ft.logpow * (qi if qi is not None else 1)
+        coeff = abs_pow(ft.coeff, q) * wt.coeff
+        if b is not None and b <= -1 and kf % 2:
+            coeff = -coeff  # |g|^kf = -g^kf on negative shells for odd kf
+        ratio = ppow(p, q * ft.beta + wt.beta + n)
+        unit = 1 - Fraction(p) ** (-n)
+        piece = power_log_sum(ratio, kf + wt.logpow, a, b).scaled(coeff * unit)
+        return piece if piece.is_finite else ExtendedValue.infinite(+1)
+    if a is None:
+        if not _tail_exponent(fsub, wsub, q, n, -1) > 0:
+            return ExtendedValue.infinite(+1)
+        return ExtendedValue.finite(_numeric_tail(_rescaled_eval(fsub, wsub, q, n, -1), b, -1))
+    if b is None:
+        if not _tail_exponent(fsub, wsub, q, n, +1) < 0:
+            return ExtendedValue.infinite(+1)
+        return ExtendedValue.finite(_numeric_tail(_rescaled_eval(fsub, wsub, q, n, +1), a, +1))
+    h = _rescaled_eval(fsub, wsub, q, n, -1)
+    return ExtendedValue.finite(math.fsum(h(g) for g in range(a, b + 1)))
+
+
+def _sum_pieces(parts: Sequence[ExtendedValue | None]) -> ExtendedValue:
+    """Total of piece integrals: exact pieces summed as one Fraction, which
+    math.fsum adds to the float pieces; infinite when a piece diverges."""
+    exact_acc = Fraction(0)
+    float_parts: list[float] = []
+    for part in parts:
+        if part is None:
+            continue
+        if part.divergent:
+            return ExtendedValue.infinite(+1)
+        if is_exact(part.value):
+            exact_acc += part.value
+        else:
+            float_parts.append(float(part.value))
+    if float_parts:
+        return ExtendedValue.finite(math.fsum(float_parts + [float(exact_acc)]))
+    return ExtendedValue.finite(exact_acc)
+
+
 def integral_abs_power(
     f: RadialFunction, w: Weight, q: Number, lo: int | None = None, hi: int | None = None
 ) -> ExtendedValue:
     """integral over {p^lo <= |x| <= p^hi} of |f|^q * w, exact where possible.
 
-    On every maximal interval where both term sets are constant the integrand
-    is a single power-log expression whenever f has one active term there (and
-    either no log factor or an integral q); those pieces use closed forms.
-    Remaining pieces are summed numerically with rescaled evaluation and
-    classified tails.
+    The region is split at every breakpoint of f and w (_interval_pieces);
+    each piece has a closed form or a numeric sum (_piece_integral).
     """
-    p, n = f.p, f.n
-    unit = 1 - Fraction(p) ** (-n)
-    qi = integral_part(q)
-    exact_acc = Fraction(0)
-    float_parts: list[float] = []
-    divergent = False
+    return _sum_pieces([_piece_integral(f, w.profile, q, a, b)
+                        for a, b in _interval_pieces(f, w.profile, lo, hi)])
 
-    for a, b in _interval_pieces(f, w.profile, lo, hi):
-        fsub = f.restrict(a, b)
-        wsub = w.profile.restrict(a, b)
-        if fsub.is_zero():
-            continue
-        single = len(fsub.terms) == 1 and len(wsub.terms) == 1
-        ft = fsub.terms[0] if single else None
-        exact_ok = single and (ft.logpow == 0 or qi is not None)
-        if exact_ok:
-            wt = wsub.terms[0]
-            kf = ft.logpow * (qi if qi is not None else 1)
-            coeff = abs_pow(ft.coeff, q) * wt.coeff
-            if b is not None and b <= -1 and kf % 2:
-                coeff = -coeff  # |g|^kf = -g^kf on negative shells for odd kf
-            ratio = ppow(p, q * ft.beta + wt.beta + n)
-            piece = power_log_sum(ratio, kf + wt.logpow, a, b).scaled(coeff * unit)
-            if not piece.is_finite:
-                divergent = True
-                continue
-            if is_exact(piece.value):
-                exact_acc += piece.value
-            else:
-                float_parts.append(float(piece.value))
-            continue
-        # numeric piece
-        if a is None:
-            e = _tail_exponent(fsub, wsub, q, n, -1)
-            if not e > 0:
-                divergent = True
-                continue
-            h = _rescaled_eval(fsub, wsub, q, n, -1)
-            float_parts.append(_numeric_tail(h, b, -1))
-        elif b is None:
-            e = _tail_exponent(fsub, wsub, q, n, +1)
-            if not e < 0:
-                divergent = True
-                continue
-            h = _rescaled_eval(fsub, wsub, q, n, +1)
-            float_parts.append(_numeric_tail(h, a, +1))
-        else:
-            h = _rescaled_eval(fsub, wsub, q, n, -1)
-            float_parts.append(math.fsum(h(g) for g in range(a, b + 1)))
-    if divergent:
-        return ExtendedValue.infinite(+1)
-    if float_parts:
-        return ExtendedValue.finite(math.fsum(float_parts + [float(exact_acc)]))
-    return ExtendedValue.finite(exact_acc)
+
+def _ball_integrals(f: RadialFunction, w: Weight, q: Number, window: int) -> list[ExtendedValue]:
+    """integral_abs_power(f, w, q, None, g) for g = -window..window, in one pass.
+
+    Ball g is cut into the pieces of the window below the piece holding g,
+    whole, and that piece clipped at g.  Each ball integrates only its
+    clipped piece, and the clip at a piece's top shell is the whole piece
+    that every ball above reuses.  The parts are summed as
+    integral_abs_power sums them, in the same order, so every value is the
+    same, bit for bit.
+    """
+    done: list[ExtendedValue | None] = []
+    totals = []
+    for a, b in _interval_pieces(f, w.profile, None, window):
+        part = None
+        for g in range(-window if a is None else max(a, -window), b + 1):
+            part = _piece_integral(f, w.profile, q, a, g)
+            totals.append(_sum_pieces(done + [part]))
+        if b < -window:
+            part = _piece_integral(f, w.profile, q, a, b)
+        done.append(part)
+    return totals
 
 
 def lebesgue_norm(
@@ -288,19 +371,19 @@ def lebesgue_norm(
 
 
 def _sup_over_window(
-    qfun: Callable[[int], float], window: int
+    values: Sequence[float], probe: Callable[[int], float], window: int
 ) -> tuple[float, int | None, bool]:
-    """(sup, witness, grows) of qfun over [-window, window] with growth probes."""
+    """(sup, witness, grows) of the ball quotients values[i] at shell -window + i,
+    with growth probes beyond the window."""
     best = -math.inf
     witness = None
-    for g in range(-window, window + 1):
-        v = qfun(g)
+    for g, v in zip(range(-window, window + 1), values):
         if v > best:
             best, witness = v, g
     grows = False
     for off in _GROWTH_PROBES:
         for g in (window + off, -window - off):
-            if qfun(g) > best * (1 + 1e-9) + 1e-300:
+            if probe(g) > best * (1 + 1e-9) + 1e-300:
                 grows = True
     return best, witness, grows
 
@@ -314,6 +397,14 @@ def morrey_norm(
     infinite norm.  For single-power data the sup is evaluated analytically:
     it is shell-independent exactly when q beta + alpha + n = q (alpha + n)
     (1/q + lam), finite there, and infinite otherwise.
+
+    Otherwise the balls of the window are swept once, upward: each piece of
+    the |f|^q w integral is evaluated once and reused by every ball above it
+    (_ball_integrals), and the weight masses come from one running pass
+    (_ball_totals).  Both give each ball exactly the value a direct
+    integral_abs_power / weight_ball_mass call would, so the sweep changes no
+    value and no witness.  Only the growth probes beyond the window are
+    integrated directly.
     """
     if q < 1:
         raise ValueError("q must be at least 1")
@@ -324,12 +415,8 @@ def morrey_norm(
     if is_exact(lam) and is_exact(q) and Fraction(lam) < -1 / Fraction(q):
         return NormResult(ExtendedValue.infinite(+1))
 
-    def q_at(g: int) -> float:
-        mass = weight_ball_mass(w, g)
-        if not mass.is_finite:
-            return math.inf
-        part = integral_abs_power(f, w, q, None, g)
-        if not part.is_finite:
+    def quotient(mass: ExtendedValue, part: ExtendedValue) -> float:
+        if not (mass.is_finite and part.is_finite):
             return math.inf
         if part.value == 0:
             return 0.0
@@ -339,6 +426,12 @@ def morrey_norm(
             return 0.0
         return exp_sat(-float(expo) * log_exact(mass.value)
                        + log_exact(part.value) / float(q))
+
+    def q_at(g: int) -> float:
+        mass = weight_ball_mass(w, g)
+        if not mass.is_finite:
+            return math.inf
+        return quotient(mass, integral_abs_power(f, w, q, None, g))
 
     alpha = w.power_exponent()
     if f.is_single_power() and alpha is not None:
@@ -354,22 +447,61 @@ def morrey_norm(
             return NormResult(ExtendedValue.finite(q_at(0)), None)
         return NormResult(ExtendedValue.infinite(+1))
 
-    best, witness, grows = _sup_over_window(q_at, window)
+    masses = _ball_totals(w.profile, window)
+    if masses[0].is_finite:
+        values = [quotient(m, part) for m, part in zip(masses, _ball_integrals(f, w, q, window))]
+    else:
+        # a weight that is not locally integrable has infinite mass on every ball
+        values = [math.inf] * len(masses)
+    best, witness, grows = _sup_over_window(values, q_at, window)
     if grows or math.isinf(best):
         return NormResult(ExtendedValue.infinite(+1), witness)
     return NormResult(ExtendedValue.finite(best), witness)
+
+
+def _deviation(b: RadialFunction, avg: Number, d: int | None, hi: int) -> RadialFunction:
+    """b - avg, dilated by d (as RadialFunction.dilate) unless d is None, with
+    every term cut to shells <= hi, in one construction.
+
+    Only the shells up to hi are ever integrated, so the cut changes no
+    value, and symbols that differ only above the ball share one deviation.
+    """
+    terms = b.terms + (RadialTerm(-avg, 0, 0),)
+    if any(t.beta == 0 and t.logpow == 0 for t in b.terms):
+        # b's constant part absorbs -avg first, as in b - avg, so that float
+        # sums round alike once the dilation adds the constants of log terms
+        terms = RadialFunction(b.p, b.n, terms).terms
+    else:
+        # the canonical order of b - avg: it fixes which beta object names
+        # a group the dilation merges
+        terms = tuple(sorted(terms, key=canonical_order))
+    if d is not None:
+        # the dilation merges groups of b - avg whose equal exponents may be
+        # different objects (0.5 and 1/2); name each merged group after its
+        # first nonzero term, as the canonical form of the whole dilated
+        # function does, before the cut drops terms
+        names: dict[tuple, Number] = {}
+        terms = tuple(
+            RadialTerm(t.coeff, names.setdefault((t.beta, t.logpow), t.beta), t.logpow, t.lo, t.hi)
+            for t in dilate_terms(terms, b.p, d) if t.coeff != 0
+        )
+    return RadialFunction(b.p, b.n, restrict_terms(terms, None, hi))
 
 
 def cmo_norm(b: RadialFunction, w: Weight, r: Number, window: int = 48) -> NormResult:
     """Central oscillation norm: sup over balls of the weighted L^r deviation
     of b from its unweighted ball average, normalized by the ball's weight mass.
 
-    Ball quotients are memoized within one call, keyed on the deviation as
-    integrated (dilated to the unit ball for a power weight) and the ball it
-    is integrated over.  The reuse is exact: for fixed w and r the quotient is
-    a function of that pair alone, and for a power weight the pair is
-    (dev.dilate(g), 0), which for a log symbol is the same function on every
-    ball.  Other weights integrate over B_g itself, so their keys never repeat.
+    The ball averages of the window come from one running pass
+    (_ball_totals), each exactly the ball_average value.  Ball quotients are
+    memoized within one call, keyed on the deviation as integrated (dilated
+    to the unit ball for a power weight, and cut to the ball) and the ball it
+    is integrated over.  The reuse is exact: for fixed w and r the quotient
+    is a function of that pair alone, and for a power weight the pair is
+    (dev.dilate(g) on B_0, 0), which for a log symbol is the same function
+    on every ball, and for a symbol cut off above shell c the same on every
+    ball B_g with g <= c.  Other weights integrate over B_g itself, so their
+    keys never repeat.
     """
     if r < 1:
         raise ValueError("r must be at least 1")
@@ -378,16 +510,14 @@ def cmo_norm(b: RadialFunction, w: Weight, r: Number, window: int = 48) -> NormR
     rescale = w.power_exponent() is not None
     quotients: dict[tuple, float] = {}
 
-    def d_at(g: int) -> float:
-        avg = ball_average(b, g)
-        dev = b - RadialFunction.constant(b.p, b.n, avg)
+    def d_at(g: int, avg: Number) -> float:
         if rescale:
             # for power weights both the deviation integral and the mass
             # scale by p^(g(n+alpha)) under x -> p^(-g) x, so evaluate the
             # quotient on the unit ball where every shell value is O(|g|^r)
-            dev, gam = dev.dilate(g), 0
+            dev, gam = _deviation(b, avg, g, 0), 0
         else:
-            gam = g
+            dev, gam = _deviation(b, avg, None, g), g
         # Fraction(1, 2) and 0.5 compare and hash equal; the number types keep
         # an exact deviation from sharing a quotient with a float one
         key = (dev, gam, tuple((type(t.coeff), type(t.beta)) for t in dev.terms))
@@ -407,7 +537,9 @@ def cmo_norm(b: RadialFunction, w: Weight, r: Number, window: int = 48) -> NormR
         # log-space quotient: exact masses can exceed the float range
         return exp_sat((log_exact(osc.value) - log_exact(mass.value)) / float(r))
 
-    best, witness, grows = _sup_over_window(d_at, window)
+    values = [d_at(g, _average(total, b.p, b.n, g))
+              for g, total in zip(range(-window, window + 1), _ball_totals(b, window))]
+    best, witness, grows = _sup_over_window(values, lambda g: d_at(g, ball_average(b, g)), window)
     if grows or math.isinf(best):
         return NormResult(ExtendedValue.infinite(+1), witness)
     return NormResult(ExtendedValue.finite(best), witness)
@@ -416,28 +548,26 @@ def cmo_norm(b: RadialFunction, w: Weight, r: Number, window: int = 48) -> NormR
 # -- Muckenhoupt machinery ---------------------------------------------------
 
 
-def _ball_mass_windowed(profile_eval: Callable[[int], float], p: int, n: int,
-                        gamma: int, floor: int, tail: ExtendedValue | None) -> tuple[float, bool]:
-    """Mass over B_gamma: exact tail when available, else truncated at `floor`."""
-    if tail is not None and tail.is_finite:
-        return float_sat(tail.value), False
-    unit = 1 - float(p) ** (-n)
-    acc = math.fsum(
-        profile_eval(g) * fpow(float(p), n * g) * unit for g in range(floor, gamma + 1)
-    )
-    return acc, True
+def _windowed_masses(totals: Sequence[ExtendedValue] | None, density: Callable[[int], float],
+                     p: int, n: int, window: int) -> list[tuple[float, bool]]:
+    """(mass, truncated) over each ball B_g, g = -window..window.
 
-
-def _power_mass(w_eval: Callable[[int], float], aux: RadialFunction | None,
-                p: int, n: int, gamma: int, floor: int) -> tuple[float, bool]:
-    """Mass of an auxiliary per-shell density over B_gamma with window truncation."""
-    if aux is not None:
-        ev = integrate_radial(aux.restrict(None, gamma))
-        if ev.is_finite:
-            return float_sat(ev.value), False
+    A ball takes its exact total (totals[i]) when that is finite; otherwise
+    the density summed over shells -window..g, flagged truncated.  Each
+    shell's float is evaluated once per call, and every truncated sum is the
+    same math.fsum over the same floats in the same order.
+    """
     unit = 1 - float(p) ** (-n)
-    acc = math.fsum(w_eval(g) * fpow(float(p), n * g) * unit for g in range(floor, gamma + 1))
-    return acc, True
+    shells: list[float] = []
+    masses = []
+    for i in range(2 * window + 1):
+        if totals is not None and totals[i].is_finite:
+            masses.append((float_sat(totals[i].value), False))
+            continue
+        if not shells:
+            shells = [density(g) * fpow(float(p), n * g) * unit for g in range(-window, window + 1)]
+        masses.append((math.fsum(shells[: i + 1]), True))
+    return masses
 
 
 def ap_constant(w: Weight, ell: Number, window: int = 40) -> ExtendedValue:
@@ -445,26 +575,27 @@ def ap_constant(w: Weight, ell: Number, window: int = 40) -> ExtendedValue:
 
     Inner integrals use exact convergent tails; a divergent inner integral is
     truncated at the window floor and the result is flagged truncated (the
-    untruncated constant is infinite and grows with the window).
+    untruncated constant is infinite and grows with the window).  The masses
+    of all balls come from one pass (_ball_totals, _windowed_masses).
     """
     if ell < 1:
         raise ValueError("ell must be at least 1")
     p, n = w.p, w.n
-    floor = -window
     truncated = False
 
+    def w_eval(g: int) -> float:
+        return float_sat(w.value(g))
+
+    masses = _windowed_masses(_ball_totals(w.profile, window), w_eval, p, n, window)
     if ell == 1:
         dom = _dominant_term(w.profile, -1)
         vanishes_deep = dom is not None and float(dom[0]) > 0
         flat_deep = dom is not None and float(dom[0]) == 0 and dom[1] == 0
         best = -math.inf
-        low = math.inf  # min of w over the shells floor..g
-        for g in range(-window, window + 1):
-            mass, tflag = _ball_mass_windowed(
-                lambda k: float_sat(w.value(k)), p, n, g, floor, weight_ball_mass(w, g)
-            )
+        low = math.inf  # min of w over the shells -window..g
+        for g, (mass, tflag) in zip(range(-window, window + 1), masses):
             truncated |= tflag
-            low = min(low, float_sat(w.value(g)))
+            low = min(low, w_eval(g))
             essinf = min(low, float(dom[2])) if flat_deep else low
             truncated |= vanishes_deep
             avg = mass / fpow(float(p), n * g)
@@ -473,7 +604,7 @@ def ap_constant(w: Weight, ell: Number, window: int = 40) -> ExtendedValue:
 
     # sigma = w^(-1/(ell-1)); exact when w is a pure power
     alpha = w.power_exponent()
-    sigma_exact: RadialFunction | None = None
+    sigma_totals = None
     if alpha is not None:
         c = w.profile.terms[0].coeff
         sigma_exact = RadialFunction.power(
@@ -482,16 +613,14 @@ def ap_constant(w: Weight, ell: Number, window: int = 40) -> ExtendedValue:
             -Fraction(alpha) / (Fraction(ell) - 1) if is_exact(alpha) and is_exact(ell)
             else -float(alpha) / (float(ell) - 1),
         )
+        sigma_totals = _ball_totals(sigma_exact, window)
 
     def sigma_eval(g: int) -> float:
         return fpow(float_sat(w.value(g)), -1 / (float(ell) - 1))
 
+    smasses = _windowed_masses(sigma_totals, sigma_eval, p, n, window)
     best = -math.inf
-    for g in range(-window, window + 1):
-        mass, t1 = _ball_mass_windowed(
-            lambda k: float_sat(w.value(k)), p, n, g, floor, weight_ball_mass(w, g)
-        )
-        smass, t2 = _power_mass(sigma_eval, sigma_exact, p, n, g, floor)
+    for g, (mass, t1), (smass, t2) in zip(range(-window, window + 1), masses, smasses):
         truncated |= t1 or t2
         vol = fpow(float(p), n * g)
         a_val = (mass / vol) * fpow(smass / vol, float(ell) - 1)
@@ -505,10 +634,9 @@ def rh_constant(w: Weight, r: Number, window: int = 40) -> ExtendedValue:
     if r <= 1:
         raise ValueError("r must exceed 1")
     p, n = w.p, w.n
-    floor = -window
     truncated = False
     alpha = w.power_exponent()
-    wr_exact: RadialFunction | None = None
+    wr_totals = None
     if alpha is not None:
         c = w.profile.terms[0].coeff
         wr_exact = RadialFunction.power(
@@ -516,16 +644,18 @@ def rh_constant(w: Weight, r: Number, window: int = 40) -> ExtendedValue:
             abs_pow(c, r),
             Fraction(alpha) * Fraction(r) if is_exact(alpha) and is_exact(r) else float(alpha) * float(r),
         )
+        wr_totals = _ball_totals(wr_exact, window)
+
+    def w_eval(g: int) -> float:
+        return float_sat(w.value(g))
 
     def wr_eval(g: int) -> float:
         return fpow(float_sat(w.value(g)), float(r))
 
+    masses = _windowed_masses(_ball_totals(w.profile, window), w_eval, p, n, window)
+    rmasses = _windowed_masses(wr_totals, wr_eval, p, n, window)
     best = -math.inf
-    for g in range(-window, window + 1):
-        mass, t1 = _ball_mass_windowed(
-            lambda k: float_sat(w.value(k)), p, n, g, floor, weight_ball_mass(w, g)
-        )
-        rmass, t2 = _power_mass(wr_eval, wr_exact, p, n, g, floor)
+    for g, (mass, t1), (rmass, t2) in zip(range(-window, window + 1), masses, rmasses):
         truncated |= t1 or t2
         vol = fpow(float(p), n * g)
         val = fpow(rmass / vol, 1 / float(r)) / (mass / vol)

@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from radialpadic import weights
-from radialpadic.numeric import exp_sat, float_sat, fpow, is_exact, log_exact
-from radialpadic.radial import RadialFunction, RadialTerm, ball_measure
+from radialpadic.numeric import abs_pow, exp_sat, float_sat, fpow, is_exact, log_exact
+from radialpadic.radial import RadialFunction, RadialTerm, ball_measure, integrate_radial
 from radialpadic.weights import (
     _GROWTH_PROBES,
     NormResult,
@@ -339,7 +339,7 @@ def test_norm_result_float_protocol():
     assert float(res) == 1.0
 
 
-# -- memo and running-min references -------------------------------------------
+# -- references for the memo and the one-pass ball sweeps -------------------------------------------
 
 
 def cmo_reference(b, w, r, window):
@@ -357,26 +357,32 @@ def cmo_reference(b, w, r, window):
             return 0.0
         return exp_sat((log_exact(osc.value) - log_exact(mass.value)) / float(r))
 
+    return windowed_sup_reference(d_at, window)
+
+
+def windowed_sup_reference(quotient_at, window):
+    """(sup, witness) of quotient_at over the window balls, infinite when a
+    growth probe beyond the window exceeds it."""
     best, witness = -math.inf, None
     for g in range(-window, window + 1):
-        v = d_at(g)
+        v = quotient_at(g)
         if v > best:
             best, witness = v, g
-    probes = [d_at(s * (window + off)) for off in _GROWTH_PROBES for s in (1, -1)]
+    probes = [quotient_at(s * (window + off)) for off in _GROWTH_PROBES for s in (1, -1)]
     if math.isinf(best) or any(v > best * (1 + 1e-9) + 1e-300 for v in probes):
         return math.inf, witness
     return best, witness
 
 
-def count_calls(monkeypatch, name):
+def count_calls(monkeypatch, name, owner=weights):
     calls = []
-    original = getattr(weights, name)
+    original = getattr(owner, name)
 
     def counted(*args, **kw):
         calls.append(args)
         return original(*args, **kw)
 
-    monkeypatch.setattr(weights, name, counted)
+    monkeypatch.setattr(owner, name, counted)
     return calls
 
 
@@ -389,9 +395,10 @@ LOG = RadialFunction.power(2, 1, 1, 0, logpow=1)
         # a log symbol's dilated deviation is the same function on every
         # ball, so the 33 window balls and 8 probes share one quotient
         (LOG, power_weight(2, 1, Fraction(1, 2)), 16, 1),
-        # cut off above shell 3: the cut moves under each dilation, so the
-        # 13 window balls and 8 probes all differ
-        (LOG.restrict(None, 3), power_weight(2, 1, Fraction(1, 2)), 6, 21),
+        # cut off above shell 3: the deviation is cut to the unit ball, so
+        # the 14 balls at or below shell 3 share one quotient and the 7
+        # above it (3 window balls, 4 probes) differ
+        (LOG.restrict(None, 3), power_weight(2, 1, Fraction(1, 2)), 6, 8),
         # not a power weight: every ball keeps gam = g, so no key repeats
         (LOG, Weight(RadialFunction.constant(2, 1, 1) + RadialFunction.power(2, 1, 1, Fraction(1, 2))), 6, 21),
     ],
@@ -436,3 +443,254 @@ def test_a1_running_min_matches_quadratic_reference(extra):
     got = ap_constant(w, 1, window=20)
     assert float(got) == want
     assert got.truncated == want_truncated
+
+
+# b's constant part and a log term both feed the constant of the dilated
+# deviation; a float constant makes the order of those sums matter
+CONST_LOG = RadialFunction.constant(2, 1, 0.1) + LOG
+
+
+@pytest.mark.parametrize(
+    "b, w",
+    [
+        (CONST_LOG, power_weight(2, 1, Fraction(1, 2))),
+        (CONST_LOG.restrict(None, 3), power_weight(2, 1, Fraction(1, 2))),
+        (CONST_LOG, Weight(RadialFunction.constant(2, 1, 1) + RadialFunction.power(2, 1, 1, Fraction(1, 2)))),
+    ],
+    ids=["float-const-log", "cut-float-const-log", "float-const-log-non-power-weight"],
+)
+def test_cmo_constant_part_matches_reference(b, w):
+    want, want_witness = cmo_reference(b, w, 2, 6)
+    res = cmo_norm(b, w, 2, window=6)
+    assert float(res.value) == want
+    assert res.witness_shell == want_witness
+
+
+def terms_with_types(f):
+    return [(t, type(t.coeff), type(t.beta)) for t in f.terms]
+
+
+@pytest.mark.parametrize(
+    "b",
+    [
+        LOG,
+        LOG.restrict(None, 3),
+        CONST_LOG,
+        RadialFunction(2, 1, (RadialTerm(Fraction(1, 3), 0, 0, -2, 4), RadialTerm(2, 0.0, 2, None, 1),
+                              RadialTerm(0.5, Fraction(-1, 2), 1, 0, None))),
+        # no constant part, but a log term whose exponent is the float 0.0
+        RadialFunction(2, 1, (RadialTerm(2, 0.0, 1, None, 1), RadialTerm(0.5, Fraction(-1, 2), 1, 0, None))),
+        # one exponent written as 0.5 and as 1/2: the dilation merges the two
+        RadialFunction(2, 1, (RadialTerm(1, 0.5, 0, 3, None), RadialTerm(1, Fraction(1, 2), 1, None, None))),
+    ],
+    ids=["log", "cut-log", "float-const-log", "mixed", "float-zero-log", "two-spellings"],
+)
+@pytest.mark.parametrize("avg", [Fraction(7, 3), 2.2])
+def test_deviation_is_the_dilated_difference_on_the_ball(b, avg):
+    # one construction, equal term by term (number types included) to the
+    # deviation cmo_norm used to build in four and integrate up to the ball
+    for d, hi in ((-5, 0), (0, 0), (4, 0), (None, 2), (None, -3)):
+        dev = b - RadialFunction.constant(b.p, b.n, avg)
+        if d is not None:
+            dev = dev.dilate(d)
+        got = weights._deviation(b, avg, d, hi)
+        assert terms_with_types(got) == terms_with_types(dev.restrict(None, hi))
+
+
+SWEPT = [
+    RadialFunction.power(2, 1, 3, 1),  # exact single power: running product
+    RadialFunction.power(3, 2, Fraction(2, 3), Fraction(-5, 4)),  # fractional exponent
+    LOG + RadialFunction.power(2, 1, 1, -1, lo=-3),  # integral exponents: running sum
+    RadialFunction.power(2, 1, 1, Fraction(1, 2)) + RadialFunction.power(2, 1, 1, 0, hi=2),  # per ball
+    RadialFunction.power(2, 1, 1.5, 0.25),  # float data: per ball
+    RadialFunction.power(2, 1, 1, -2),  # not locally integrable
+]
+
+
+@pytest.mark.parametrize("f", SWEPT)
+def test_ball_totals_equal_each_closed_form(f):
+    totals = weights._ball_totals(f, 12)
+    for g, total in zip(range(-12, 13), totals):
+        want = integrate_radial(f.restrict(None, g))
+        assert (total.value, type(total.value), total.is_finite) == (want.value, type(want.value), want.is_finite)
+
+
+@pytest.mark.parametrize("q", [2, Fraction(5, 2), 1.5])
+@pytest.mark.parametrize("f", SWEPT[2:4] + [RadialFunction.power(2, 1, 1, Fraction(-1, 2), lo=-3, hi=5) + LOG])
+def test_ball_integrals_equal_each_direct_integral(f, q):
+    w = Weight(RadialFunction.constant(2, 1, 1) + RadialFunction.power(2, 1, 1, Fraction(1, 2), lo=1))
+    got = weights._ball_integrals(f, w, q, 10)
+    for g, part in zip(range(-10, 11), got):
+        want = integral_abs_power(f, w, q, None, g)
+        assert (part.value, type(part.value), part.divergent) == (want.value, type(want.value), want.divergent)
+
+
+def morrey_reference(f, w, q, lam, window):
+    """morrey_norm's window sup with every ball integrated from -inf."""
+    if is_exact(q) and is_exact(lam):
+        expo = float(Fraction(1) / Fraction(q) + Fraction(lam))
+    else:
+        expo = 1 / float(q) + float(lam)
+
+    def q_at(g):
+        mass = weight_ball_mass(w, g)
+        if not mass.is_finite:
+            return math.inf
+        part = integral_abs_power(f, w, q, None, g)
+        if not part.is_finite:
+            return math.inf
+        if part.value == 0 or (not is_exact(part.value) and float(part.value) == 0.0):
+            return 0.0
+        return exp_sat(-expo * log_exact(mass.value) + log_exact(part.value) / float(q))
+
+    return windowed_sup_reference(q_at, window)
+
+
+MULTI = RadialFunction.power(2, 1, 1, Fraction(-1, 2), lo=-3, hi=10) + RadialFunction.power(2, 1, 3, 0, hi=2)
+
+
+@pytest.mark.parametrize(
+    "f, w, q, finite",
+    [
+        (MULTI, power_weight(2, 1, 1), 2, True),
+        (MULTI, power_weight(2, 1, Fraction(1, 2)), 3, True),
+        # overlapping terms under a non-integer q: numeric pieces, float sums
+        (MULTI + RadialFunction.power(2, 1, 1, Fraction(-1, 4), lo=-6, hi=4), power_weight(2, 1, 0), Fraction(5, 2), True),
+        (MULTI, Weight(RadialFunction.constant(2, 1, 1) + RadialFunction.power(2, 1, 1, Fraction(1, 2), lo=0)), 2, True),
+        # |x|^-2 near 0 is not in L^2 of any ball
+        (MULTI + RadialFunction.power(2, 1, 1, -2, hi=3), power_weight(2, 1, 0), 2, False),
+    ],
+    ids=["integer-alpha", "fractional-alpha", "non-integer-q", "non-power-weight", "deep-divergent"],
+)
+def test_morrey_sweep_matches_per_ball_reference(monkeypatch, f, w, q, finite):
+    lam = Fraction(-1, 4) / q if is_exact(q) else -0.1
+    want, want_witness = morrey_reference(f, w, q, lam, 12)
+    assert math.isfinite(want) == finite
+    calls = count_calls(monkeypatch, "integral_abs_power")
+    res = morrey_norm(f, w, q, lam, window=12)
+    # the window balls come from the sweep; only the growth probes integrate
+    assert len(calls) <= 2 * len(_GROWTH_PROBES)
+    assert float(res.value) == want
+    assert res.witness_shell == want_witness
+
+
+def windowed_mass_reference(closed, density, p, n, g, window):
+    """Mass over B_g: the closed form when finite, else density summed over
+    the shells -window..g from scratch (flagged truncated)."""
+    total = closed(g) if closed is not None else None
+    if total is not None and total.is_finite:
+        return float_sat(total.value), False
+    unit = 1 - float(p) ** (-n)
+    return math.fsum(density(k) * fpow(float(p), n * k) * unit for k in range(-window, g + 1)), True
+
+
+def power_closed_form(w, coeff, beta):
+    """Ball masses of coeff|x|^beta, when w is a power weight, else None."""
+    if w.power_exponent() is None:
+        return None
+    return lambda g: integrate_radial(RadialFunction.power(w.p, w.n, coeff(w.profile.terms[0].coeff), beta(w.power_exponent()), hi=g))
+
+
+def ap_reference(w, ell, window):
+    """A_ell (ell > 1) with every ball mass and truncated sum from scratch."""
+    p, n = w.p, w.n
+    sigma = power_closed_form(
+        w,
+        lambda c: abs_pow(c, Fraction(-1, 1) / (Fraction(ell) - 1)),
+        lambda a: -Fraction(a) / (Fraction(ell) - 1),
+    )
+    best, truncated = -math.inf, False
+    for g in range(-window, window + 1):
+        mass, t1 = windowed_mass_reference(lambda k: weight_ball_mass(w, k), lambda k: float_sat(w.value(k)), p, n, g, window)
+        smass, t2 = windowed_mass_reference(sigma, lambda k: fpow(float_sat(w.value(k)), -1 / (float(ell) - 1)), p, n, g, window)
+        truncated |= t1 or t2
+        vol = fpow(float(p), n * g)
+        best = max(best, (mass / vol) * fpow(smass / vol, float(ell) - 1))
+    return best, truncated
+
+
+def rh_reference(w, r, window):
+    """Reverse-Holder constant with every ball mass and truncated sum from scratch."""
+    p, n = w.p, w.n
+    wr = power_closed_form(w, lambda c: abs_pow(c, r), lambda a: Fraction(a) * Fraction(r))
+    best, truncated = -math.inf, False
+    for g in range(-window, window + 1):
+        mass, t1 = windowed_mass_reference(lambda k: weight_ball_mass(w, k), lambda k: float_sat(w.value(k)), p, n, g, window)
+        rmass, t2 = windowed_mass_reference(wr, lambda k: fpow(float_sat(w.value(k)), float(r)), p, n, g, window)
+        truncated |= t1 or t2
+        vol = fpow(float(p), n * g)
+        best = max(best, fpow(rmass / vol, 1 / float(r)) / (mass / vol))
+    return best, truncated
+
+
+NON_POWER = Weight(RadialFunction.power(2, 1, 1, Fraction(1, 2)) + RadialFunction.power(2, 1, 1, Fraction(-1, 2), hi=0))
+
+
+@pytest.mark.parametrize(
+    "w, ell, truncated",
+    [
+        (power_weight(3, 1, Fraction(1, 2)), 2, False),
+        (power_weight(2, 1, Fraction(11, 10)), 2, True),  # sigma's tail diverges
+        (NON_POWER, 2, True),  # sigma has no closed form
+        (power_weight(2, 2, -1), Fraction(3, 2), False),
+    ],
+    ids=["inside", "truncated-tail", "non-power", "integer-alpha"],
+)
+def test_ap_sweep_matches_quadratic_reference(w, ell, truncated):
+    want, want_truncated = ap_reference(w, ell, 20)
+    assert want_truncated == truncated
+    got = ap_constant(w, ell, window=20)
+    assert float(got) == want
+    assert got.truncated == want_truncated
+
+
+@pytest.mark.parametrize(
+    "w, r, truncated",
+    [
+        (power_weight(2, 1, Fraction(-1, 2)), Fraction(3, 2), False),
+        (power_weight(2, 1, Fraction(-1, 2)), 3, True),  # w^r is not locally integrable
+        (NON_POWER, 2, True),  # w^r has no closed form
+    ],
+    ids=["inside", "truncated-tail", "non-power"],
+)
+def test_rh_sweep_matches_quadratic_reference(w, r, truncated):
+    want, want_truncated = rh_reference(w, r, 16)
+    assert want_truncated == truncated
+    got = rh_constant(w, r, window=16)
+    assert float(got) == want
+    assert got.truncated == want_truncated
+
+
+def scan_accepts(profile):
+    """Weight's shell-by-shell positivity scan, on its own."""
+    window = weights._POSITIVITY_WINDOW
+    return all(profile.value_on_shell(g) > 0 for g in range(-window, window + 1))
+
+
+@pytest.mark.parametrize(
+    "profile, fast",
+    [
+        (RadialFunction.power(2, 1, 1, Fraction(1, 2)), True),
+        (RadialFunction.power(3, 2, Fraction(1, 3), Fraction(-7, 3)), True),
+        (RadialFunction.power(2, 1, Fraction(1, 10 ** 30), 50), True),
+        (RadialFunction.power(2, 1, 1, -50), True),
+        (RadialFunction.power(2, 1, 1, 200.0), False),  # underflows to 0 deep down
+        (RadialFunction.power(2, 1, 1e-300, 1), False),
+        (RadialFunction.power(2, 1, 0.5, Fraction(1, 2)), False),
+        (RadialFunction.power(2, 1, -1, 0), False),
+        (RadialFunction.power(2, 1, 1, 0) + RadialFunction.power(2, 1, 1, 1, lo=3), False),
+    ],
+    ids=["sqrt", "fractional", "tiny-coeff", "integer", "float-exponent", "float-coeff-underflow",
+         "float-coeff", "negative", "two-terms"],
+)
+def test_weight_fast_path_agrees_with_scan(monkeypatch, profile, fast):
+    want = scan_accepts(profile)
+    shells = count_calls(monkeypatch, "value_on_shell", RadialFunction)
+    try:
+        Weight(profile)
+        accepted = True
+    except ValueError:
+        accepted = False
+    assert accepted == want
+    assert (len(shells) == 0) == fast
+
