@@ -99,13 +99,8 @@ def _canonicalize(terms: Iterable[RadialTerm]) -> tuple[RadialTerm, ...]:
         for lo, hi, c in merged:
             if c != 0:
                 out.append(RadialTerm(c, beta, k, lo, hi))
-    out.sort(key=canonical_order)
+    out.sort(key=lambda t: (float(t.beta), t.logpow, _lo_key(t.lo), _hi_key(t.hi)))
     return tuple(out)
-
-
-def canonical_order(t: RadialTerm) -> tuple:
-    """Sort key of the terms of a canonical function."""
-    return (float(t.beta), t.logpow, _lo_key(t.lo), _hi_key(t.hi))
 
 
 def _edges(t: RadialTerm) -> list[int]:
@@ -240,7 +235,14 @@ class RadialFunction:
 
     def restrict(self, lo: int | None, hi: int | None) -> "RadialFunction":
         """Pointwise multiplication by the indicator of shells lo..hi."""
-        return RadialFunction(self.p, self.n, restrict_terms(self.terms, lo, hi))
+        clipped = []
+        for t in self.terms:
+            nlo = _max_lo(t.lo, lo)
+            nhi = _min_hi(t.hi, hi)
+            if nlo is not None and nhi is not None and nlo > nhi:
+                continue
+            clipped.append(RadialTerm(t.coeff, t.beta, t.logpow, nlo, nhi))
+        return RadialFunction(self.p, self.n, tuple(clipped))
 
     def dilate(self, d: int) -> "RadialFunction":
         """The function x -> f(t x) for any t with |t|_p = p^d.
@@ -249,32 +251,15 @@ class RadialFunction:
         each term picks up p^(d*beta), its range shifts down by d, and the
         log factor (v + d)^k expands binomially into powers of v.
         """
-        return RadialFunction(self.p, self.n, dilate_terms(self.terms, self.p, d))
-
-
-def restrict_terms(terms: Iterable[RadialTerm], lo: int | None, hi: int | None) -> tuple[RadialTerm, ...]:
-    """The terms cut to shells lo..hi, those left empty dropped (RadialFunction.restrict)."""
-    clipped = []
-    for t in terms:
-        nlo = _max_lo(t.lo, lo)
-        nhi = _min_hi(t.hi, hi)
-        if nlo is not None and nhi is not None and nlo > nhi:
-            continue
-        clipped.append(RadialTerm(t.coeff, t.beta, t.logpow, nlo, nhi))
-    return tuple(clipped)
-
-
-def dilate_terms(terms: Iterable[RadialTerm], p: int, d: int) -> tuple[RadialTerm, ...]:
-    """The terms of RadialFunction.dilate(d), in the order of the given terms."""
-    new_terms = []
-    for t in terms:
-        scale = t.coeff * ppow(p, d * t.beta)
-        lo = None if t.lo is None else t.lo - d
-        hi = None if t.hi is None else t.hi - d
-        for j in range(t.logpow + 1):
-            c = scale * comb(t.logpow, j) * d ** (t.logpow - j)
-            new_terms.append(RadialTerm(c, t.beta, j, lo, hi))
-    return tuple(new_terms)
+        new_terms = []
+        for t in self.terms:
+            scale = t.coeff * ppow(self.p, d * t.beta)
+            lo = None if t.lo is None else t.lo - d
+            hi = None if t.hi is None else t.hi - d
+            for j in range(t.logpow + 1):
+                c = scale * comb(t.logpow, j) * d ** (t.logpow - j)
+                new_terms.append(RadialTerm(c, t.beta, j, lo, hi))
+        return RadialFunction(self.p, self.n, tuple(new_terms))
 
 
 def _max_lo(a: int | None, b: int | None) -> int | None:

@@ -45,16 +45,7 @@ from .numeric import (
     nth_root,
     ppow,
 )
-from .radial import (
-    RadialFunction,
-    RadialTerm,
-    ball_measure,
-    canonical_order,
-    dilate_terms,
-    integrate_radial,
-    restrict_terms,
-    sphere_measure,
-)
+from .radial import RadialFunction, ball_measure, integrate_radial, sphere_measure
 from .series import power_log_sum
 
 #: probe offsets used to classify growth beyond a sup window
@@ -165,9 +156,9 @@ def _ball_totals(f: RadialFunction, window: int) -> list[ExtendedValue]:
     Each ball's total equals its closed form as a rational wherever the
     closed form is exact:
 
-      * c|x|^beta with exact c and beta has the closed form C r^g with
-        r = p^(beta+n) (series.tail_to_minus_inf), so each ball is the one
-        below it times r;
+      * c|x|^beta with exact c and beta sums the geometric series in the
+        exact ratio r = ppow(p, beta + n) (integrate_radial), so each ball is
+        the one below it times r, also for a fractional beta;
       * with exact coefficients and integral exponents, each ball is the one
         below it plus f(g)|S_g|.
 
@@ -400,8 +391,8 @@ def morrey_norm(
 
     Otherwise the balls of the window are swept once, upward: each piece of
     the |f|^q w integral is evaluated once and reused by every ball above it
-    (_ball_integrals), and the weight masses come from one running pass
-    (_ball_totals).  Both give each ball exactly the value a direct
+    (_ball_integrals), and exact weight masses step from one ball to the
+    next (_ball_totals).  Both give each ball exactly the value a direct
     integral_abs_power / weight_ball_mass call would, so the sweep changes no
     value and no witness.  Only the growth probes beyond the window are
     integrated directly.
@@ -459,44 +450,14 @@ def morrey_norm(
     return NormResult(ExtendedValue.finite(best), witness)
 
 
-def _deviation(b: RadialFunction, avg: Number, d: int | None, hi: int) -> RadialFunction:
-    """b - avg, dilated by d (as RadialFunction.dilate) unless d is None, with
-    every term cut to shells <= hi, in one construction.
-
-    Only the shells up to hi are ever integrated, so the cut changes no
-    value, and symbols that differ only above the ball share one deviation.
-    """
-    terms = b.terms + (RadialTerm(-avg, 0, 0),)
-    if any(t.beta == 0 and t.logpow == 0 for t in b.terms):
-        # b's constant part absorbs -avg first, as in b - avg, so that float
-        # sums round alike once the dilation adds the constants of log terms
-        terms = RadialFunction(b.p, b.n, terms).terms
-    else:
-        # the canonical order of b - avg: it fixes which beta object names
-        # a group the dilation merges
-        terms = tuple(sorted(terms, key=canonical_order))
-    if d is not None:
-        # the dilation merges groups of b - avg whose equal exponents may be
-        # different objects (0.5 and 1/2); name each merged group after its
-        # first nonzero term, as the canonical form of the whole dilated
-        # function does, before the cut drops terms
-        names: dict[tuple, Number] = {}
-        terms = tuple(
-            RadialTerm(t.coeff, names.setdefault((t.beta, t.logpow), t.beta), t.logpow, t.lo, t.hi)
-            for t in dilate_terms(terms, b.p, d) if t.coeff != 0
-        )
-    return RadialFunction(b.p, b.n, restrict_terms(terms, None, hi))
-
-
 def cmo_norm(b: RadialFunction, w: Weight, r: Number, window: int = 48) -> NormResult:
     """Central oscillation norm: sup over balls of the weighted L^r deviation
     of b from its unweighted ball average, normalized by the ball's weight mass.
 
-    The ball averages of the window come from one running pass
-    (_ball_totals), each exactly the ball_average value.  Ball quotients are
-    memoized within one call, keyed on the deviation as integrated (dilated
-    to the unit ball for a power weight, and cut to the ball) and the ball it
-    is integrated over.  The reuse is exact: for fixed w and r the quotient
+    The ball averages of the window come from one pass (_ball_totals), each
+    exactly the ball_average value.  Ball quotients are memoized within one
+    call, keyed on the deviation as integrated (dilated to the unit ball for
+    a power weight, and cut to the ball) and the ball it is integrated over.  The reuse is exact: for fixed w and r the quotient
     is a function of that pair alone, and for a power weight the pair is
     (dev.dilate(g) on B_0, 0), which for a log symbol is the same function
     on every ball, and for a symbol cut off above shell c the same on every
@@ -511,13 +472,17 @@ def cmo_norm(b: RadialFunction, w: Weight, r: Number, window: int = 48) -> NormR
     quotients: dict[tuple, float] = {}
 
     def d_at(g: int, avg: Number) -> float:
+        dev = b - RadialFunction.constant(b.p, b.n, avg)
         if rescale:
             # for power weights both the deviation integral and the mass
             # scale by p^(g(n+alpha)) under x -> p^(-g) x, so evaluate the
             # quotient on the unit ball where every shell value is O(|g|^r)
-            dev, gam = _deviation(b, avg, g, 0), 0
+            dev, gam = dev.dilate(g), 0
         else:
-            dev, gam = _deviation(b, avg, None, g), g
+            gam = g
+        # only shells <= gam are integrated, so the cut changes no value and
+        # symbols that differ only above the ball share a key
+        dev = dev.restrict(None, gam)
         # Fraction(1, 2) and 0.5 compare and hash equal; the number types keep
         # an exact deviation from sharing a quotient with a float one
         key = (dev, gam, tuple((type(t.coeff), type(t.beta)) for t in dev.terms))
@@ -570,6 +535,12 @@ def _windowed_masses(totals: Sequence[ExtendedValue] | None, density: Callable[[
     return masses
 
 
+def _weight_masses(w: Weight, window: int) -> list[tuple[float, bool]]:
+    """(omega(B_g), truncated) for g = -window..window (_windowed_masses)."""
+    return _windowed_masses(_ball_totals(w.profile, window), lambda g: float_sat(w.value(g)),
+                            w.p, w.n, window)
+
+
 def ap_constant(w: Weight, ell: Number, window: int = 40) -> ExtendedValue:
     """Muckenhoupt A_ell constant over centered balls B_gamma, |gamma| <= window.
 
@@ -583,10 +554,7 @@ def ap_constant(w: Weight, ell: Number, window: int = 40) -> ExtendedValue:
     p, n = w.p, w.n
     truncated = False
 
-    def w_eval(g: int) -> float:
-        return float_sat(w.value(g))
-
-    masses = _windowed_masses(_ball_totals(w.profile, window), w_eval, p, n, window)
+    masses = _weight_masses(w, window)
     if ell == 1:
         dom = _dominant_term(w.profile, -1)
         vanishes_deep = dom is not None and float(dom[0]) > 0
@@ -595,7 +563,7 @@ def ap_constant(w: Weight, ell: Number, window: int = 40) -> ExtendedValue:
         low = math.inf  # min of w over the shells -window..g
         for g, (mass, tflag) in zip(range(-window, window + 1), masses):
             truncated |= tflag
-            low = min(low, w_eval(g))
+            low = min(low, float_sat(w.value(g)))
             essinf = min(low, float(dom[2])) if flat_deep else low
             truncated |= vanishes_deep
             avg = mass / fpow(float(p), n * g)
@@ -646,13 +614,10 @@ def rh_constant(w: Weight, r: Number, window: int = 40) -> ExtendedValue:
         )
         wr_totals = _ball_totals(wr_exact, window)
 
-    def w_eval(g: int) -> float:
-        return float_sat(w.value(g))
-
     def wr_eval(g: int) -> float:
         return fpow(float_sat(w.value(g)), float(r))
 
-    masses = _windowed_masses(_ball_totals(w.profile, window), w_eval, p, n, window)
+    masses = _weight_masses(w, window)
     rmasses = _windowed_masses(wr_totals, wr_eval, p, n, window)
     best = -math.inf
     for g, (mass, t1), (rmass, t2) in zip(range(-window, window + 1), masses, rmasses):

@@ -446,7 +446,7 @@ def test_a1_running_min_matches_quadratic_reference(extra):
 
 
 # b's constant part and a log term both feed the constant of the dilated
-# deviation; a float constant makes the order of those sums matter
+# deviation, here with a float constant
 CONST_LOG = RadialFunction.constant(2, 1, 0.1) + LOG
 
 
@@ -466,16 +466,15 @@ def test_cmo_constant_part_matches_reference(b, w):
     assert res.witness_shell == want_witness
 
 
-def terms_with_types(f):
-    return [(t, type(t.coeff), type(t.beta)) for t in f.terms]
-
-
+@pytest.mark.parametrize(
+    "w",
+    [power_weight(2, 1, Fraction(1, 2)),
+     Weight(RadialFunction.constant(2, 1, 1) + RadialFunction.power(2, 1, 1, Fraction(1, 2)))],
+    ids=["power", "non-power"],
+)
 @pytest.mark.parametrize(
     "b",
     [
-        LOG,
-        LOG.restrict(None, 3),
-        CONST_LOG,
         RadialFunction(2, 1, (RadialTerm(Fraction(1, 3), 0, 0, -2, 4), RadialTerm(2, 0.0, 2, None, 1),
                               RadialTerm(0.5, Fraction(-1, 2), 1, 0, None))),
         # no constant part, but a log term whose exponent is the float 0.0
@@ -483,18 +482,15 @@ def terms_with_types(f):
         # one exponent written as 0.5 and as 1/2: the dilation merges the two
         RadialFunction(2, 1, (RadialTerm(1, 0.5, 0, 3, None), RadialTerm(1, Fraction(1, 2), 1, None, None))),
     ],
-    ids=["log", "cut-log", "float-const-log", "mixed", "float-zero-log", "two-spellings"],
+    ids=["mixed", "float-zero-log", "two-spellings"],
 )
-@pytest.mark.parametrize("avg", [Fraction(7, 3), 2.2])
-def test_deviation_is_the_dilated_difference_on_the_ball(b, avg):
-    # one construction, equal term by term (number types included) to the
-    # deviation cmo_norm used to build in four and integrate up to the ball
-    for d, hi in ((-5, 0), (0, 0), (4, 0), (None, 2), (None, -3)):
-        dev = b - RadialFunction.constant(b.p, b.n, avg)
-        if d is not None:
-            dev = dev.dilate(d)
-        got = weights._deviation(b, avg, d, hi)
-        assert terms_with_types(got) == terms_with_types(dev.restrict(None, hi))
+def test_cmo_deviation_cut_to_the_ball_matches_reference(b, w):
+    # cmo_norm cuts each deviation to the ball it integrates; the reference
+    # integrates the whole-line deviation up to the ball
+    want, want_witness = cmo_reference(b, w, 2, 6)
+    res = cmo_norm(b, w, 2, window=6)
+    assert float(res.value) == want
+    assert res.witness_shell == want_witness
 
 
 SWEPT = [
@@ -503,6 +499,7 @@ SWEPT = [
     LOG + RadialFunction.power(2, 1, 1, -1, lo=-3),  # integral exponents: running sum
     RadialFunction.power(2, 1, 1, Fraction(1, 2)) + RadialFunction.power(2, 1, 1, 0, hi=2),  # per ball
     RadialFunction.power(2, 1, 1.5, 0.25),  # float data: per ball
+    RadialFunction.power(2, 1, 0.1, 1) + LOG,  # float coefficient, integral exponents: per ball
     RadialFunction.power(2, 1, 1, -2),  # not locally integrable
 ]
 
