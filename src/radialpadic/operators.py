@@ -350,23 +350,32 @@ def hausdorff_apply(
         if vshell == -math.inf:
             raise ValueError("evaluation point must be nonzero")
         v = int(vshell)
+        # the kernel weight depends only on shell(y), and a slot's factor only
+        # on (slot, shell(A(y) x)) once x is fixed: each is computed once per
+        # call, by the same float operations, so every sample is unchanged
+        weights: dict[int, float] = {}
+        factors: dict[tuple[int, int], float] = {}
 
         def integrand(y: PAdicVector) -> float:
             g = int(y.shell())
-            w = float(kernel.phi.value_on_shell(g)) * fpow(float(p), -n * g)
+            w = weights.get(g)
+            if w is None:
+                w = weights[g] = float(kernel.phi.value_on_shell(g)) * fpow(float(p), -n * g)
             if w == 0.0:
                 return 0.0
             acc = w
-            for i, (fam, f) in enumerate(zip(families, inputs)):
+            for i, fam in enumerate(families):
                 mat = fam.matrix_at(p, n, y)
                 if mat.det() == 0:
                     return 0.0
-                z = mat.matvec(x)
-                sz = int(z.shell())
-                fv = float(f.value_on_shell(sz))
-                if symbols is not None:
-                    b = symbols[i]
-                    fv *= float(b.value_on_shell(v)) - float(b.value_on_shell(sz))
+                sz = int(mat.matvec(x).shell())
+                fv = factors.get((i, sz))
+                if fv is None:
+                    fv = float(inputs[i].value_on_shell(sz))
+                    if symbols is not None:
+                        b = symbols[i]
+                        fv *= float(b.value_on_shell(v)) - float(b.value_on_shell(sz))
+                    factors[i, sz] = fv
                 acc *= fv
             return acc
 

@@ -34,18 +34,31 @@ def check_prime(p: int) -> int:
     return p
 
 
-def valuation(x: int | Fraction, p: int) -> int | float:
-    """p-adic valuation; valuation(0) is +inf by convention."""
-    check_prime(p)
-    if x == 0:
-        return math.inf
-    if isinstance(x, Fraction):
-        return valuation(x.numerator, p) - valuation(x.denominator, p)
-    n, v = abs(int(x)), 0
-    while n % p == 0:
-        n //= p
+def _int_valuation(m: int, p: int) -> int:
+    """Valuation of a nonzero int; p is already checked."""
+    m, v = abs(m), 0
+    while m % p == 0:
+        m //= p
         v += 1
     return v
+
+
+def _valuation(x: int | Fraction, p: int) -> int | float:
+    """valuation for a p already checked."""
+    if not x:
+        return math.inf
+    if isinstance(x, Fraction):
+        # lowest terms: p divides at most one of numerator and denominator
+        den = x.denominator
+        if den % p == 0:
+            return -_int_valuation(den, p)
+        return _int_valuation(x.numerator, p)
+    return _int_valuation(int(x), p)
+
+
+def valuation(x: int | Fraction, p: int) -> int | float:
+    """p-adic valuation; valuation(0) is +inf by convention."""
+    return _valuation(x, check_prime(p))
 
 
 def pnorm(x: int | Fraction, p: int) -> Fraction:
@@ -62,6 +75,20 @@ def log_norm(x: int | Fraction, p: int) -> int | float:
     return -v if v is not math.inf else -math.inf
 
 
+_ZERO = Fraction(0)
+
+
+def _exact(c: int | Fraction) -> Fraction:
+    """c as a Fraction, without re-wrapping one that already is."""
+    return c if type(c) is Fraction else Fraction(c)
+
+
+def _dot(row: tuple[Fraction, ...], coords: tuple[Fraction, ...]) -> Fraction:
+    """Exact sum of row[j] * coords[j], skipping the zero products."""
+    terms = [a * c for a, c in zip(row, coords) if a and c]
+    return sum(terms[1:], terms[0]) if terms else _ZERO
+
+
 @dataclass(frozen=True)
 class PAdicVector:
     """A point of Q_p^n with exact rational coordinates."""
@@ -71,7 +98,7 @@ class PAdicVector:
 
     def __post_init__(self) -> None:
         check_prime(self.p)
-        object.__setattr__(self, "coords", tuple(Fraction(c) for c in self.coords))
+        object.__setattr__(self, "coords", tuple(_exact(c) for c in self.coords))
         if not self.coords:
             raise ValueError("vector needs at least one coordinate")
 
@@ -85,7 +112,7 @@ class PAdicVector:
 
     def shell(self) -> int | float:
         """log_p |x|_p; -inf for the zero vector."""
-        return max(log_norm(c, self.p) for c in self.coords)
+        return -min(_valuation(c, self.p) for c in self.coords)
 
     def scale(self, t: int | Fraction) -> "PAdicVector":
         return PAdicVector(self.p, tuple(Fraction(t) * c for c in self.coords))
@@ -105,7 +132,7 @@ class PAdicMatrix:
 
     def __post_init__(self) -> None:
         check_prime(self.p)
-        rows = tuple(tuple(Fraction(e) for e in row) for row in self.rows)
+        rows = tuple(tuple(_exact(e) for e in row) for row in self.rows)
         object.__setattr__(self, "rows", rows)
         n = len(rows)
         if n == 0 or any(len(r) != n for r in rows):
@@ -123,25 +150,27 @@ class PAdicMatrix:
         return max(log_norm(e, self.p) for row in self.rows for e in row)
 
     def det(self) -> Fraction:
-        """exact determinant by fraction-free expansion on a working copy."""
+        """exact determinant: the product of the elimination pivots."""
         n = self.n
         m = [list(row) for row in self.rows]
-        det = Fraction(1)
+        negate = False
         for col in range(n):
-            pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-            if pivot is None:
+            for pivot in range(col, n):
+                if m[pivot][col]:
+                    break
+            else:
                 return Fraction(0)
             if pivot != col:
                 m[col], m[pivot] = m[pivot], m[col]
-                det = -det
-            det *= m[col][col]
-            inv = Fraction(1) / m[col][col]
+                negate = not negate
+            det = m[col][col] if col == 0 else det * m[col][col]
             for r in range(col + 1, n):
-                factor = m[r][col] * inv
-                if factor:
-                    for c in range(col, n):
-                        m[r][c] -= factor * m[col][c]
-        return det
+                if not m[r][col]:
+                    continue
+                factor = m[r][col] / m[col][col]
+                for c in range(col, n):
+                    m[r][c] -= factor * m[col][c]
+        return -det if negate else det
 
     def inverse(self) -> "PAdicMatrix":
         """exact inverse via Gauss-Jordan elimination; raises on singular input."""
@@ -163,10 +192,7 @@ class PAdicMatrix:
     def matvec(self, x: PAdicVector) -> PAdicVector:
         if x.p != self.p or x.n != self.n:
             raise ValueError("mismatched matrix and vector")
-        return PAdicVector(
-            self.p,
-            tuple(sum((a * c for a, c in zip(row, x.coords)), Fraction(0)) for row in self.rows),
-        )
+        return PAdicVector(self.p, tuple(_dot(row, x.coords) for row in self.rows))
 
     @staticmethod
     def identity(p: int, n: int) -> "PAdicMatrix":
@@ -174,7 +200,8 @@ class PAdicMatrix:
 
     @staticmethod
     def scalar(p: int, n: int, s: int | Fraction) -> "PAdicMatrix":
-        return PAdicMatrix(p, tuple(tuple(Fraction(s) * int(i == j) for j in range(n)) for i in range(n)))
+        s = _exact(s)
+        return PAdicMatrix(p, tuple(tuple(s if i == j else _ZERO for j in range(n)) for i in range(n)))
 
 
 def det_norm_bounds_hold(a: PAdicMatrix) -> bool:

@@ -2,7 +2,9 @@
 
 Haar measure on the ball B_gamma factors over coordinates: x_j = p^(-gamma) u_j
 with u_j Haar-uniform in Z_p, realized to finite depth D as a uniform integer
-in [0, p^D).  The sphere S_gamma = B_gamma minus the interior is sampled by
+in [0, p^D).  Each coordinate is built as one exact Fraction: u_j p^(-gamma)
+when gamma <= 0, else u_j / p^gamma, reduced once, with no Fraction product.
+The sphere S_gamma = B_gamma minus the interior is sampled by
 rejection (resample while every coordinate has positive valuation), which is
 exactly Haar conditioned on the sphere.  Estimates over a set of shells are
 stratified: shell masses |S_gamma| are exact, so only the within-shell means
@@ -25,12 +27,25 @@ from .radial import sphere_measure
 DIGIT_DEPTH = 32
 
 
+def _checked_scale(p: int, n: int, gamma: int, depth: int) -> tuple[int, int]:
+    """Check the sampler's arguments; return (num, den) with num/den = p^(-gamma).
+
+    With n < 1 there is no coordinate to draw, and with depth < 1 every
+    draw is 0, so the sphere's rejection loop would never accept.
+    """
+    check_prime(p)
+    if n < 1:
+        raise ValueError(f"dimension n must be at least 1, got {n!r}")
+    if depth < 1:
+        raise ValueError(f"digit depth must be at least 1, got {depth!r}")
+    return (p ** -gamma, 1) if gamma <= 0 else (1, p ** gamma)
+
+
 def sample_ball(rng: random.Random, p: int, n: int, gamma: int, depth: int = DIGIT_DEPTH) -> PAdicVector:
     """One Haar-uniform point of B_gamma = {|x|_p <= p^gamma} to `depth` digits."""
-    check_prime(p)
-    scale = Fraction(p) ** (-gamma)
+    num, den = _checked_scale(p, n, gamma, depth)
     top = p ** depth
-    return PAdicVector(p, tuple(Fraction(rng.randrange(top)) * scale for _ in range(n)))
+    return PAdicVector(p, tuple(Fraction(rng.randrange(top) * num, den) for _ in range(n)))
 
 
 def sample_sphere(rng: random.Random, p: int, n: int, gamma: int, depth: int = DIGIT_DEPTH) -> PAdicVector:
@@ -40,13 +55,12 @@ def sample_sphere(rng: random.Random, p: int, n: int, gamma: int, depth: int = D
     coordinate's unit part is divisible by p, which happens with probability
     p^-n, so the loop accepts quickly.
     """
-    check_prime(p)
-    scale = Fraction(p) ** (-gamma)
+    num, den = _checked_scale(p, n, gamma, depth)
     top = p ** depth
     while True:
         units = [rng.randrange(top) for _ in range(n)]
         if any(u % p for u in units):
-            return PAdicVector(p, tuple(Fraction(u) * scale for u in units))
+            return PAdicVector(p, tuple(Fraction(u * num, den) for u in units))
 
 
 @dataclass(frozen=True)

@@ -9,8 +9,11 @@ import the closed-form machinery they are checking.
 from __future__ import annotations
 
 import math
+import random
 from fractions import Fraction
 from itertools import product as iproduct
+
+from radialpadic.padic import PAdicVector
 
 
 def brute_power_log_sum(r, k: int, lo: int, hi: int):
@@ -160,6 +163,99 @@ def enumerate_sphere_depth2(p: int, n: int):
         weights[us] = weights.get(us, 0) + 1
         count += 1
     return {k: Fraction(v, count) for k, v in weights.items()}
+
+
+def det_by_elimination(rows):
+    """Exact determinant of a square rational matrix by Gaussian elimination."""
+    m = [[Fraction(e) for e in row] for row in rows]
+    n = len(m)
+    det = Fraction(1)
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != col:
+            m[col], m[pivot] = m[pivot], m[col]
+            det = -det
+        det *= m[col][col]
+        for r in range(col + 1, n):
+            factor = m[r][col] / m[col][col]
+            for c in range(col, n):
+                m[r][c] -= factor * m[col][c]
+    return det
+
+
+def brute_shell(p: int, coords) -> int | float:
+    """log_p of the max norm: max over coordinates of -valuation; -inf for 0."""
+    best = -math.inf
+    for c in coords:
+        c = Fraction(c)
+        if c == 0:
+            continue
+        v = 0
+        num, den = abs(c.numerator), c.denominator
+        while num % p == 0:
+            num //= p
+            v += 1
+        while den % p == 0:
+            den //= p
+            v -= 1
+        best = max(best, -v)
+    return best
+
+
+def reference_mc_estimate(kernel_phi, families, inputs, x, shells, n_samples, seed,
+                          symbols=None, depth=32):
+    """The sampled Hausdorff estimate with no memo and no fast path.
+
+    Coordinates are ``Fraction(u) * p^-gamma``; every sample evaluates the
+    kernel and each slot's input and symbol afresh, takes det(A(y)) by
+    elimination and A(y) x as a full Fraction matrix-vector product.  The
+    stratified mean and variance are those of ``sampling.integrate_mc``.
+    Returns ``(value, stderr, per_shell)``.
+    """
+    p, n = kernel_phi.p, kernel_phi.n
+    v = int(brute_shell(p, x.coords))
+
+    def integrand(y):
+        g = int(brute_shell(p, y.coords))
+        acc = float(kernel_phi.value_on_shell(g)) * float(p) ** (-n * g)
+        if acc == 0.0:
+            return 0.0
+        for i, (fam, f) in enumerate(zip(families, inputs)):
+            rows = fam.matrix_at(p, n, y).rows
+            if det_by_elimination(rows) == 0:
+                return 0.0
+            z = [sum((a * c for a, c in zip(row, x.coords)), Fraction(0)) for row in rows]
+            sz = int(brute_shell(p, z))
+            fv = float(f.value_on_shell(sz))
+            if symbols is not None:
+                b = symbols[i]
+                fv *= float(b.value_on_shell(v)) - float(b.value_on_shell(sz))
+            acc *= fv
+        return acc
+
+    shells = sorted(set(shells))
+    rng = random.Random(seed)
+    per = max(2, n_samples // len(shells))
+    top = p ** depth
+    total, var, detail = 0.0, 0.0, {}
+    for gamma in shells:
+        mass = float(Fraction(p) ** (n * gamma) * (1 - Fraction(p) ** (-n)))
+        scale = Fraction(p) ** (-gamma)
+        vals = []
+        for _ in range(per):
+            while True:
+                units = [rng.randrange(top) for _ in range(n)]
+                if any(u % p for u in units):
+                    break
+            vals.append(integrand(PAdicVector(p, tuple(Fraction(u) * scale for u in units))))
+        mean = math.fsum(vals) / per
+        sample_var = math.fsum((t - mean) ** 2 for t in vals) / (per - 1)
+        total += mass * mean
+        var += mass * mass * sample_var / per
+        detail[gamma] = {"mean": mean, "stderr": math.sqrt(sample_var / per), "n": per}
+    return total, math.sqrt(var), detail
 
 
 def oracle_slot_factor(cid: str, p: int, n: int, na: float, ninv: float,

@@ -13,10 +13,11 @@ from radialpadic.operators import (
     commutator_apply,
     hausdorff_apply,
 )
-from radialpadic.padic import PAdicMatrix, PAdicVector
+from radialpadic.padic import PAdicMatrix, PAdicVector, log_norm
 from radialpadic.radial import RadialFunction, RadialTerm
+from radialpadic.scenarios import SUITE_SEED, mc_cases
 
-from oracles import brute_hausdorff_shell
+from oracles import brute_hausdorff_shell, reference_mc_estimate
 
 
 def sphere_kernel(p, n, weights):
@@ -408,6 +409,91 @@ def test_pointwise_first_coordinate_family_within_error_bars():
         if est.within(float(want)):
             hits += 1
     assert hits >= 4
+
+
+def _first_coordinate_case():
+    p, n = 3, 2
+    return {
+        "label": "first-coordinate",
+        "kernel_phi": RadialFunction.power(p, n, 1, 0, lo=0, hi=0),
+        "pointwise_families": (Pointwise(lambda y: PAdicMatrix.scalar(p, n, y.coords[0])),),
+        "inputs": (RadialFunction.chi_ball(p, n, 0),),
+        "x": PAdicVector(p, (Fraction(1, 9), Fraction(0))),
+    }
+
+
+def _mixed_matrix_case(with_symbol):
+    # by |y_1| relative to |y|: a triangular A(y), a general invertible one,
+    # or a singular one that is not triangular (it must contribute 0)
+    p, n = 3, 2
+
+    def ev(y):
+        y1, y2 = y.coords
+        drop = int(y.shell()) - log_norm(y1, p)
+        if drop == 0:
+            rows = ((y1, y2), (0, 1))
+        elif drop == 1:
+            rows = ((y2, 1), (1, y1))
+        else:
+            rows = ((1, 2), (2, 4))
+        return PAdicMatrix(p, rows)
+
+    return {
+        "label": "mixed-symbol" if with_symbol else "mixed",
+        "kernel_phi": RadialFunction(p, n, (RadialTerm(Fraction(1), 0, 0, -1, 0),
+                                            RadialTerm(Fraction(1, 2), 0, 0, 2, 2))),
+        "pointwise_families": (Pointwise(ev),),
+        "inputs": (RadialFunction.power(p, n, Fraction(3, 2), -1, lo=-4, hi=5),),
+        "symbols": (RadialFunction.log(p, n),) if with_symbol else None,
+        "x": PAdicVector(p, (Fraction(1, 3), Fraction(5))),
+    }
+
+
+@pytest.mark.parametrize(
+    "case",
+    mc_cases(SUITE_SEED) + [_first_coordinate_case(), _mixed_matrix_case(False),
+                            _mixed_matrix_case(True)],
+    ids=lambda case: case["label"],
+)
+def test_sampled_estimate_matches_reference_bit_for_bit(case):
+    # the per-call memo and the fast p-adic paths change no drawn point and
+    # no float: the estimate equals the memo-free, elimination-det reference;
+    # a second point on another shell checks that no memo outlives its call
+    kernel = KernelSpec(case["kernel_phi"])
+    symbols = case.get("symbols")
+    res = hausdorff_apply(kernel, case["pointwise_families"], case["inputs"], symbols=symbols)
+    x = case["x"]
+    for point in (x, x.scale(Fraction(1, x.p))):
+        est = res.estimate(point, n_samples=300, seed=7)
+        value, stderr, per_shell = reference_mc_estimate(
+            case["kernel_phi"], case["pointwise_families"], case["inputs"], point,
+            kernel.support_shells(), 300, 7, symbols=symbols,
+        )
+        assert est.value == value
+        assert est.stderr == stderr
+        assert est.per_shell == per_shell
+
+
+def test_sampled_commutator_disguised_scalar_matches_exact():
+    # A(y) = p^-(shell(y) - 1) I behind an opaque evaluator: the commutator
+    # integrand (log|x| - log|A(y)x|) f(A(y)x) is constant on each shell
+    p, n = 2, 2
+    ker = sphere_kernel(p, n, {-1: Fraction(1), 0: Fraction(2), 2: Fraction(1, 2)})
+    f = RadialFunction(p, n, (RadialTerm(Fraction(3), -1, 0, -3, None),))
+    b = RadialFunction.log(p, n)
+    exact = hausdorff_apply(ker, [ScalarRadial(1, -1)], [f], symbols=[b]).as_radial()
+
+    def ev(y):
+        return PAdicMatrix.scalar(p, n, Fraction(p) ** -(int(y.shell()) - 1))
+
+    res = hausdorff_apply(ker, [Pointwise(ev)], [f], symbols=[b])
+    assert res.kind == "sampled"
+    x = PAdicVector(p, (Fraction(1, 2), Fraction(3)))
+    want = float(exact.value_on_shell(int(x.shell())))
+    assert want != 0
+    est = res.estimate(x, n_samples=600, seed=5)
+    assert est.stderr == 0.0
+    assert math.isclose(est.value, want, rel_tol=1e-12)
 
 
 def test_mc_truncation_note_for_infinite_kernel():

@@ -18,16 +18,22 @@ from radialpadic.padic import (
     valuation,
 )
 
+from oracles import brute_shell, det_by_elimination
+
 PRIMES = [2, 3, 5, 7, 11]
 
 
 def test_prime_validation():
     assert is_prime(2) and is_prime(97)
     assert not is_prime(1) and not is_prime(91)
+    assert check_prime(2) == 2 and check_prime(3) == 3
+    for bad in (6, True, 4, 1, 2.0, -3):
+        with pytest.raises(ValueError):
+            check_prime(bad)
     with pytest.raises(ValueError):
-        check_prime(6)
+        PAdicVector(4, (Fraction(1),))
     with pytest.raises(ValueError):
-        check_prime(True)
+        PAdicMatrix(2.0, ((Fraction(1),),))
 
 
 @settings(max_examples=120, deadline=None)
@@ -131,3 +137,53 @@ def test_scalar_matrix_norm_identity():
     assert a.norm() == 9
     assert a.log_norm() == 2
     assert a.inverse().log_norm() == -2
+
+
+@st.composite
+def rational_matrices(draw):
+    # upper or lower triangular, general, general with a zero top-left entry
+    # (elimination swaps rows), or singular (one row a multiple of another)
+    n = draw(st.integers(1, 3))
+    entry = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+    rows = [[draw(entry) for _ in range(n)] for _ in range(n)]
+    shape = draw(st.sampled_from(["upper", "lower", "general", "swap", "singular"]))
+    if shape == "swap":
+        rows[0][0] = Fraction(0)
+    for i in range(n):
+        for j in range(n):
+            if (shape == "upper" and i > j) or (shape == "lower" and i < j):
+                rows[i][j] = Fraction(0)
+    if shape == "singular" and n > 1:
+        t = draw(entry)
+        rows[-1] = [t * e for e in rows[0]]
+    return PAdicMatrix(draw(st.sampled_from(PRIMES)), tuple(tuple(r) for r in rows))
+
+
+@settings(max_examples=150, deadline=None)
+@given(m=rational_matrices())
+def test_det_equals_elimination(m):
+    # elimination skips zero subdiagonal entries; the value is the same rational
+    d = m.det()
+    assert isinstance(d, Fraction)
+    assert d == det_by_elimination(m.rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    p=st.sampled_from(PRIMES),
+    coords=st.lists(
+        st.one_of(st.just(Fraction(0)), st.fractions(max_denominator=10**6)),
+        min_size=1, max_size=4,
+    ),
+    shift=st.integers(-6, 6),
+)
+def test_shell_equals_brute_shell(p, coords, shift):
+    # valuation reads only the side of the fraction that p divides
+    coords = [c * Fraction(p) ** shift for c in coords]
+    assert PAdicVector(p, tuple(coords)).shell() == brute_shell(p, coords)
+
+
+def test_shell_of_zero_vector_and_negative_valuations():
+    assert PAdicVector(5, (Fraction(0), Fraction(0))).shell() == -math.inf
+    assert PAdicVector(3, (Fraction(0), Fraction(2, 27))).shell() == 3
+    assert PAdicVector(2, (Fraction(12), Fraction(3, 5))).shell() == 0

@@ -2,7 +2,11 @@
 
 import math
 import random
+import signal
+from contextlib import contextmanager
 from fractions import Fraction
+
+import pytest
 
 from radialpadic.padic import pnorm
 from radialpadic.radial import RadialFunction, integrate_radial, sphere_measure
@@ -103,3 +107,31 @@ def test_estimate_record_fields():
     assert isinstance(est, MCEstimate)
     assert est.n_samples >= 100 and est.seed == 1
     assert 0 in est.per_shell and est.per_shell[0]["n"] >= 100
+
+
+@contextmanager
+def _deadline(seconds):
+    """Fail the test, instead of hanging the suite, if the call never returns."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"call did not return within {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+
+
+@pytest.mark.parametrize("sampler", [sample_sphere, sample_ball])
+@pytest.mark.parametrize(
+    "n, depth, match",
+    [(0, 32, "dimension"), (-1, 32, "dimension"), (1, 0, "depth"), (2, -3, "depth")],
+)
+def test_sampler_rejects_empty_draws(sampler, n, depth, match):
+    # with no coordinate or no digit to draw, the sphere's rejection loop
+    # could never accept a point
+    with _deadline(5), pytest.raises(ValueError, match=match):
+        sampler(random.Random(0), 3, n, 0, depth=depth)
