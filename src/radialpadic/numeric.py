@@ -16,6 +16,11 @@ from typing import Union
 
 Number = Union[int, Fraction, float]
 
+
+class FloatRangeError(OverflowError):
+    """A float result that lies outside the float64 range."""
+
+
 def is_exact(x: Number) -> bool:
     return isinstance(x, (int, Fraction)) and not isinstance(x, bool)
 

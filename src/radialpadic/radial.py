@@ -65,6 +65,25 @@ def _hi_key(hi: int | None) -> int:
 
 
 def _canonicalize(terms: Iterable[RadialTerm]) -> tuple[RadialTerm, ...]:
+    """The canonical terms of the sum of ``terms``.
+
+    Terms with a zero coefficient are dropped and the rest grouped on
+    (beta, logpow) as a dict key, so exponents that compare equal share a
+    group (0 and 0.0, Fraction(1, 2) and 0.5; Fraction(1, 3) and 1/3 do
+    not).  A group is named after the beta and logpow objects of its first
+    term, so which spelling survives depends on the input order.  Each
+    group's shell line is cut at every range end; a piece's coefficient is
+    _sum_coeffs of the coefficients covering it, in input order: a Fraction
+    when all are int or Fraction, else a float (a bool counts as inexact).
+    Adjacent pieces with equal coefficients merge and keep the first one's
+    coefficient; zero pieces are dropped.  The terms come out sorted on
+    (float(beta), logpow, lo, hi), unbounded ends outermost; the sort is
+    stable, so groups whose betas share a float keep the input order.
+
+    A piece that one term covers over exactly that term's range, with a
+    Fraction or float coefficient and the group's beta and logpow objects,
+    is that term object itself.
+    """
     groups: dict[tuple, list[RadialTerm]] = {}
     for t in terms:
         if t.coeff == 0:
@@ -72,35 +91,56 @@ def _canonicalize(terms: Iterable[RadialTerm]) -> tuple[RadialTerm, ...]:
         groups.setdefault((t.beta, t.logpow), []).append(t)
     out: list[RadialTerm] = []
     for (beta, k), ts in groups.items():
-        # sweep: split the line at every range endpoint
-        edges = sorted({e for t in ts for e in _edges(t)})
-        if not edges:
-            c = _sum_coeffs([t.coeff for t in ts])
-            if c != 0:
-                out.append(RadialTerm(c, beta, k, None, None))
-            continue
-        pieces: list[tuple[int | None, int | None, Number]] = []
-        bounds = [None] + edges + [None]
-        for i in range(len(bounds) - 1):
-            lo = bounds[i]
-            hi = bounds[i + 1] - 1 if bounds[i + 1] is not None else None
-            if lo is not None and hi is not None and lo > hi:
-                continue
-            rep = hi if lo is None else lo
-            c = _sum_coeffs([t.coeff for t in ts if t.active(rep)])
-            pieces.append((lo, hi, c))
-        # merge adjacent pieces with identical coefficients, drop zeros
-        merged: list[tuple[int | None, int | None, Number]] = []
-        for lo, hi, c in pieces:
-            if merged and merged[-1][2] == c and merged[-1][1] is not None and lo == merged[-1][1] + 1:
-                merged[-1] = (merged[-1][0], hi, merged[-1][2])
-            else:
-                merged.append((lo, hi, c))
-        for lo, hi, c in merged:
-            if c != 0:
-                out.append(RadialTerm(c, beta, k, lo, hi))
-    out.sort(key=lambda t: (float(t.beta), t.logpow, _lo_key(t.lo), _hi_key(t.hi)))
+        if len(ts) == 1:
+            t = ts[0]
+            out.append(t if _keeps_coeff(t.coeff) else
+                       RadialTerm(_sum_coeffs((t.coeff,)), beta, k, t.lo, t.hi))
+        else:
+            out += _sweep(ts, beta, k)
+    if len(out) > 1:
+        out.sort(key=lambda t: (float(t.beta), t.logpow, _lo_key(t.lo), _hi_key(t.hi)))
     return tuple(out)
+
+
+def _keeps_coeff(c: Number) -> bool:
+    """Whether _sum_coeffs((c,)) is c itself, in value and type."""
+    return type(c) is Fraction or type(c) is float
+
+
+def _sweep(ts: list[RadialTerm], beta: Number, k: int) -> list[RadialTerm]:
+    """One group's canonical terms, from one pass over its pieces from the
+    left that keeps the set of terms covering the current piece."""
+    starts = sorted({e for t in ts for e in _edges(t)})
+    active = [i for i, t in enumerate(ts) if t.lo is None]
+    opening = sorted((t.lo, i) for i, t in enumerate(ts) if t.lo is not None)
+    nxt = 0
+    pieces: list[list] = []  # [lo, hi, coeff, term reused or None]
+    prev = None  # the piece just left, while nonzero
+    lo = None
+    for j in range(len(starts) + 1):
+        hi = starts[j] - 1 if j < len(starts) else None
+        if lo is not None:
+            active = [i for i in active if ts[i].hi is None or ts[i].hi >= lo]
+            while nxt < len(opening) and opening[nxt][0] == lo:
+                active.append(opening[nxt][1])
+                nxt += 1
+        src = None
+        if len(active) == 1 and _keeps_coeff(ts[active[0]].coeff):
+            t = ts[active[0]]
+            c = t.coeff
+            if t.lo == lo and t.hi == hi and t.beta is beta and t.logpow is k:
+                src = t
+        else:
+            c = _sum_coeffs([ts[i].coeff for i in sorted(active)])
+        if c == 0:
+            prev = None
+        elif prev is not None and prev[2] == c:
+            prev[1], prev[3] = hi, None
+        else:
+            prev = [lo, hi, c, src]
+            pieces.append(prev)
+        lo = hi + 1 if hi is not None else None
+    return [src if src is not None else RadialTerm(c, beta, k, lo, hi) for lo, hi, c, src in pieces]
 
 
 def _edges(t: RadialTerm) -> list[int]:

@@ -34,6 +34,7 @@ from typing import Callable, Sequence
 
 from .numeric import (
     ExtendedValue,
+    FloatRangeError,
     Number,
     abs_pow,
     exp_sat,
@@ -169,12 +170,13 @@ def _ball_totals(f: RadialFunction, window: int) -> list[ExtendedValue]:
     exact = totals[0].is_finite and all(is_exact(t.coeff) and is_exact(t.beta) for t in f.terms)
     ratio = ppow(f.p, f.terms[0].beta + f.n) if exact and f.is_single_power() else None
     running = exact and all(integral_part(t.beta) is not None for t in f.terms)
+    sphere, step = sphere_measure(f.p, f.n, -window), f.p ** f.n
     for g in range(-window + 1, window + 1):
         if ratio is not None:
             totals.append(ExtendedValue.finite(totals[-1].value * ratio))
         elif running:
-            shell = f.value_on_shell(g) * sphere_measure(f.p, f.n, g)
-            totals.append(ExtendedValue.finite(totals[-1].value + shell))
+            sphere *= step  # |S_g|, exactly
+            totals.append(ExtendedValue.finite(totals[-1].value + f.value_on_shell(g) * sphere))
         else:
             totals.append(integrate_radial(f.restrict(None, g)))
     return totals
@@ -233,6 +235,63 @@ def _rescaled_eval(fsub: RadialFunction, wsub: RadialFunction, q: Number, n: int
     return h
 
 
+def _log_eval(fsub: RadialFunction, wsub: RadialFunction, q: Number, n: int) -> Callable[[int], float]:
+    """Per-shell log h(g) = log(|f|^q w |S_g|), -inf where f or w vanishes;
+    every factor is taken as a logarithm, so no shell overflows."""
+    log_p = math.log(fsub.p)
+    log_unit = math.log1p(-float(fsub.p) ** (-n))
+
+    def log_abs(x: Number) -> float:
+        return -math.inf if x == 0 else log_exact(abs(x))
+
+    def lh(g: int) -> float:
+        return (float(q) * log_abs(fsub.value_on_shell(g)) + log_abs(wsub.value_on_shell(g))
+                + n * g * log_p + log_unit)
+
+    return lh
+
+
+def _sum_shells(h: Callable[[int], float], a: int | None, b: int | None) -> float:
+    """h summed over shells a..b; an unbounded end is a tail (_numeric_tail)."""
+    if a is None:
+        return _numeric_tail(h, b, -1)
+    if b is None:
+        return _numeric_tail(h, a, +1)
+    return math.fsum(h(g) for g in range(a, b + 1))
+
+
+def _numeric_piece(fsub: RadialFunction, wsub: RadialFunction, q: Number, n: int,
+                   a: int | None, b: int | None) -> float:
+    """The sum of |f|^q w |S_g| over shells a..b, in floats (_rescaled_eval).
+
+    Where a float overflows on the way, the piece is summed again on
+    logarithms: each shell's term is taken relative to a reference shell
+    (the largest of a bounded piece, the first of a tail) and the scale is
+    restored at the end.  A sum outside the float range raises
+    FloatRangeError; it never comes back as 0 or inf.
+    """
+    try:
+        return _sum_shells(_rescaled_eval(fsub, wsub, q, n, +1 if b is None else -1), a, b)
+    except OverflowError:
+        pass
+    lh = _log_eval(fsub, wsub, q, n)
+    if a is None or b is None:
+        ref = lh(b if a is None else a)
+    else:
+        ref = max(lh(g) for g in range(a, b + 1))
+    if ref == -math.inf:
+        ref = 0.0  # f vanishes on the reference shell
+    total = _sum_shells(lambda g: exp_sat(lh(g) - ref), a, b)
+    if total == 0.0:
+        return 0.0
+    log_total = ref + math.log(total)
+    value = exp_sat(log_total)
+    if not math.isfinite(value) or value == 0.0:
+        raise FloatRangeError(f"integral of |f|^q w over shells {a}..{b} is about "
+                              f"10^{log_total / math.log(10):.1f}, outside the float range")
+    return value
+
+
 def _interval_pieces(
     f: RadialFunction, w: RadialFunction, lo: int | None, hi: int | None
 ) -> list[tuple[int | None, int | None]]:
@@ -262,7 +321,7 @@ def _piece_integral(
     piece diverges.  If f has one active term there (and either no log factor
     or an integral q) the integrand is a single power-log expression with a
     closed form; otherwise the piece is summed numerically with rescaled
-    evaluation and a classified tail.
+    evaluation and a classified tail (_numeric_piece).
     """
     fsub = f.restrict(a, b)
     if fsub.is_zero():
@@ -280,16 +339,11 @@ def _piece_integral(
         unit = 1 - Fraction(p) ** (-n)
         piece = power_log_sum(ratio, kf + wt.logpow, a, b).scaled(coeff * unit)
         return piece if piece.is_finite else ExtendedValue.infinite(+1)
-    if a is None:
-        if not _tail_exponent(fsub, wsub, q, n, -1) > 0:
-            return ExtendedValue.infinite(+1)
-        return ExtendedValue.finite(_numeric_tail(_rescaled_eval(fsub, wsub, q, n, -1), b, -1))
-    if b is None:
-        if not _tail_exponent(fsub, wsub, q, n, +1) < 0:
-            return ExtendedValue.infinite(+1)
-        return ExtendedValue.finite(_numeric_tail(_rescaled_eval(fsub, wsub, q, n, +1), a, +1))
-    h = _rescaled_eval(fsub, wsub, q, n, -1)
-    return ExtendedValue.finite(math.fsum(h(g) for g in range(a, b + 1)))
+    if a is None and not _tail_exponent(fsub, wsub, q, n, -1) > 0:
+        return ExtendedValue.infinite(+1)
+    if b is None and not _tail_exponent(fsub, wsub, q, n, +1) < 0:
+        return ExtendedValue.infinite(+1)
+    return ExtendedValue.finite(_numeric_piece(fsub, wsub, q, n, a, b))
 
 
 def _sum_pieces(parts: Sequence[ExtendedValue | None]) -> ExtendedValue:
@@ -472,7 +526,7 @@ def cmo_norm(b: RadialFunction, w: Weight, r: Number, window: int = 48) -> NormR
     quotients: dict[tuple, float] = {}
 
     def d_at(g: int, avg: Number) -> float:
-        dev = b - RadialFunction.constant(b.p, b.n, avg)
+        dev = b + RadialFunction.constant(b.p, b.n, -avg)
         if rescale:
             # for power weights both the deviation integral and the mass
             # scale by p^(g(n+alpha)) under x -> p^(-g) x, so evaluate the

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import random
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import product as iproduct
 
@@ -81,6 +82,20 @@ def brute_weighted_lq(p: int, n: int, fvals, wvals, q, lo: int, hi: int):
         for g in range(lo, hi + 1)
     )
     return total ** (1.0 / float(q))
+
+
+def decimal_lq_integral(p: int, n: int, fvals, q, shells):
+    """sum over the given shells of |f(g)|^q |S_g| in 40-digit decimals, for
+    exact shell values far outside the float range; returns a Decimal."""
+    with localcontext() as ctx:
+        ctx.prec = 40
+        qd = Decimal(Fraction(q).numerator) / Decimal(Fraction(q).denominator)
+        unit = 1 - Decimal(p) ** (-n)
+        total = Decimal(0)
+        for g in shells:
+            v = Fraction(fvals(g))
+            total += (abs(Decimal(v.numerator) / Decimal(v.denominator)) ** qd) * Decimal(p) ** (n * g) * unit
+        return +total
 
 
 def brute_ball_average(p: int, n: int, fvals, gamma: int, depth: int = 600):
@@ -331,3 +346,61 @@ def oracle_constant(cid: str, p: int, n: int, kernel_terms, shell_lo: int, shell
             prod *= oracle_slot_factor(cid, p, n, na, ninv, det_inv, logk, i, P)
         contribs.append(prod)
     return math.fsum(contribs) * (1 - float(p) ** (-n))
+
+
+def _reference_sum_coeffs(cs):
+    """The coefficient sum of the canonical form: a Fraction when every
+    coefficient is int or Fraction (bool is not exact), else math.fsum."""
+    if not cs:
+        return 0
+    if all(isinstance(c, (int, Fraction)) and not isinstance(c, bool) for c in cs):
+        return sum(cs, Fraction(0))
+    return math.fsum(float(c) for c in cs)
+
+
+def canonicalize_reference(terms):
+    """The canonical form by the per-piece rescan, as (coeff, beta, logpow, lo, hi).
+
+    For each (beta, logpow) group, in order of first appearance and named
+    after its first term's beta, the line is split at every range end, each
+    piece sums the coefficients of every term active on it, adjacent equal
+    pieces merge keeping the first coefficient, and zero pieces are dropped.
+    The result is sorted stably on (float(beta), logpow, lo, hi).
+    """
+    neg, pos = -(10 ** 9), 10 ** 9
+    groups = {}
+    for t in terms:
+        if t.coeff == 0:
+            continue
+        groups.setdefault((t.beta, t.logpow), []).append(t)
+
+    def active(t, g):
+        return (t.lo is None or g >= t.lo) and (t.hi is None or g <= t.hi)
+
+    out = []
+    for (beta, k), ts in groups.items():
+        edges = sorted({e for t in ts for e in
+                        ([t.lo] if t.lo is not None else []) + ([t.hi + 1] if t.hi is not None else [])})
+        if not edges:
+            c = _reference_sum_coeffs([t.coeff for t in ts])
+            if c != 0:
+                out.append((c, beta, k, None, None))
+            continue
+        pieces = []
+        bounds = [None] + edges + [None]
+        for i in range(len(bounds) - 1):
+            lo = bounds[i]
+            hi = bounds[i + 1] - 1 if bounds[i + 1] is not None else None
+            if lo is not None and hi is not None and lo > hi:
+                continue
+            rep = hi if lo is None else lo
+            pieces.append((lo, hi, _reference_sum_coeffs([t.coeff for t in ts if active(t, rep)])))
+        merged = []
+        for lo, hi, c in pieces:
+            if merged and merged[-1][2] == c and merged[-1][1] is not None and lo == merged[-1][1] + 1:
+                merged[-1] = (merged[-1][0], hi, merged[-1][2])
+            else:
+                merged.append((lo, hi, c))
+        out += [(c, beta, k, lo, hi) for lo, hi, c in merged if c != 0]
+    out.sort(key=lambda t: (float(t[1]), t[2], neg if t[3] is None else t[3], pos if t[4] is None else t[4]))
+    return tuple(out)

@@ -16,7 +16,7 @@ from radialpadic.radial import (
     sphere_measure,
 )
 
-from oracles import brute_haar_integral, shell_value
+from oracles import brute_haar_integral, canonicalize_reference, shell_value
 
 TINY = Fraction(1, 10 ** 25)
 
@@ -187,3 +187,51 @@ def test_equality_is_canonical():
     a = RadialFunction(2, 1, (RadialTerm(1, 0, 0, 0, 4), RadialTerm(1, 0, 0, 5, 9)))
     b = RadialFunction(2, 1, (RadialTerm(1, 0, 0, 0, 9),))
     assert a == b
+
+
+COEFFS = [0, 1, -1, 2, True, False, Fraction(0), Fraction(1, 2), Fraction(-1, 2), Fraction(7, 3),
+          0.0, 0.5, -0.5, 1.0, -2.5, 1e-300, -1e-300]
+BETAS = [0, 0.0, Fraction(1, 2), 0.5, Fraction(1, 3), 1 / 3]  # the last two share a float
+
+
+@st.composite
+def term_lists(draw):
+    terms = []
+    for _ in range(draw(st.integers(0, 6))):
+        lo = draw(st.one_of(st.none(), st.integers(-4, 4)))
+        hi = draw(st.one_of(st.none(), st.integers(-4, 4)))
+        if lo is not None and hi is not None and lo > hi:
+            lo, hi = hi, lo
+        coeff = draw(st.sampled_from(COEFFS))
+        beta, k = draw(st.sampled_from(BETAS)), draw(st.integers(0, 2))
+        terms.append(RadialTerm(coeff, beta, k, lo, hi))
+        if draw(st.booleans()):
+            # the same term negated over a nearby range: cancellation and splits
+            lo2 = draw(st.one_of(st.none(), st.integers(-4, 4)))
+            hi2 = None if lo2 is None else lo2 + draw(st.integers(0, 3))
+            terms.append(RadialTerm(-coeff, draw(st.sampled_from(BETAS)), k, lo2, hi2))
+    return tuple(draw(st.permutations(terms)))
+
+
+def typed(terms):
+    return [(type(c), c, type(b), b, k, lo, hi) for c, b, k, lo, hi in terms]
+
+
+@settings(max_examples=200, deadline=None)
+@given(term_lists())
+def test_canonical_form_matches_reference(terms):
+    assert typed(as_tuples(RadialFunction(2, 1, terms))) == typed(canonicalize_reference(terms))
+
+
+def test_canonical_form_keeps_canonical_terms():
+    exact = RadialTerm(Fraction(1, 2), 0, 0, 1, 3)
+    inexact = RadialTerm(0.25, Fraction(1, 2), 1, None, 0)
+    f = RadialFunction(2, 1, (inexact, exact))
+    assert f.terms[0] is exact and f.terms[1] is inexact
+    # an int coefficient is normalized to a Fraction in a new term
+    g = RadialFunction(2, 1, (RadialTerm(3, 0, 0, 1, 3),))
+    assert type(g.terms[0].coeff) is Fraction
+    # a piece of a term split by another keeps neither
+    h = RadialFunction(2, 1, (exact, RadialTerm(Fraction(1, 2), 0, 0, 2, 5)))
+    assert as_tuples(h) == [(Fraction(1, 2), 0, 0, 1, 1), (1, 0, 0, 2, 3), (Fraction(1, 2), 0, 0, 4, 5)]
+    assert all(t is not exact for t in h.terms)

@@ -1,6 +1,7 @@
 """Weighted norms, oscillation norms, and Muckenhoupt diagnostics."""
 
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from radialpadic import weights
-from radialpadic.numeric import abs_pow, exp_sat, float_sat, fpow, is_exact, log_exact
+from radialpadic.numeric import FloatRangeError, abs_pow, exp_sat, float_sat, fpow, is_exact, log_exact
 from radialpadic.radial import RadialFunction, RadialTerm, ball_measure, integrate_radial
 from radialpadic.weights import (
     _GROWTH_PROBES,
@@ -32,6 +33,7 @@ from oracles import (
     brute_ball_mass,
     brute_cmo_single_radius,
     brute_weighted_lq,
+    decimal_lq_integral,
 )
 
 
@@ -118,6 +120,32 @@ def test_lnorm_infinite_tail_matches_deep_brute():
     got = float(lebesgue_norm(f, w, 2).value)
     want = brute_weighted_lq(3, 1, f.value_on_shell, w.value, 2, -4, 400)
     assert math.isclose(got, want, rel_tol=1e-12)
+
+
+def spike(coeff, betas, lo, hi):
+    """coeff * sum of |x|^beta on shells lo..hi, p = 3, n = 1."""
+    return sum((RadialFunction.power(3, 1, coeff, b, lo, hi) for b in betas), RadialFunction.zero(3, 1))
+
+
+@pytest.mark.parametrize("f, q, shells", [
+    # every shell value of |f|^q overflows a float, yet each term is about 1e296
+    (spike(1, (-1, -2), -155, -150), Fraction(5, 2), range(-155, -149)),
+    # a convergent tail whose |f|^q overflows even after the dominant power is factored out
+    (spike(10 ** 160, (-2, -3), 10, None), 2, range(10, 400)),
+])
+def test_lnorm_overflowing_piece_is_summed_in_log_space(f, q, shells):
+    got = lebesgue_norm(f, Weight.power(3, 1, 0), q).value
+    total = decimal_lq_integral(3, 1, f.value_on_shell, q, shells)
+    want = float(total ** (Decimal(Fraction(q).denominator) / Decimal(Fraction(q).numerator)))
+    assert got.is_finite and not got.exact
+    assert math.isclose(got.value, want, rel_tol=1e-12)
+
+
+def test_lnorm_piece_beyond_float_range_is_named():
+    f = spike(1, (-1, -2), -405, -400)  # the integral is about 10^579.5
+    with pytest.raises(FloatRangeError, match="outside the float range") as exc:
+        lebesgue_norm(f, Weight.power(3, 1, 0), 2)
+    assert type(exc.value) is FloatRangeError
 
 
 def test_lnorm_divergence_is_data():
@@ -501,6 +529,7 @@ SWEPT = [
     RadialFunction.power(2, 1, 1.5, 0.25),  # float data: per ball
     RadialFunction.power(2, 1, 0.1, 1) + LOG,  # float coefficient, integral exponents: per ball
     RadialFunction.power(2, 1, 1, -2),  # not locally integrable
+    RadialFunction.log(3, 2) + RadialFunction.power(3, 2, Fraction(1, 2), 1, hi=4),  # running sum, n = 2
 ]
 
 
