@@ -12,7 +12,6 @@ bound      one inequality verified on concrete inputs (verify_bound)
 ratio      a sharpness study driving the extremal family (ratio_study)
 composite  the maximal-of-commutator bound (maximal_composite_check)
 weights    a Muckenhoupt/reverse-Holder class report for one weight
-radial     a shell profile dump, optionally through a maximal operator
 """
 
 from __future__ import annotations
@@ -38,17 +37,11 @@ __all__ = [
     "SchemaError",
     "ScenarioModel",
     "BuiltScenario",
-    "DEFAULT_SEED",
     "load_scenario_text",
     "load_scenario_file",
     "build_scenario",
     "fmt_num",
 ]
-
-# Root seed used when a scenario file does not pin one; fixed so repeated
-# CI runs are byte-identical.
-DEFAULT_SEED = 1729
-
 
 class SchemaError(ValueError):
     """A scenario file fails schema or kind-specific structural checks."""
@@ -150,7 +143,7 @@ class ParamsModel(_Strict):
 
 class ScenarioModel(_Strict):
     id: str = Field(min_length=1)
-    kind: Literal["bound", "ratio", "composite", "weights", "radial"]
+    kind: Literal["bound", "ratio", "composite", "weights"]
     prime: int = Field(ge=2)
     dim: int = Field(default=1, ge=1)
     constant: Literal["C1", "C2", "C3", "C4", "C5", "C6", "C7", "C8", "C9", "C10"] | None = None
@@ -161,14 +154,11 @@ class ScenarioModel(_Strict):
     weight: WeightModel | None = None
     symbols: list[SymbolModel] | None = None
     inputs: list[ProfileModel] | None = None
-    profile: ProfileModel | None = None
-    op: Literal["none", "maximal", "maximal_mod"] = "none"
     ell: Qnum | None = None
     rh: Qnum | None = None
     rs: list[int] | None = None
     window: int = Field(default=48, ge=4)
     tol: float = Field(default=0.05, gt=0)
-    seed: int | None = None
 
 
 @dataclass(frozen=True)
@@ -182,12 +172,9 @@ class BuiltScenario:
     weight: Weight | None           # weights kind
     ell: Number | None
     rh: Number | None
-    profile: RadialFunction | None  # radial kind
-    op: str
     rs: tuple[int, ...]
     window: int
     tol: float
-    seed: int
 
 
 def _require(value, name: str):
@@ -262,12 +249,10 @@ def build_scenario(model: ScenarioModel) -> BuiltScenario:
     rs = tuple(model.rs) if model.rs else tuple(range(1, 9))
     if any(r < 1 for r in rs):
         raise SchemaError("field 'rs': entries must be positive")
-    seed = model.seed if model.seed is not None else DEFAULT_SEED
 
     scenario = None
     constant = ConstantId(model.constant) if model.constant is not None else None
     weight = _build_weight(p, n, model.weight) if model.weight is not None else None
-    profile = None
 
     if model.kind in ("bound", "ratio", "composite"):
         if model.kind == "composite":
@@ -297,15 +282,11 @@ def build_scenario(model: ScenarioModel) -> BuiltScenario:
     elif model.kind == "weights":
         _require(model.weight, "weight")
         _require(model.ell, "ell")
-    elif model.kind == "radial":
-        profile_model = _require(model.profile, "profile")
-        profile = radial_from_terms(p, n, profile_model.terms)
 
     return BuiltScenario(
         scenario_id=model.id, kind=model.kind, constant=constant,
         scenario=scenario, weight=weight, ell=model.ell, rh=model.rh,
-        profile=profile, op=model.op, rs=rs, window=model.window,
-        tol=model.tol, seed=seed,
+        rs=rs, window=model.window, tol=model.tol,
     )
 
 

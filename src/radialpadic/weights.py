@@ -264,14 +264,17 @@ def _numeric_piece(fsub: RadialFunction, wsub: RadialFunction, q: Number, n: int
                    a: int | None, b: int | None) -> float:
     """The sum of |f|^q w |S_g| over shells a..b, in floats (_rescaled_eval).
 
-    Where a float overflows on the way, the piece is summed again on
-    logarithms: each shell's term is taken relative to a reference shell
-    (the largest of a bounded piece, the first of a tail) and the scale is
-    restored at the end.  A sum outside the float range raises
-    FloatRangeError; it never comes back as 0 or inf.
+    Where a float overflows on the way, or the float sum comes back as 0.0
+    or inf (a shell's |f|^q underflowed or its product rounded to inf), the
+    piece is summed again on logarithms: each shell's term is taken relative
+    to a reference shell (the largest of a bounded piece, the first of a
+    tail) and the scale is restored at the end.  A sum outside the float
+    range raises FloatRangeError; it never comes back as 0 or inf.
     """
     try:
-        return _sum_shells(_rescaled_eval(fsub, wsub, q, n, +1 if b is None else -1), a, b)
+        total = _sum_shells(_rescaled_eval(fsub, wsub, q, n, +1 if b is None else -1), a, b)
+        if 0.0 < total < math.inf:
+            return total
     except OverflowError:
         pass
     lh = _log_eval(fsub, wsub, q, n)

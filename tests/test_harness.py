@@ -5,12 +5,15 @@ defining integrals (oracles.oracle_constant); verification semantics are
 pinned against hand-computed identities on eigenfunction inputs.
 """
 
+import json
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction as Fr
 
 import pytest
 
+from radialpadic import scenarios
 from radialpadic.families import ConstantMatrix, Pointwise, ScalarRadial
 from radialpadic.harness import (
     ConstantId,
@@ -28,6 +31,7 @@ from radialpadic.harness import (
 from radialpadic.operators import KernelSpec, commutator_apply
 from radialpadic.padic import PAdicMatrix
 from radialpadic.radial import RadialFunction, RadialTerm
+from radialpadic.scenario_io import build_scenario, load_scenario_text
 from radialpadic.weights import Weight
 
 from oracles import oracle_constant
@@ -313,6 +317,35 @@ def test_c1_random_scenarios_match_oracle():
         assert math.isclose(got, want, rel_tol=1e-12), (trial, got, want)
 
 
+def _bundled_scenarios():
+    """(id, constant id, scenario, window) of every bundled row that names an
+    inequality, except C9, which admits scalar families only."""
+    for name in scenarios.SUITE_NAMES:
+        for row in scenarios.suite_rows(name, scenarios.SUITE_SEED):
+            (model,) = load_scenario_text(json.dumps(row))
+            b = build_scenario(model)
+            if b.scenario is not None and b.constant is not C.C9:
+                yield row["id"], b.constant, b.scenario, b.window
+
+
+@pytest.mark.parametrize("k", [-1, -2])
+def test_matrix_factor_agrees_with_scalar_factor(k):
+    # ConstantMatrix(p^-k I_n) and ScalarRadial(0, k) are the same dilation,
+    # so the matrix-slot factors and the scalar-slot factors must agree.
+    cases = 0
+    for rid, cid, s, window in _bundled_scenarios():
+        mat = ConstantMatrix(PAdicMatrix(s.p, tuple(
+            tuple(Fr(s.p) ** -k if i == j else Fr(0) for j in range(s.n)) for i in range(s.n))))
+        scalar = replace(s, families=(ScalarRadial(0, k),) * s.m)
+        matrix = replace(s, families=(mat,) * s.m)
+        want = compute_constant(cid, scalar, window=window)
+        got = compute_constant(cid, matrix, window=window)
+        assert want.is_finite and got.is_finite, rid
+        assert math.isclose(float(got.value), float(want.value), rel_tol=1e-12), rid
+        cases += 1
+    assert cases == 94
+
+
 def test_divergent_constant_reports_infinite():
     p, n = 2, 1
     ker = KernelSpec(RadialFunction.constant(p, n, 1))
@@ -518,6 +551,56 @@ def test_c5_alpha_range_uses_r_exponent():
     with pytest.raises(ScenarioError) as exc:
         compute_constant(C.C5, s5)
     assert exc.value.condition == "alpha-range"
+
+
+def _with_weight(s, w):
+    return Scenario(p=s.p, n=s.n, m=s.m, kernel=s.kernel, families=s.families,
+                    params=s.params, weight=w)
+
+
+def _kernel_on_p3():
+    s = _c3_symmetric()
+    ker, _ = kernel_from_terms(3, 1, [(Fr(1), 0, 0, 1, 1)])
+    return lambda: compute_constant(C.C3, Scenario(p=s.p, n=s.n, m=s.m, kernel=ker,
+                                                    families=s.families, params=s.params))
+
+
+def _weight_on_p3():
+    s2, *_ = _shared_weight_scenario_c2()
+    return lambda: compute_constant(C.C2, _with_weight(s2, Weight.power(3, 1, Fr(-1, 2))))
+
+
+def _weight_not_reverse_holder():
+    s2, *_ = _shared_weight_scenario_c2()  # |x|^-1 on Q_2: critical index -n/beta = 1
+    return lambda: compute_constant(C.C2, _with_weight(s2, Weight.power(2, 1, -1)))
+
+
+def _weight_mass_overflows():
+    s2, *_ = _shared_weight_scenario_c2()  # 1e308 |x|^5 is in A_7, its ball masses overflow
+    s = Scenario(p=s2.p, n=s2.n, m=2, kernel=s2.kernel, families=s2.families,
+                 params=SpaceParams(q_star=Fr(3, 2), zeta=7, q_i=(8, 8), delta=Fr(3, 2)),
+                 weight=Weight.power(2, 1, 5, 1e308))
+    return lambda: compute_constant(C.C2, s)
+
+
+def _verify_infinite_support_kernel():
+    ker, _ = kernel_from_terms(3, 1, [(Fr(1), -2, 0, 0, None), (Fr(1), 2, 0, None, -1)])
+    s = Scenario(p=3, n=1, m=1, kernel=ker, families=(ScalarRadial(1, 0),),
+                 params=SpaceParams(q=4, q_i=(4,), alpha=0, alpha_i=(0,)))
+    return lambda: verify_bound(C.C1, s, (RadialFunction.chi_ball(3, 1, 0),))
+
+
+@pytest.mark.parametrize("spoiled, condition", [
+    (_kernel_on_p3, "kernel-domain"),
+    (_weight_on_p3, "weight-domain"),
+    (_weight_not_reverse_holder, "reverse-holder-index"),
+    (_weight_mass_overflows, "bounded-ball-mass"),
+    (_verify_infinite_support_kernel, "kernel-support"),
+])
+def test_spoiled_scenario_names_its_condition(spoiled, condition):
+    with pytest.raises(ScenarioError) as exc:
+        spoiled()()
+    assert exc.value.condition == condition
 
 
 # ---------------------------------------------------------------- extremal inputs

@@ -6,7 +6,7 @@ import json
 import pytest
 
 from radialpadic import harness, scenarios
-from radialpadic.scenario_io import SchemaError, build_scenario, load_scenario_text
+from radialpadic.scenario_io import SchemaError, build_scenario, load_scenario_file, load_scenario_text
 
 
 def load_and_build(row):
@@ -56,3 +56,21 @@ def test_schema_error_names_the_field(suite, spoil, field):
     row = spoil(first_row(suite))
     with pytest.raises(SchemaError, match=f"field {field}"):
         load_and_build(row)
+
+
+def test_scenario_file_loads_like_its_text(tmp_path):
+    rows = scenarios.suite_rows("c2-lebesgue", scenarios.SUITE_SEED)
+    path = tmp_path / "c2-lebesgue.json"
+    path.write_text(json.dumps(rows))
+    models = load_scenario_file(path)
+    assert [m.id for m in models] == [row["id"] for row in rows]
+    assert models == load_scenario_text(json.dumps(rows))
+
+
+def test_scenario_file_errors_name_the_path(tmp_path):
+    with pytest.raises(SchemaError, match="cannot read .*missing.json"):
+        load_scenario_file(tmp_path / "missing.json")
+    bad = tmp_path / "bad.json"
+    bad.write_text("{")
+    with pytest.raises(SchemaError, match="bad.json: not valid JSON"):
+        load_scenario_file(bad)

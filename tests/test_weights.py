@@ -132,6 +132,8 @@ def spike(coeff, betas, lo, hi):
     (spike(1, (-1, -2), -155, -150), Fraction(5, 2), range(-155, -149)),
     # a convergent tail whose |f|^q overflows even after the dominant power is factored out
     (spike(10 ** 160, (-2, -3), 10, None), 2, range(10, 400)),
+    # every shell value of |f|^q underflows to 0.0, yet the integral is about 5e-287
+    (spike(1, (-1, -2), 600, 605), 2, range(600, 606)),
 ])
 def test_lnorm_overflowing_piece_is_summed_in_log_space(f, q, shells):
     got = lebesgue_norm(f, Weight.power(3, 1, 0), q).value
