@@ -704,7 +704,7 @@ def extremal_family(cid: ConstantId, s: Scenario, r: int = 1) -> tuple[RadialFun
     rec = validate_scenario(cid, s)
     spec = _SPECS[cid]
     if spec.extremal is None:
-        raise ScenarioError("unsupported-id", f"no extremal family is defined for {cid.value}")
+        raise ScenarioError("unsupported-id", f"no extremal family is defined for {ConstantId(cid).value}")
     return spec.extremal(s, rec, r)
 
 
@@ -895,7 +895,7 @@ def ratio_study(cid: ConstantId, s: Scenario, rs: Sequence[int],
     """
     spec = _SPECS[cid]
     if spec.extremal is None:
-        raise ScenarioError("unsupported-id", f"no sharpness study is defined for {cid.value}")
+        raise ScenarioError("unsupported-id", f"no sharpness study is defined for {ConstantId(cid).value}")
     rec = validate_scenario(cid, s, window=window)
     rs = tuple(int(r) for r in rs)
     if not rs or any(r < 1 for r in rs):

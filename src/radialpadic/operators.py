@@ -25,6 +25,12 @@ averages A(g) = p^(-ng) * integral_{B_g} |f|,
 so monotonicity of the averages beyond the resolved window is decided by
 the sign of an explicit power-log expression, which is certified exactly
 by polynomial root bounds plus a geometric dominance gap.
+
+Beyond the window a tail c g^t p^(beta g) of |f| adds c (1 - p^-n) g^t r^g
+to the ball mass on shell g, with r = p^(beta + n).  The antidifference P
+of ``series.antidifference`` sums it for every r > 0,
+sum_{k=a}^{g} k^t r^k = r^g P(g) - r^(a-1) P(a-1), so the averages stay
+power-log expressions on both tails.
 """
 
 from __future__ import annotations
@@ -36,14 +42,11 @@ from math import comb
 from typing import Callable, Sequence
 
 from .families import ConstantMatrix, Family, Pointwise, ScalarRadial
-from .numeric import ExtendedValue, Number, fpow, is_exact, ppow
+from .numeric import ExtendedValue, Number, fpow, ppow
 from .padic import PAdicVector
 from .radial import RadialFunction, RadialTerm, shell_sum
 from .sampling import MCEstimate, integrate_mc
-from .series import _rpow, t_series
-
-#: shells probed when validating kernel nonnegativity
-_KERNEL_PROBE = 96
+from .series import antidifference, antidifference_at
 
 
 # -- sign certification for power-log expressions -----------------------------
@@ -124,13 +127,19 @@ class KernelSpec:
 
     def __post_init__(self) -> None:
         phi = self.phi
-        for g in range(-_KERNEL_PROBE, _KERNEL_PROBE + 1):
-            if phi.value_on_shell(g) < 0:
-                raise ValueError(f"kernel must be nonnegative; fails on shell {g}")
-        for end in (-1, +1):
-            sign, _ = _eventual_sign(_end_part(phi, end), end, _KERNEL_PROBE)
+        bps = phi.breakpoints()
+        # phi equals its end part past the breakpoint hull, so each end's
+        # certificate starts there; every shell between the two edges is scanned
+        starts = (1 - bps[0], bps[-1] + 1) if bps else (0, 0)
+        edges = []
+        for end, start in zip((-1, +1), starts):
+            sign, edge = _eventual_sign(_end_part(phi, end), end, start)
             if sign < 0:
                 raise ValueError("kernel must be nonnegative toward infinity")
+            edges.append(edge)
+        for g in range(1 - edges[0], edges[1]):
+            if phi.value_on_shell(g) < 0:
+                raise ValueError(f"kernel must be nonnegative; fails on shell {g}")
 
     @property
     def p(self) -> int:
@@ -290,11 +299,12 @@ def hausdorff_apply(
             out = out + prod.scale(w * unit)
         return OperatorResult("radial", p, n, radial=out, exact=True)
 
-    if scalar:
-        rows = []
-        for v in range(-window, window + 1):
-            line = kernel.phi
-            for i, (fam, f) in enumerate(zip(families, inputs)):
+    def at_shell(v: int, x: PAdicVector | None = None) -> ExtendedValue:
+        """The exact output on shell v; x is read only by matrix slots."""
+        pre: Number = 1
+        line = kernel.phi
+        for i, (fam, f) in enumerate(zip(families, inputs)):
+            if isinstance(fam, ScalarRadial):
                 pf = _affine_pullback(f, fam.slope, fam.offset + v)
                 if symbols is not None:
                     b = symbols[i]
@@ -302,9 +312,21 @@ def hausdorff_apply(
                     at_v = RadialFunction.constant(p, n, b.value_on_shell(v))
                     pf = (at_v - pb) * pf
                 line = line * pf
-            rows.append((v, shell_sum(line).scaled(unit)))
+            else:
+                z = fam.matrix.matvec(x)
+                sz = int(z.shell())
+                val = f.value_on_shell(sz)
+                if symbols is not None:
+                    b = symbols[i]
+                    val = (b.value_on_shell(v) - b.value_on_shell(sz)) * val
+                pre = pre * val
+        return shell_sum(line).scaled(pre * unit)
+
+    if scalar:
         return OperatorResult(
-            "table", p, n, table=tuple(rows), exact=True,
+            "table", p, n,
+            table=tuple((v, at_shell(v)) for v in range(-window, window + 1)),
+            exact=True,
             note="infinite-support kernel: closed-form shell values over the window",
         )
 
@@ -314,27 +336,7 @@ def hausdorff_apply(
             vshell = x.shell()
             if vshell == -math.inf:
                 raise ValueError("evaluation point must be nonzero")
-            v = int(vshell)
-            pre: Number = 1
-            line = kernel.phi
-            for i, (fam, f) in enumerate(zip(families, inputs)):
-                if isinstance(fam, ScalarRadial):
-                    pf = _affine_pullback(f, fam.slope, fam.offset + v)
-                    if symbols is not None:
-                        b = symbols[i]
-                        pb = _affine_pullback(b, fam.slope, fam.offset + v)
-                        at_v = RadialFunction.constant(p, n, b.value_on_shell(v))
-                        pf = (at_v - pb) * pf
-                    line = line * pf
-                else:
-                    z = fam.matrix.matvec(x)
-                    sz = int(z.shell())
-                    val = f.value_on_shell(sz)
-                    if symbols is not None:
-                        b = symbols[i]
-                        val = (b.value_on_shell(v) - b.value_on_shell(sz)) * val
-                    pre = pre * val
-            return shell_sum(line).scaled(pre * unit)
+            return at_shell(int(vshell), x)
 
         return OperatorResult("pointwise", p, n, evaluate=evaluate, exact=True)
 
@@ -396,76 +398,7 @@ def commutator_apply(
     return hausdorff_apply(kernel, families, inputs, symbols=symbols, **kw)
 
 
-# -- cumulative closed forms for the maximal engine -------------------------------
-
-
-def _cum_below_poly(r: Number, t: int) -> dict[int, Number]:
-    """sum_{k<=g} k^t r^k = r^g * sum_j out[j] g^j, an identity for every
-    integer g (requires r > 1)."""
-    inv = Fraction(1, 1) / Fraction(r) if is_exact(r) else 1.0 / float(r)
-    out: dict[int, Number] = {}
-    for tau in range(t + 1):
-        c = comb(t, tau) * (-1) ** tau * t_series(tau, inv)
-        out[t - tau] = out.get(t - tau, 0) + c
-    return out
-
-
-def _cum_above_poly(r: Number, t: int) -> dict[int, Number]:
-    """sum_{k>=g} k^t r^k = r^g * sum_j out[j] g^j (requires 0 < r < 1)."""
-    out: dict[int, Number] = {}
-    for tau in range(t + 1):
-        c = comb(t, tau) * t_series(tau, r)
-        out[t - tau] = out.get(t - tau, 0) + c
-    return out
-
-
-def _polymul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        for j, cb in enumerate(b):
-            out[i + j] += ca * cb
-    return out
-
-
-def _faulhaber_poly(t: int) -> dict[int, Fraction]:
-    """P with sum_{k=a}^{g} k^t = P(g) - P(a-1) for all integers a-1 <= g.
-
-    P interpolates the partial sums at g = 0..t+1; the telescoping identity
-    then holds on the whole line because P(g) - P(g-1) - g^t is a degree-t
-    polynomial with t+1 roots.
-    """
-    xs = list(range(t + 2))
-    ys: list[Fraction] = []
-    acc = Fraction(0)
-    for g in xs:
-        acc += Fraction(g ** t if t else 1)
-        ys.append(acc)
-    coeffs = [Fraction(0)] * (t + 2)
-    for i, x_i in enumerate(xs):
-        num = [Fraction(1)]
-        den = Fraction(1)
-        for j, x_j in enumerate(xs):
-            if j == i:
-                continue
-            num = _polymul(num, [Fraction(-x_j), Fraction(1)])
-            den *= x_i - x_j
-        w = ys[i] / den
-        for j, c in enumerate(num):
-            coeffs[j] += w * c
-    return {j: c for j, c in enumerate(coeffs) if c != 0}
-
-
-def _poly_shift(poly: dict[int, Number], h: int, scale: Number = 1) -> dict[int, Number]:
-    """scale * P(g + h), re-expanded in powers of g."""
-    out: dict[int, Number] = {}
-    for i, c in poly.items():
-        for j in range(i + 1):
-            out[j] = out.get(j, 0) + scale * c * comb(i, j) * h ** (i - j)
-    return out
-
-
-def _poly_eval(poly: dict[int, Number], g: int) -> Number:
-    return sum((c * (g ** j if j else 1) for j, c in poly.items()), Fraction(0))
+# -- tail data for the maximal engine ---------------------------------------------
 
 
 def _tail_data(part: RadialFunction, end: int, start_edge: int):
@@ -536,7 +469,7 @@ def _maximal_profile(f: RadialFunction, window: int, modified: bool) -> RadialFu
         abs_poly = {k: sign_d * c for k, c in poly_d.items()}
         acoeffs: dict[int, Number] = {}
         for k, c in abs_poly.items():
-            for j, d in _cum_below_poly(r_d, k).items():
+            for j, d in enumerate(antidifference(r_d, k)):
                 acoeffs[j] = acoeffs.get(j, 0) + unit * c * d
         a_deep = RadialFunction(
             p, n, tuple(RadialTerm(c, beta_d, j) for j, c in acoeffs.items() if c != 0)
@@ -591,26 +524,15 @@ def _maximal_profile(f: RadialFunction, window: int, modified: bool) -> RadialFu
         abs_poly_t = {k: sign_t * c for k, c in poly_t.items()}
         r_t = ppow(p, beta_t + n)
         a0 = w_hi + 1
+        # mass(g) = t_end + unit * sum_{k=a0}^{g} |f|(k) p^(nk); each log power
+        # telescopes to r^g P(g) - r^(a0-1) P(a0-1), and r^g p^(-ng) = p^(beta_t g)
         const_extra: Number = 0  # extra coefficient on p^(-n g)
         tpoly: dict[int, Number] = {}  # coefficients on g^j p^(beta_t g)
-        if r_t == 1:
-            for k, c in abs_poly_t.items():
-                fp = _faulhaber_poly(k)
-                for j, d in fp.items():
-                    tpoly[j] = tpoly.get(j, 0) + unit * c * d
-                const_extra -= unit * c * _poly_eval(fp, a0 - 1)
-        elif r_t > 1:
-            for k, c in abs_poly_t.items():
-                cb = _cum_below_poly(r_t, k)
-                for j, d in cb.items():
-                    tpoly[j] = tpoly.get(j, 0) + unit * c * d
-                const_extra -= unit * c * _poly_eval(cb, a0 - 1) * _rpow(r_t, a0 - 1)
-        else:
-            for k, c in abs_poly_t.items():
-                ca = _cum_above_poly(r_t, k)
-                const_extra += unit * c * _poly_eval(ca, a0) * _rpow(r_t, a0)
-                for j, d in _poly_shift(ca, 1, r_t).items():
-                    tpoly[j] = tpoly.get(j, 0) - unit * c * d
+        for k, c in abs_poly_t.items():
+            poly = antidifference(r_t, k)
+            for j, d in enumerate(poly):
+                tpoly[j] = tpoly.get(j, 0) + unit * c * d
+            const_extra -= unit * c * antidifference_at(r_t, poly, a0 - 1)
         head = t_end + const_extra
         terms = []
         if head != 0:

@@ -1,10 +1,10 @@
 """Seeded generators for scenario suites and cross-check batches.
 
 The bundled verification suites are regenerated by ``suite_rows`` from
-``SUITE_SEED``; no suite files ship with the package.  Envelope constants were
-fitted on an independent sweep from ``CALIBRATION_SEED``.  The generators
-stay importable so tests can rebuild randomized batches (exactness sweeps,
-Monte Carlo cross-checks) without shipping fixtures.
+``SUITE_SEED``; no suite files ship with the package.  ``CALIBRATION_SEED``
+names an independent sweep for checking the envelope constants against fresh
+rows.  The generators stay importable so tests can rebuild randomized batches
+(exactness sweeps, Monte Carlo cross-checks) without shipping fixtures.
 
 All emitted scenarios satisfy their bound's hypotheses by construction:
 exponent balances are solved exactly in rational arithmetic, weights are
@@ -33,6 +33,7 @@ __all__ = [
     "c8c9_rows",
     "prop_power_weight_rows",
     "bound_rows",
+    "commutator_bound_rows",
     "mc_cases",
     "frac",
 ]
@@ -254,7 +255,8 @@ def commutator_bound_rows(seed: int, count: int = 40) -> list[dict]:
     """Commutator norm-bound scenarios with random finite inputs.
 
     Shares the adjusted-Morrey parameter recipe of :func:`c8c9_rows` but
-    exercises verify_bound on generic data; used to fit the C8/C9 envelopes.
+    exercises verify_bound on generic data, so the C8/C9 envelope can be
+    checked on rows from any seed.
     """
     rng = random.Random(seed)
     rows = []

@@ -2,10 +2,17 @@
 
 These sums are what every shell decomposition in this package reduces to: a
 radial power-log term evaluated on shell g contributes c * g^k * r^g with
-ratio r = p^(beta + n) (or p^beta for plain shell sums).  Finite ranges are
-summed directly; infinite tails use the Stirling-number closed form of the
-polylogarithm-like series T_t(x) = sum_{j>=0} j^t x^j, which is a rational
-function of x.  Exactness is preserved whenever r is rational.
+ratio r = p^(beta + n) (or p^beta for plain shell sums).
+
+Every closed form telescopes one antidifference: for each r > 0 and t >= 0
+exactly one polynomial P, of degree t (t + 1 with P(0) = 0 when r == 1),
+satisfies r^g P(g) - r^(g-1) P(g-1) = g^t r^g for every integer g, so
+
+    sum_{g=a}^{b} g^t r^g = r^b P(b) - r^(a-1) P(a-1).
+
+r^g P(g) vanishes toward -inf when r > 1 and toward +inf when r < 1, which
+gives both infinite tails.  Short finite ranges are summed directly.
+Exactness is preserved whenever r is rational.
 
 A tail toward -inf converges iff r > 1; toward +inf iff r < 1.  r == 1 with a
 nonzero coefficient always diverges.  Divergent results are returned as
@@ -16,23 +23,12 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
 from math import comb
 
 from .numeric import ExtendedValue, Number, fpow, is_exact
 
-#: ranges longer than this are summed by differencing two closed-form tails
+#: ranges longer than this are summed by telescoping the antidifference
 _DIRECT_SUM_LIMIT = 4096
-
-
-@lru_cache(maxsize=None)
-def stirling2(t: int, i: int) -> int:
-    """Stirling number of the second kind S(t, i)."""
-    if t == i:
-        return 1
-    if i == 0 or i > t:
-        return 0
-    return i * stirling2(t - 1, i) + stirling2(t - 1, i - 1)
 
 
 def _rpow(r: Number, e: int) -> Number:
@@ -42,38 +38,35 @@ def _rpow(r: Number, e: int) -> Number:
     return fpow(float(r), float(e))
 
 
-def t_series(t: int, x: Number) -> Number:
-    """T_t(x) = sum_{j>=0} j^t x^j for 0 <= x < 1, exact when x is."""
-    one = Fraction(1) if is_exact(x) else 1.0
-    total = one * 0
-    for i in range(t + 1):
-        s2 = stirling2(t, i)
-        if s2 == 0:
-            continue
-        total += s2 * math.factorial(i) * _rpow(x, i) / _rpow(one - x, i + 1)
-    return total
+def antidifference(r: Number, t: int) -> list[Number]:
+    """Coefficients, lowest degree first, of the P with
+    r^g P(g) - r^(g-1) P(g-1) = g^t r^g on the whole shell line.
+
+    Comparing coefficients of g^i in P(g) - P(g-1)/r = g^t gives a triangular
+    system, solved from the top degree down.  Exact when r is exact, and
+    always exact when r == 1 (every power of the ratio is then 1).
+    """
+    if r <= 0:
+        raise ValueError("ratio must be positive")
+    shift = 1 if r == 1 else 0
+    if shift or is_exact(r):
+        r = Fraction(r)
+    a = [r * 0] * (t + 1 + shift)
+    for i in range(t, -1, -1):
+        acc = r if i == t else r * 0
+        for j in range(i + 1 + shift, t + 1 + shift):
+            acc += (-1) ** (j - i) * comb(j, i) * a[j]
+        # row i pivots on (r - 1) a_i, or on (i + 1) a_(i+1) when r == 1
+        a[i + shift] = acc / (i + 1 if shift else r - 1)
+    return a
 
 
-def tail_to_plus_inf(r: Number, k: int, lo: int) -> Number:
-    """sum_{g=lo}^{+inf} g^k r^g, requires 0 < r < 1."""
-    if not 0 < r < 1:
-        raise ValueError("tail to +inf needs 0 < r < 1")
-    # substitute g = lo + j and expand (lo + j)^k binomially
-    scale = _rpow(r, lo)
-    acc = 0
-    for t in range(k + 1):
-        acc += comb(k, t) * (lo ** (k - t) if k != t else 1) * t_series(t, r)
-    return scale * acc
-
-
-def tail_to_minus_inf(r: Number, k: int, hi: int) -> Number:
-    """sum_{g=-inf}^{hi} g^k r^g, requires r > 1."""
-    if not r > 1:
-        raise ValueError("tail to -inf needs r > 1")
-    inv = Fraction(1) / Fraction(r) if is_exact(r) else 1.0 / float(r)
-    # substitute g -> -g: sum_{g'>=-hi} (-g')^k inv^g'
-    sign = -1 if k % 2 else 1
-    return sign * tail_to_plus_inf(inv, k, -hi)
+def antidifference_at(r: Number, poly: list[Number], g: int) -> Number:
+    """r^g P(g) for the antidifference P = ``poly`` of ratio r."""
+    acc = poly[-1]
+    for c in reversed(poly[:-1]):
+        acc = acc * g + c
+    return _rpow(r, g) * acc
 
 
 def _direct(r: Number, k: int, lo: int, hi: int) -> Number:
@@ -98,24 +91,18 @@ def power_log_sum(r: Number, k: int, lo: int | None, hi: int | None) -> Extended
             return ExtendedValue.finite(0)
         if hi - lo <= _DIRECT_SUM_LIMIT:
             return ExtendedValue.finite(_direct(r, k, lo, hi))
-        if r < 1:
-            return ExtendedValue.finite(
-                tail_to_plus_inf(r, k, lo) - tail_to_plus_inf(r, k, hi + 1)
-            )
-        if r > 1:
-            return ExtendedValue.finite(
-                tail_to_minus_inf(r, k, hi) - tail_to_minus_inf(r, k, lo - 1)
-            )
-        # r == 1: Faulhaber via direct chunking is pointless; sum of g^k
-        return ExtendedValue.finite(sum(g ** k if k else 1 for g in range(lo, hi + 1)))
+        poly = antidifference(r, k)
+        return ExtendedValue.finite(
+            antidifference_at(r, poly, hi) - antidifference_at(r, poly, lo - 1)
+        )
     if lo is None and hi is None:
         if k % 2 == 0:
             return ExtendedValue.infinite(+1)
         raise ArithmeticError("doubly infinite sum with odd log power has no signed limit")
     if lo is None:
         if r > 1:
-            return ExtendedValue.finite(tail_to_minus_inf(r, k, hi))
+            return ExtendedValue.finite(antidifference_at(r, antidifference(r, k), hi))
         return ExtendedValue.infinite(+1 if k % 2 == 0 else -1)
     if r < 1:
-        return ExtendedValue.finite(tail_to_plus_inf(r, k, lo))
+        return ExtendedValue.finite(-antidifference_at(r, antidifference(r, k), lo - 1))
     return ExtendedValue.infinite(+1)

@@ -88,11 +88,13 @@ class Weight:
                     raise ValueError(f"weight must be positive on every shell; fails at {g}")
         for end in (-1, +1):
             dom = _dominant_term(w, end)
-            if dom is not None:
-                beta, k, c = dom
+            if dom is None:
+                sign = 0  # no term reaches this end: the weight vanishes there
+            else:
+                _, k, c = dom
                 sign = c * ((-1) ** k if end < 0 else 1)
-                if sign <= 0:
-                    raise ValueError("weight must stay positive toward infinity")
+            if sign <= 0:
+                raise ValueError("weight must stay positive toward infinity")
 
     @property
     def p(self) -> int:

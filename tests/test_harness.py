@@ -629,9 +629,13 @@ def test_extremal_c3_power_eigenfunction():
 
 def test_extremal_unsupported_id():
     s2, *_ = _shared_weight_scenario_c2()
-    with pytest.raises(ScenarioError) as exc:
-        extremal_family(C.C2, s2)
-    assert exc.value.condition == "unsupported-id"
+    for cid in (C.C2, "C2"):  # a plain-string id is accepted as the enum is
+        with pytest.raises(ScenarioError) as exc:
+            extremal_family(cid, s2)
+        assert exc.value.condition == "unsupported-id"
+        with pytest.raises(ScenarioError) as exc:
+            ratio_study(cid, s2, [1])
+        assert exc.value.condition == "unsupported-id"
 
 
 def test_extremal_requires_positive_r():

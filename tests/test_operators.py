@@ -49,6 +49,23 @@ def test_kernel_rejects_negative_tail():
         KernelSpec(phi)
 
 
+def test_kernel_rejects_negative_shell_inside_the_certified_edge():
+    # positive toward both ends, but phi(150) = -1; the right end is only
+    # certified from shell 601, so every shell below that must be scanned
+    phi = RadialFunction(
+        2, 1,
+        (RadialTerm(Fraction(1), 0, 2), RadialTerm(Fraction(-300), 0, 1),
+         RadialTerm(Fraction(22499), 0, 0)),
+    )
+    assert phi.value_on_shell(150) == -1
+    with pytest.raises(ValueError, match="fails on shell 150"):
+        KernelSpec(phi)
+    # a dip past the old +-96 probe; the certificates start beyond it
+    spike = RadialFunction.constant(2, 1, 1) + RadialFunction.power(2, 1, -5, 0, lo=200, hi=200)
+    with pytest.raises(ValueError, match="fails on shell 200"):
+        KernelSpec(spike)
+
+
 def test_kernel_support_and_line_mass():
     ker = sphere_kernel(3, 1, {-1: Fraction(2), 2: Fraction(1, 3)})
     assert ker.support_shells() == [-1, 2]

@@ -28,6 +28,16 @@ def test_bundled_suites_round_trip(monkeypatch):
     assert count == 115
 
 
+@pytest.mark.parametrize("seed", [scenarios.CALIBRATION_SEED, scenarios.SUITE_SEED])
+def test_commutator_bound_rows_build_and_validate(seed):
+    rows = scenarios.commutator_bound_rows(seed, 40)
+    assert len(rows) == 40
+    for row in rows:
+        built = load_and_build(row)
+        assert (built.scenario_id, built.kind) == (row["id"], "bound")
+        harness.validate_scenario(built.constant, built.scenario, window=built.window)
+
+
 def first_row(suite):
     return copy.deepcopy(scenarios.suite_rows(suite, scenarios.SUITE_SEED)[0])
 

@@ -7,28 +7,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from radialpadic.numeric import ExtendedValue
-from radialpadic.series import power_log_sum, stirling2, tail_to_minus_inf, tail_to_plus_inf
+from radialpadic.series import antidifference, antidifference_at, power_log_sum
 
 from oracles import brute_power_log_sum
 
 TINY = Fraction(1, 10 ** 25)
 
 
-def test_stirling_small_table():
-    # classic second-kind values
-    assert stirling2(0, 0) == 1
-    assert stirling2(4, 2) == 7
-    assert stirling2(5, 3) == 25
-    assert stirling2(6, 1) == 1
-    assert stirling2(6, 6) == 1
-    assert stirling2(3, 0) == 0
-
-
 @pytest.mark.parametrize("r", [Fraction(1, 2), Fraction(2, 3), Fraction(1, 5)])
 @pytest.mark.parametrize("k", [0, 1, 2, 3])
 @pytest.mark.parametrize("lo", [-3, 0, 2, 7])
 def test_plus_tail_matches_deep_partial_sum(r, k, lo):
-    exact = tail_to_plus_inf(r, k, lo)
+    exact = power_log_sum(r, k, lo, None).value
     partial = brute_power_log_sum(r, k, lo, lo + 500)
     assert isinstance(exact, Fraction)
     assert abs(exact - partial) < TINY
@@ -38,7 +28,7 @@ def test_plus_tail_matches_deep_partial_sum(r, k, lo):
 @pytest.mark.parametrize("k", [0, 1, 2])
 @pytest.mark.parametrize("hi", [-2, 0, 5])
 def test_minus_tail_matches_deep_partial_sum(r, k, hi):
-    exact = tail_to_minus_inf(r, k, hi)
+    exact = power_log_sum(r, k, None, hi).value
     partial = brute_power_log_sum(r, k, hi - 500, hi)
     assert abs(exact - partial) < TINY
 
@@ -47,7 +37,7 @@ def test_geometric_closed_form_identity():
     # sum_{g<=G} r^g = r^(G+1)/(r-1) for r > 1
     for r in (Fraction(2), Fraction(5, 3)):
         for g in (-4, 0, 3):
-            assert tail_to_minus_inf(r, 0, g) == r ** (g + 1) / (r - 1)
+            assert power_log_sum(r, 0, None, g).value == r ** (g + 1) / (r - 1)
 
 
 def test_finite_range_exact():
@@ -115,3 +105,48 @@ def test_huge_finite_range_uses_closed_form():
     want = power_log_sum(r, 1, 0, None)
     assert abs(got.value - want.value) < TINY
     assert isinstance(got, ExtendedValue)
+
+
+# -- the antidifference behind every closed form ----------------------------------
+
+
+@pytest.mark.parametrize(
+    "r",
+    [Fraction(1, 2), Fraction(2, 7), Fraction(1), 1, Fraction(3), 3, Fraction(9, 4)],
+    ids=["1-2", "2-7", "frac-1", "int-1", "frac-3", "int-3", "9-4"],
+)
+@pytest.mark.parametrize("t", [0, 1, 2, 3, 4])
+def test_antidifference_telescopes_exactly(r, t):
+    poly = antidifference(r, t)
+    assert all(isinstance(c, Fraction) for c in poly)
+    if r == 1:
+        assert len(poly) == t + 2 and poly[0] == 0
+    else:
+        assert len(poly) == t + 1
+    rf = Fraction(r)
+    for a in range(-6, 6):
+        for g in range(a, 6):
+            direct = sum((k ** t * rf ** k for k in range(a, g + 1)), Fraction(0))
+            closed = antidifference_at(r, poly, g) - antidifference_at(r, poly, a - 1)
+            assert isinstance(closed, Fraction)
+            assert closed == direct, (a, g)
+
+
+FLOAT_RATIOS = [0.1, 0.5, 0.9, 0.99, 0.999, 1.001, 1.01, 1.5, 2.0, 9.0]
+
+
+def float_cases(r):
+    """Tails and ranges longer than the direct-sum limit on the convergent side."""
+    if r < 1:
+        return [(lo, None) for lo in (-20, -3, 0, 5, 40)] + [(-20, 4200), (3, 5000)]
+    return [(None, hi) for hi in (-40, -5, 0, 3, 20)] + [(-4200, 20), (-5000, -3)]
+
+
+@pytest.mark.parametrize("r", FLOAT_RATIOS)
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_float_closed_forms_match_exact_rational(r, k):
+    for lo, hi in float_cases(r):
+        got = power_log_sum(r, k, lo, hi)
+        want = power_log_sum(Fraction(r), k, lo, hi).value
+        assert not got.exact
+        assert abs(float(got) - float(want)) <= 1e-12 * abs(float(want)), (lo, hi)

@@ -49,6 +49,11 @@ def test_weight_positivity_enforced():
         Weight(RadialFunction.power(2, 1, -1, 0))
     with pytest.raises(ValueError):
         Weight(RadialFunction.log(2, 1))  # negative on |x| < 1
+    # positive on every scanned shell, but no term reaches one end
+    with pytest.raises(ValueError, match="toward infinity"):
+        Weight(RadialFunction.power(2, 1, 1, 0, hi=100))
+    with pytest.raises(ValueError, match="toward infinity"):
+        Weight(RadialFunction.power(2, 1, 1, 0, lo=-100))
     Weight(RadialFunction.power(2, 1, 1, 2))  # fine
 
 
