@@ -44,76 +44,9 @@ from typing import Callable, Sequence
 from .families import ConstantMatrix, Family, Pointwise, ScalarRadial
 from .numeric import ExtendedValue, Number, fpow, ppow
 from .padic import PAdicVector
-from .radial import RadialFunction, RadialTerm, shell_sum
+from .radial import RadialFunction, RadialTerm, _end_signs, _eventual_sign, shell_sum
 from .sampling import MCEstimate, integrate_mc
 from .series import antidifference, antidifference_at
-
-
-# -- sign certification for power-log expressions -----------------------------
-
-
-def _eventual_sign(fn: RadialFunction, end: int, start_edge: int) -> tuple[int, int]:
-    """(sign, edge): the constant sign of fn(g) for every |g| >= edge toward `end`.
-
-    The dominant exponent group is bounded below by half its leading monomial
-    beyond its root bound; every subordinate group is bounded above and decays
-    geometrically relative to it, so the first margin-2 win in the scan
-    certifies the sign from that shell outward.
-    """
-    if not fn.terms:
-        return 0, max(1, start_edge)
-    groups: dict[Number, dict[int, Number]] = {}
-    for t in fn.terms:
-        groups.setdefault(t.beta, {})[t.logpow] = (
-            groups.get(t.beta, {}).get(t.logpow, 0) + t.coeff
-        )
-    betas = sorted(groups, key=float)
-    bdom = betas[0] if end < 0 else betas[-1]
-    pdom = groups[bdom]
-    kd = max(pdom)
-    lead = pdom[kd]
-    lead_eff = -lead if (end < 0 and kd % 2) else lead
-    # only coefficients opposing the lead (after g -> -g for the left end)
-    # can flip the sign of the dominant polynomial; same-sign ones reinforce it
-    opposing = 0.0
-    for k, c in pdom.items():
-        if k == kd:
-            continue
-        c_eff = -c if (end < 0 and k % 2) else c
-        if (float(c_eff) > 0) != (float(lead_eff) > 0):
-            opposing += abs(float(c))
-    r_dom = max(1.0, 2.0 * opposing / abs(float(lead)))
-    sign = 1 if lead_eff > 0 else -1
-    subs = []
-    for b in betas:
-        if b == bdom:
-            continue
-        delta = abs(float(bdom) - float(b))
-        s_abs = sum(abs(float(c)) for c in groups[b].values())
-        if s_abs == 0:
-            continue
-        subs.append((delta, math.log(s_abs), max(groups[b])))
-    if not subs:
-        return sign, max(int(math.ceil(r_dom)) + 1, start_edge, 1)
-    lnp = math.log(fn.p)
-    g0 = max([r_dom] + [max(1.0, (km - kd) / (d * lnp)) for d, _, km in subs])
-    g = max(int(math.ceil(g0)) + 1, start_edge, 1)
-    log_lead = math.log(abs(float(lead)) / 2.0)
-    for _ in range(200):
-        log_dom = log_lead + kd * math.log(g)
-        log_sub = max(ls + km * math.log(g) - d * lnp * g for d, ls, km in subs)
-        if log_dom > math.log(2.0 * len(subs)) + log_sub:
-            return sign, g
-        g *= 2
-    raise RuntimeError("could not certify an eventual sign; exponents too close")
-
-
-def _end_part(f: RadialFunction, end: int) -> RadialFunction:
-    """The restriction of f beyond all its breakpoints toward one end."""
-    bps = f.breakpoints()
-    if end < 0:
-        return f.restrict(None, (min(bps) - 1) if bps else 0)
-    return f.restrict((max(bps) + 1) if bps else 0, None)
 
 
 # -- kernels -------------------------------------------------------------------
@@ -127,17 +60,10 @@ class KernelSpec:
 
     def __post_init__(self) -> None:
         phi = self.phi
-        bps = phi.breakpoints()
-        # phi equals its end part past the breakpoint hull, so each end's
-        # certificate starts there; every shell between the two edges is scanned
-        starts = (1 - bps[0], bps[-1] + 1) if bps else (0, 0)
-        edges = []
-        for end, start in zip((-1, +1), starts):
-            sign, edge = _eventual_sign(_end_part(phi, end), end, start)
-            if sign < 0:
-                raise ValueError("kernel must be nonnegative toward infinity")
-            edges.append(edge)
-        for g in range(1 - edges[0], edges[1]):
+        (s_lo, e_lo), (s_hi, e_hi) = _end_signs(phi)
+        if s_lo < 0 or s_hi < 0:
+            raise ValueError("kernel must be nonnegative toward infinity")
+        for g in range(1 - e_lo, e_hi):
             if phi.value_on_shell(g) < 0:
                 raise ValueError(f"kernel must be nonnegative; fails on shell {g}")
 
@@ -415,13 +341,9 @@ def _tail_data(part: RadialFunction, end: int, start_edge: int):
         raise NotImplementedError(
             "maximal profile needs a single growth exponent on each tail of |f|"
         )
-    beta = betas.pop()
-    poly = {t.logpow: t.coeff for t in part.terms}
-    probe = RadialFunction(
-        part.p, part.n, tuple(RadialTerm(c, 0, k) for k, c in poly.items())
-    )
-    sign, edge = _eventual_sign(probe, end, start_edge)
-    return beta, poly, sign, edge
+    # one exponent group has the sign of its polynomial in g
+    sign, edge = _eventual_sign(part, end, start_edge)
+    return betas.pop(), {t.logpow: t.coeff for t in part.terms}, sign, edge
 
 
 # -- centered maximal functions ---------------------------------------------------
@@ -477,17 +399,11 @@ def _maximal_profile(f: RadialFunction, window: int, modified: bool) -> RadialFu
         abs_deep = RadialFunction(
             p, n, tuple(RadialTerm(c, beta_d, k) for k, c in abs_poly.items() if c != 0)
         )
-        dpoly = {
-            j: acoeffs.get(j, 0) - abs_poly.get(j, 0)
-            for j in set(acoeffs) | set(abs_poly)
-        }
-        dfn = RadialFunction(
-            p, n, tuple(RadialTerm(c, 0, j) for j, c in dpoly.items() if c != 0)
-        )
-        if dfn.is_zero():
+        ddeep = a_deep - abs_deep  # A(g) - |f|(g): sign of A(g-1) - A(g)
+        if ddeep.is_zero():
             deep_dir = "flat"
         else:
-            sgn, edge = _eventual_sign(dfn, -1, abs(w_lo))
+            sgn, edge = _eventual_sign(ddeep, -1, abs(w_lo))
             w_lo = min(w_lo, -edge)
             deep_dir = "averages_grow" if sgn > 0 else "averages_shrink"
 

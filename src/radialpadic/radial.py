@@ -28,6 +28,7 @@ from .series import power_log_sum
 
 _NEG = -(10 ** 9)  # sentinel ordering keys for unbounded interval ends
 _POS = 10 ** 9
+_MAX_EDGE = 10 ** 6  # farthest shell an eventual-sign certificate may need
 
 
 @dataclass(frozen=True)
@@ -300,6 +301,92 @@ class RadialFunction:
                 c = scale * comb(t.logpow, j) * d ** (t.logpow - j)
                 new_terms.append(RadialTerm(c, t.beta, j, lo, hi))
         return RadialFunction(self.p, self.n, tuple(new_terms))
+
+
+# -- sign certification for power-log expressions ----------------------------
+
+
+def _eventual_sign(fn: RadialFunction, end: int, start_edge: int) -> tuple[int, int]:
+    """(sign, edge): the constant sign of fn(g) for every |g| >= edge toward `end`.
+
+    The dominant exponent group is bounded below by half its leading monomial
+    beyond its root bound; every subordinate group is bounded above and decays
+    geometrically relative to it, so the first margin-2 win in the scan
+    certifies the sign from that shell outward.  Every caller visits the
+    shells up to the edge, so an edge beyond _MAX_EDGE (a lead that is a float
+    cancellation residue, say) raises ValueError instead of running on.
+    """
+    if not fn.terms:
+        return 0, max(1, start_edge)
+    groups: dict[Number, dict[int, Number]] = {}
+    for t in fn.terms:
+        groups.setdefault(t.beta, {})[t.logpow] = (
+            groups.get(t.beta, {}).get(t.logpow, 0) + t.coeff
+        )
+    betas = sorted(groups, key=float)
+    bdom = betas[0] if end < 0 else betas[-1]
+    pdom = groups[bdom]
+    kd = max(pdom)
+    lead = pdom[kd]
+    lead_eff = -lead if (end < 0 and kd % 2) else lead
+    # only coefficients opposing the lead (after g -> -g for the left end)
+    # can flip the sign of the dominant polynomial; same-sign ones reinforce it
+    opposing = 0.0
+    for k, c in pdom.items():
+        if k == kd:
+            continue
+        c_eff = -c if (end < 0 and k % 2) else c
+        if (float(c_eff) > 0) != (float(lead_eff) > 0):
+            opposing += abs(float(c))
+    r_dom = max(1.0, 2.0 * opposing / abs(float(lead)))
+    sign = 1 if lead_eff > 0 else -1
+    subs = []
+    for b in betas:
+        if b == bdom:
+            continue
+        delta = abs(float(bdom) - float(b))
+        s_abs = sum(abs(float(c)) for c in groups[b].values())
+        if s_abs == 0:
+            continue
+        subs.append((delta, math.log(s_abs), max(groups[b])))
+    if not subs:
+        return sign, _checked_edge(max(int(math.ceil(r_dom)) + 1, start_edge, 1))
+    lnp = math.log(fn.p)
+    g0 = max([r_dom] + [max(1.0, (km - kd) / (d * lnp)) for d, _, km in subs])
+    g = _checked_edge(max(int(math.ceil(g0)) + 1, start_edge, 1))
+    log_lead = math.log(abs(float(lead)) / 2.0)
+    while True:
+        log_dom = log_lead + kd * math.log(g)
+        log_sub = max(ls + km * math.log(g) - d * lnp * g for d, ls, km in subs)
+        if log_dom > math.log(2.0 * len(subs)) + log_sub:
+            return sign, g
+        g = _checked_edge(2 * g)
+
+
+def _checked_edge(edge: int) -> int:
+    if edge > _MAX_EDGE:
+        raise ValueError(f"eventual sign not certified within {_MAX_EDGE} shells")
+    return edge
+
+
+def _end_part(f: RadialFunction, end: int) -> RadialFunction:
+    """The restriction of f beyond all its breakpoints toward one end."""
+    bps = f.breakpoints()
+    if end < 0:
+        return f.restrict(None, (min(bps) - 1) if bps else 0)
+    return f.restrict((max(bps) + 1) if bps else 0, None)
+
+
+def _end_signs(f: RadialFunction) -> tuple[tuple[int, int], tuple[int, int]]:
+    """(sign, edge) of f toward -inf, then toward +inf (_eventual_sign).
+
+    f equals its end part past the breakpoint hull, so each certificate
+    starts there; the shells strictly between -edge and +edge are the only
+    ones a caller still has to visit.
+    """
+    bps = f.breakpoints()
+    lo, hi = (1 - bps[0], bps[-1] + 1) if bps else (0, 0)
+    return _eventual_sign(_end_part(f, -1), -1, lo), _eventual_sign(_end_part(f, +1), +1, hi)
 
 
 def _max_lo(a: int | None, b: int | None) -> int | None:

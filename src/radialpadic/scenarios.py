@@ -1,10 +1,20 @@
 """Seeded generators for scenario suites and cross-check batches.
 
-The bundled verification suites are regenerated by ``suite_rows`` from
-``SUITE_SEED``; no suite files ship with the package.  ``CALIBRATION_SEED``
-names an independent sweep for checking the envelope constants against fresh
-rows.  The generators stay importable so tests can rebuild randomized batches
-(exactness sweeps, Monte Carlo cross-checks) without shipping fixtures.
+Every row of a bound, ratio or composite suite shares one schema, built by
+``_row``: ``id, kind, constant, prime, dim, kernel, families, params`` plus the
+keys its kind adds (``weight``, ``symbols``, ``inputs``, ``rs``, ``tol``,
+``window``).  Two tables drive the generators: ``_SUITES`` maps each bundled
+suite name to its maker (``SUITE_NAMES`` is its key order), and ``_BOUNDS``
+maps each sufficiency bound to its row recipe.  Recipes that share a draw
+take it from one function: ``_weighted_draw`` and ``_weighted_row`` for
+C2/C4/C6/C10, ``_commutator_draw`` for the C8/C9 ratio and bound rows.
+
+The bundled suites are regenerated by ``suite_rows`` from ``SUITE_SEED``; no
+suite files ship with the package.  Benchmark passes draw them again at
+``SUITE_SEED + k``, and ``CALIBRATION_SEED`` names an independent sweep for
+checking the envelope constants against fresh rows.  The order of the random
+draws is therefore part of each generator's contract: the same seed must give
+the same rows, and a digest in the tests pins them.
 
 All emitted scenarios satisfy their bound's hypotheses by construction:
 exponent balances are solved exactly in rational arithmetic, weights are
@@ -17,6 +27,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
+from functools import partial
 from typing import Callable, Sequence
 
 from .families import Pointwise, ScalarRadial
@@ -41,19 +52,6 @@ __all__ = [
 SUITE_SEED = 20240812
 CALIBRATION_SEED = 20240811
 
-SUITE_NAMES = (
-    "thm33",
-    "c1-sharpness",
-    "c8c9-commutator",
-    "prop-power-weights",
-    "c2-lebesgue",
-    "c4-morrey",
-    "c5-local",
-    "c6-lebesgue",
-    "c7-composite",
-    "c10-morrey",
-)
-
 
 def frac(x) -> int | str:
     """JSON-ready exact number: plain int when integral, else 'a/b'."""
@@ -61,6 +59,19 @@ def frac(x) -> int | str:
     if f.denominator == 1:
         return int(f)
     return f"{f.numerator}/{f.denominator}"
+
+
+def _row(rid: str, kind: str, cid: str, p: int, n: int, kt: list, fams: list,
+         params: dict, **extra) -> dict:
+    """One scenario row: the keys every bound, ratio and composite row has,
+    then the keys its kind adds, in the order given."""
+    return {"id": rid, "kind": kind, "constant": cid, "prime": p, "dim": n,
+            "kernel": {"terms": kt}, "families": fams, "params": params, **extra}
+
+
+def _pnm(rng: random.Random, ms: Sequence[int] = (1, 2)) -> tuple[int, int, int]:
+    """The prime, the dimension and the number of slots, drawn in that order."""
+    return rng.choice((2, 3, 5)), rng.choice((1, 2)), rng.choice(ms)
 
 
 def _kernel_terms(rng: random.Random, lo_min: int = -3, hi_max: int = 3,
@@ -138,55 +149,32 @@ def thm33_rows(seed: int = SUITE_SEED, count: int = 12) -> list[dict]:
     rng = random.Random(seed)
     rows = []
     for j in range(count):
-        p = rng.choice((2, 3, 5))
-        n = rng.choice((1, 2))
-        m = rng.choice((1, 2, 3))
+        p, n, m = _pnm(rng, (1, 2, 3))
         q = Fraction(rng.randint(4, 10), rng.choice((1, 2, 3)))
         alpha = Fraction(rng.randint(-2 * n + 1, 4 * n), 2)
         lam = Fraction(-1, math.ceil(q) + rng.randint(1, 6))
         kt = _kernel_terms(rng)
+        fams = [_scalar_family(rng) for _ in range(m)]
+        params = {"q": frac(q), "q_i": [frac(m * q)] * m,
+                  "alpha": frac(alpha), "alpha_i": [frac(alpha)] * m,
+                  "lam": frac(lam), "lam_i": [frac(lam / m)] * m}
         beta_in = (alpha + n) * lam / m
-        rows.append({
-            "id": f"thm33-{j:02d}",
-            "kind": "bound",
-            "constant": "C3",
-            "prime": p,
-            "dim": n,
-            "kernel": {"terms": kt},
-            "families": [_scalar_family(rng) for _ in range(m)],
-            "params": {
-                "q": frac(q), "q_i": [frac(m * q)] * m,
-                "alpha": frac(alpha), "alpha_i": [frac(alpha)] * m,
-                "lam": frac(lam), "lam_i": [frac(lam / m)] * m,
-            },
-            "inputs": [{"terms": [[1, frac(beta_in), 0, None, None]]} for _ in range(m)],
-        })
+        rows.append(_row(f"thm33-{j:02d}", "bound", "C3", p, n, kt, fams, params,
+                         inputs=[{"terms": [[1, frac(beta_in), 0, None, None]]} for _ in range(m)]))
     return rows
 
 
 # ----------------------------------------------------------------- sharpness studies
 
 
-def c1_sharpness_rows(seed: int = SUITE_SEED) -> list[dict]:
+def c1_sharpness_rows() -> list[dict]:
     """Five ratio studies with nonnegative dilation exponents on the kernel
     support, so the truncated extremal ratios increase toward the constant."""
-    del seed  # the five studies are pinned; the seed keeps the signature uniform
     def row(j, p, n, kt, fams, q, alpha, m):
-        return {
-            "id": f"c1-sharp-{j}",
-            "kind": "ratio",
-            "constant": "C1",
-            "prime": p,
-            "dim": n,
-            "kernel": {"terms": kt},
-            "families": fams,
-            "params": {
-                "q": frac(q), "q_i": [frac(m * q)] * m,
-                "alpha": frac(alpha), "alpha_i": [frac(alpha)] * m,
-            },
-            "rs": list(range(1, 9)),
-            "tol": 0.05,
-        }
+        params = {"q": frac(q), "q_i": [frac(m * q)] * m,
+                  "alpha": frac(alpha), "alpha_i": [frac(alpha)] * m}
+        return _row(f"c1-sharp-{j}", "ratio", "C1", p, n, kt, fams, params,
+                    rs=list(range(1, 9)), tol=0.05)
 
     return [
         row(1, 2, 1, [[1, 0, 0, 0, 0], ["1/2", 0, 0, 2, 2]],
@@ -207,48 +195,42 @@ def c1_sharpness_rows(seed: int = SUITE_SEED) -> list[dict]:
 # ----------------------------------------------------------------- commutator identity
 
 
+def _commutator_draw(rng: random.Random, n: int, m: int) -> tuple[list, list, dict]:
+    """(kernel terms, families, params) of the adjusted-Morrey commutator recipe.
+
+    The families are contractive on the kernel support, so the logarithmic
+    symbol differences carry a single sign there.
+    """
+    r0 = rng.randint(2, 4)
+    c0 = rng.randint(2, 5)
+    q = Fraction(c0 * r0, c0 + r0)
+    hi_a = n * (m * r0 - 1)
+    alpha = Fraction(rng.randint(-2 * n + 1, min(4 * n, 2 * hi_a - 1)), 2)
+    lam = Fraction(-1, c0 + rng.randint(1, 5))
+    kt = _kernel_terms(rng, lo_min=-2, hi_max=2)
+    lo, hi = _kernel_bounds(kt)
+    fams = [_contractive_family(rng, lo, hi) for _ in range(m)]
+    params = {"q": frac(q), "q_i": [frac(m * c0)] * m, "r_i": [frac(m * r0)] * m,
+              "alpha": frac(alpha), "alpha_i": [frac(alpha)] * m,
+              "lam": frac(lam), "lam_i": [frac(lam / m)] * m}
+    return kt, fams, params
+
+
 def c8c9_rows(seed: int = SUITE_SEED, count: int = 10) -> list[dict]:
     """Commutator eigen-identity studies: the ratio trace equals the constant.
 
-    Families are contractive on the kernel support so the logarithmic symbol
-    differences carry a single sign and the eigen-coefficient matches the
+    With contractive families the eigen-coefficient matches the
     absolute-value form of the constant exactly.
     """
     rng = random.Random(seed)
     rows = []
     for j in range(count):
-        p = rng.choice((2, 3, 5))
-        n = rng.choice((1, 2))
-        m = rng.choice((1, 2)) if j % 2 else rng.choice((1, 2, 3))
-        r0 = rng.randint(2, 4)
-        c0 = rng.randint(2, 5)
-        q = Fraction(c0 * r0, c0 + r0)
-        hi_a = n * (m * r0 - 1)
-        alpha = Fraction(rng.randint(-2 * n + 1, min(4 * n, 2 * hi_a - 1)), 2)
-        lam = Fraction(-1, c0 + rng.randint(1, 5))
-        kt = _kernel_terms(rng, lo_min=-2, hi_max=2)
-        lo, hi = _kernel_bounds(kt)
-        rows.append({
-            "id": f"c8c9-{j:02d}",
-            "kind": "ratio",
-            "constant": "C8" if j % 2 == 0 else "C9",
-            "prime": p,
-            "dim": n,
-            "kernel": {"terms": kt},
-            "families": [_contractive_family(rng, lo, hi) for _ in range(m)],
-            "params": {
-                "q": frac(q), "q_i": [frac(m * c0)] * m, "r_i": [frac(m * r0)] * m,
-                "alpha": frac(alpha), "alpha_i": [frac(alpha)] * m,
-                "lam": frac(lam), "lam_i": [frac(lam / m)] * m,
-            },
-            "symbols": [{"log_coeff": 1} for _ in range(m)],
-            "rs": list(range(1, 9)),
-            "tol": 0.05,
-        })
+        p, n, m = _pnm(rng, (1, 2) if j % 2 else (1, 2, 3))
+        kt, fams, params = _commutator_draw(rng, n, m)
+        rows.append(_row(f"c8c9-{j:02d}", "ratio", "C9" if j % 2 else "C8", p, n, kt, fams,
+                         params, symbols=[{"log_coeff": 1} for _ in range(m)], rs=list(range(1, 9)),
+                         tol=0.05))
     return rows
-
-
-# ----------------------------------------------------------------- weight class grid
 
 
 def commutator_bound_rows(seed: int, count: int = 40) -> list[dict]:
@@ -261,34 +243,15 @@ def commutator_bound_rows(seed: int, count: int = 40) -> list[dict]:
     rng = random.Random(seed)
     rows = []
     for j in range(count):
-        p = rng.choice((2, 3, 5))
-        n = rng.choice((1, 2))
-        m = rng.choice((1, 2))
-        r0 = rng.randint(2, 4)
-        c0 = rng.randint(2, 5)
-        q = Fraction(c0 * r0, c0 + r0)
-        hi_a = n * (m * r0 - 1)
-        alpha = Fraction(rng.randint(-2 * n + 1, min(4 * n, 2 * hi_a - 1)), 2)
-        lam = Fraction(-1, c0 + rng.randint(1, 5))
-        kt = _kernel_terms(rng, lo_min=-2, hi_max=2)
-        lo, hi = _kernel_bounds(kt)
-        rows.append({
-            "id": f"c8c9-bound-{j:02d}",
-            "kind": "bound",
-            "constant": "C8" if j % 2 == 0 else "C9",
-            "prime": p,
-            "dim": n,
-            "kernel": {"terms": kt},
-            "families": [_contractive_family(rng, lo, hi) for _ in range(m)],
-            "params": {
-                "q": frac(q), "q_i": [frac(m * c0)] * m, "r_i": [frac(m * r0)] * m,
-                "alpha": frac(alpha), "alpha_i": [frac(alpha)] * m,
-                "lam": frac(lam), "lam_i": [frac(lam / m)] * m,
-            },
-            "symbols": [{"log_coeff": 1} for _ in range(m)],
-            "inputs": [_input_profile(rng, hi_max=2) for _ in range(m)],
-        })
+        p, n, m = _pnm(rng)
+        kt, fams, params = _commutator_draw(rng, n, m)
+        rows.append(_row(f"c8c9-bound-{j:02d}", "bound", "C9" if j % 2 else "C8", p, n, kt,
+                         fams, params, symbols=[{"log_coeff": 1} for _ in range(m)],
+                         inputs=[_input_profile(rng, hi_max=2) for _ in range(m)]))
     return rows
+
+
+# ----------------------------------------------------------------- weight class grid
 
 
 def prop_power_weight_rows() -> list[dict]:
@@ -301,6 +264,10 @@ def prop_power_weight_rows() -> list[dict]:
     """
     rows = []
     for p, n in ((2, 1), (3, 2)):
+        def row(tag: str, a: Fraction, ell: int, **extra) -> dict:
+            return {"id": f"pw-p{p}n{n}-{tag}", "kind": "weights", "prime": p, "dim": n,
+                    "weight": {"alpha": frac(a)}, "ell": ell, **extra, "window": 40}
+
         grid = [
             (1, Fraction(0)), (1, Fraction(-n, 2)), (1, Fraction(1, 2)),
             (1, Fraction(-n) - Fraction(1, 2)),
@@ -308,25 +275,8 @@ def prop_power_weight_rows() -> list[dict]:
         ]
         for ell, a in grid:
             tag = f"{a.numerator}_{a.denominator}" if a.denominator != 1 else str(a.numerator)
-            rows.append({
-                "id": f"pw-p{p}n{n}-l{ell}-a{tag}",
-                "kind": "weights",
-                "prime": p,
-                "dim": n,
-                "weight": {"alpha": frac(a)},
-                "ell": ell,
-                "window": 40,
-            })
-        rows.append({
-            "id": f"pw-p{p}n{n}-rh2",
-            "kind": "weights",
-            "prime": p,
-            "dim": n,
-            "weight": {"alpha": frac(Fraction(-n, 4))},
-            "ell": 1,
-            "rh": 2,
-            "window": 40,
-        })
+            rows.append(row(f"l{ell}-a{tag}", a, ell))
+        rows.append(row("rh2", Fraction(-n, 4), 1, rh=2))
     return rows
 
 
@@ -354,48 +304,65 @@ def _pick_q_star(rng: random.Random, gap: Fraction) -> Fraction | None:
     return rng.choice(ok) if ok else None
 
 
-def _c2_like_row(rng: random.Random, cid: str, j: int) -> dict:
-    p = rng.choice((2, 3, 5))
-    n = rng.choice((1, 2))
-    m = rng.choice((1, 2))
+def _weighted_draw(rng: random.Random) -> tuple[int, int, int, Fraction, Fraction, Fraction]:
+    """(p, n, m, zeta, weight exponent, r/(r-1)) of a weighted Lebesgue or Morrey row."""
+    p, n, m = _pnm(rng)
     zeta = rng.choice((Fraction(1), Fraction(3, 2)))
     a_w = _weight_in_class(rng, n, zeta)
-    rh = _rh_of(n, a_w)
-    q_star = rng.choice((Fraction(1), Fraction(5, 4)))
-    threshold = q_star * zeta * rh
-    base = int(m * threshold) + rng.randint(2, 5)
-    q_i = [base + (rng.randint(0, 2) if m > 1 else 0) for _ in range(m)]
+    return p, n, m, zeta, a_w, _rh_of(n, a_w)
+
+
+def _weighted_row(rng: random.Random, cid: str, j: int, p: int, n: int, m: int,
+                  a_w: Fraction, params: dict, slots: Sequence[Fraction],
+                  spread: int | None, symbols: bool) -> dict:
+    """A C2/C4/C6/C10 row once its exponents are drawn.
+
+    Expansive families and inputs supported in the unit ball keep the
+    realized weight masses O(1), where the envelope constant is uniform.  A
+    Morrey bound (``spread`` set) draws lam_i = -1/(slot + 1..spread).
+    """
     kt = _kernel_terms(rng)
     lo, hi = _kernel_bounds(kt)
-    # expansive families and inputs supported in the unit ball keep the
-    # realized weight masses O(1), where the envelope constant is uniform
-    row = {
-        "id": f"{cid.lower()}-{j:02d}",
-        "kind": "bound",
-        "constant": cid,
-        "prime": p,
-        "dim": n,
-        "kernel": {"terms": kt},
-        "families": [_expansive_family(rng, lo, hi) for _ in range(m)],
-        "params": {
-            "q_star": frac(q_star), "zeta": frac(zeta),
-            "q_i": [frac(v) for v in q_i],
-            "delta": frac(Fraction(3, 2)),
-        },
-        "weight": {"alpha": frac(a_w)},
-        "inputs": [_input_profile(rng, hi_max=0) for _ in range(m)],
-    }
-    if cid == "C4":
-        lam_i = [Fraction(-1, v + rng.randint(1, 4)) for v in q_i]
-        row["params"]["lam_i"] = [frac(v) for v in lam_i]
-        row["params"]["lam"] = frac(sum(lam_i))
-    return row
+    fams = [_expansive_family(rng, lo, hi) for _ in range(m)]
+    params["delta"] = frac(Fraction(3, 2))
+    extra: dict = {"weight": {"alpha": frac(a_w)}}
+    if symbols:
+        extra["symbols"] = _log_symbols(rng, m)
+    extra["inputs"] = [_input_profile(rng, hi_max=0) for _ in range(m)]
+    if spread is not None:
+        lam_i = [Fraction(-1, int(v) + rng.randint(1, spread)) for v in slots]
+        params["lam_i"] = [frac(v) for v in lam_i]
+        params["lam"] = frac(sum(lam_i))
+    return _row(f"{cid.lower()}-{j:02d}", "bound", cid, p, n, kt, fams, params, **extra)
+
+
+def _c2_row(cid: str, spread: int | None, rng: random.Random, j: int) -> dict:
+    p, n, m, zeta, a_w, rh = _weighted_draw(rng)
+    q_star = rng.choice((Fraction(1), Fraction(5, 4)))
+    base = int(m * q_star * zeta * rh) + rng.randint(2, 5)
+    q_i = [base + (rng.randint(0, 2) if m > 1 else 0) for _ in range(m)]
+    params = {"q_star": frac(q_star), "zeta": frac(zeta), "q_i": [frac(v) for v in q_i]}
+    return _weighted_row(rng, cid, j, p, n, m, a_w, params, q_i, spread, symbols=False)
+
+
+def _c6_row(cid: str, spread: int | None, rng: random.Random, j: int) -> dict:
+    for _ in range(100):
+        p, n, m, zeta, a_w, rh = _weighted_draw(rng)
+        r_star = [Fraction(rng.randint(8, 12)) for _ in range(m)]
+        q_star_i = [Fraction(rng.randint(16, 24)) for _ in range(m)]
+        gap = (sum(1 / v for v in r_star) + sum(1 / v for v in q_star_i)) * zeta * rh
+        q_star = _pick_q_star(rng, gap)
+        if q_star is not None:
+            params = {"q_star": frac(q_star), "zeta": frac(zeta),
+                      "q_star_i": [frac(v) for v in q_star_i],
+                      "r_star_i": [frac(v) for v in r_star]}
+            return _weighted_row(rng, cid, j, p, n, m, a_w, params, q_star_i, spread,
+                                 symbols=True)
+    raise RuntimeError("could not draw admissible exponents")  # pragma: no cover
 
 
 def _c5_row(rng: random.Random, j: int) -> dict:
-    p = rng.choice((2, 3, 5))
-    n = rng.choice((1, 2))
-    m = rng.choice((1, 2))
+    p, n, m = _pnm(rng)
     r0 = rng.randint(2, 4)
     c0 = rng.randint(2, 5)
     q = Fraction(c0 * r0, c0 + r0)
@@ -403,70 +370,17 @@ def _c5_row(rng: random.Random, j: int) -> dict:
     alpha_i = [Fraction(rng.randint(-2 * n + 1, min(4 * n, 2 * hi_a - 1)), 2)
                for _ in range(m)]
     alpha = sum(alpha_i, Fraction(0)) / m
-    return {
-        "id": f"c5-{j:02d}",
-        "kind": "bound",
-        "constant": "C5",
-        "prime": p,
-        "dim": n,
-        "kernel": {"terms": _kernel_terms(rng)},
-        "families": [_scalar_family(rng) for _ in range(m)],
-        "params": {
-            "q": frac(q), "q_i": [frac(m * c0)] * m, "r_i": [frac(m * r0)] * m,
-            "alpha": frac(alpha), "alpha_i": [frac(v) for v in alpha_i],
-            "gamma": rng.randint(-2, 3),
-        },
-        "symbols": _log_symbols(rng, m),
-        "inputs": [_input_profile(rng) for _ in range(m)],
-    }
-
-
-def _c6_like_row(rng: random.Random, cid: str, j: int) -> dict:
-    for _ in range(100):
-        p = rng.choice((2, 3, 5))
-        n = rng.choice((1, 2))
-        m = rng.choice((1, 2))
-        zeta = rng.choice((Fraction(1), Fraction(3, 2)))
-        a_w = _weight_in_class(rng, n, zeta)
-        rh = _rh_of(n, a_w)
-        r_star = [Fraction(rng.randint(8, 12)) for _ in range(m)]
-        q_star_i = [Fraction(rng.randint(16, 24)) for _ in range(m)]
-        gap = (sum(1 / v for v in r_star) + sum(1 / v for v in q_star_i)) * zeta * rh
-        q_star = _pick_q_star(rng, gap)
-        if q_star is None:
-            continue
-        kt = _kernel_terms(rng)
-        lo, hi = _kernel_bounds(kt)
-        row = {
-            "id": f"{cid.lower()}-{j:02d}",
-            "kind": "bound",
-            "constant": cid,
-            "prime": p,
-            "dim": n,
-            "kernel": {"terms": kt},
-            "families": [_expansive_family(rng, lo, hi) for _ in range(m)],
-            "params": {
-                "q_star": frac(q_star), "zeta": frac(zeta),
-                "q_star_i": [frac(v) for v in q_star_i],
-                "r_star_i": [frac(v) for v in r_star],
-                "delta": frac(Fraction(3, 2)),
-            },
-            "weight": {"alpha": frac(a_w)},
-            "symbols": _log_symbols(rng, m),
-            "inputs": [_input_profile(rng, hi_max=0) for _ in range(m)],
-        }
-        if cid == "C10":
-            lam_i = [Fraction(-1, int(v) + rng.randint(1, 6)) for v in q_star_i]
-            row["params"]["lam_i"] = [frac(v) for v in lam_i]
-            row["params"]["lam"] = frac(sum(lam_i))
-        return row
-    raise RuntimeError("could not draw admissible exponents")  # pragma: no cover
+    kt = _kernel_terms(rng)
+    fams = [_scalar_family(rng) for _ in range(m)]
+    params = {"q": frac(q), "q_i": [frac(m * c0)] * m, "r_i": [frac(m * r0)] * m,
+              "alpha": frac(alpha), "alpha_i": [frac(v) for v in alpha_i],
+              "gamma": rng.randint(-2, 3)}
+    return _row(f"c5-{j:02d}", "bound", "C5", p, n, kt, fams, params,
+                symbols=_log_symbols(rng, m), inputs=[_input_profile(rng) for _ in range(m)])
 
 
 def _c7_row(rng: random.Random, j: int) -> dict:
-    p = rng.choice((2, 3, 5))
-    n = rng.choice((1, 2))
-    m = rng.choice((1, 2))
+    p, n, m = _pnm(rng)
     zeta = rng.choice((Fraction(3, 2), Fraction(2)))
     c = rng.randint(3, 6)
     q_star = zeta * c
@@ -481,58 +395,54 @@ def _c7_row(rng: random.Random, j: int) -> dict:
     lo, hi = _kernel_bounds(kt)
     # contractive families: there the constant's closed form dominates the
     # proof's per-slot factors, so a uniform envelope applies
-    return {
-        "id": f"c7-{j:02d}",
-        "kind": "composite",
-        "constant": "C7",
-        "prime": p,
-        "dim": n,
-        "kernel": {"terms": kt},
-        "families": [_contractive_family(rng, lo, hi) for _ in range(m)],
-        "params": {
-            "zeta": frac(zeta), "q_star": frac(q_star),
-            "q_i": [frac(Fraction(m * c))] * m,
-            "r_star_i": [frac(r_star)] * m,
-            "alpha": frac(alpha), "alpha_i": [frac(v) for v in alpha_i],
-        },
-        "symbols": _log_symbols(rng, m),
-        "inputs": [_input_profile(rng, hi_max=2) for _ in range(m)],
-        "window": 40,
-    }
+    fams = [_contractive_family(rng, lo, hi) for _ in range(m)]
+    params = {"zeta": frac(zeta), "q_star": frac(q_star),
+              "q_i": [frac(Fraction(m * c))] * m, "r_star_i": [frac(r_star)] * m,
+              "alpha": frac(alpha), "alpha_i": [frac(v) for v in alpha_i]}
+    return _row(f"c7-{j:02d}", "composite", "C7", p, n, kt, fams, params,
+                symbols=_log_symbols(rng, m),
+                inputs=[_input_profile(rng, hi_max=2) for _ in range(m)], window=40)
+
+
+#: each sufficiency bound's row recipe; the Morrey bounds add their lam spread
+_BOUNDS: dict[str, Callable[[random.Random, int], dict]] = {
+    "C2": partial(_c2_row, "C2", None),
+    "C4": partial(_c2_row, "C4", 4),
+    "C5": _c5_row,
+    "C6": partial(_c6_row, "C6", None),
+    "C7": _c7_row,
+    "C10": partial(_c6_row, "C10", 6),
+}
 
 
 def bound_rows(cid: str, seed: int = SUITE_SEED, count: int = 12) -> list[dict]:
     """Random admissible scenarios for one sufficiency bound."""
+    make = _BOUNDS[cid]
     rng = random.Random(f"{seed}:{cid}")  # str seeding is deterministic across processes
-    makers: dict[str, Callable[[random.Random, int], dict]] = {
-        "C2": lambda r, j: _c2_like_row(r, "C2", j),
-        "C4": lambda r, j: _c2_like_row(r, "C4", j),
-        "C5": _c5_row,
-        "C6": lambda r, j: _c6_like_row(r, "C6", j),
-        "C7": _c7_row,
-        "C10": lambda r, j: _c6_like_row(r, "C10", j),
-    }
-    make = makers[cid]
     return [make(rng, j) for j in range(count)]
+
+
+#: each bundled suite's maker, called with the suite seed
+_SUITES: dict[str, Callable[[int], list[dict]]] = {
+    "thm33": thm33_rows,
+    "c1-sharpness": lambda seed: c1_sharpness_rows(),
+    "c8c9-commutator": c8c9_rows,
+    "prop-power-weights": lambda seed: prop_power_weight_rows(),
+    "c2-lebesgue": partial(bound_rows, "C2"),
+    "c4-morrey": partial(bound_rows, "C4"),
+    "c5-local": partial(bound_rows, "C5"),
+    "c6-lebesgue": partial(bound_rows, "C6"),
+    "c7-composite": partial(bound_rows, "C7"),
+    "c10-morrey": partial(bound_rows, "C10"),
+}
+SUITE_NAMES = tuple(_SUITES)
 
 
 def suite_rows(name: str, seed: int = SUITE_SEED) -> list[dict]:
     """Rows of one named bundled suite."""
-    if name == "thm33":
-        return thm33_rows(seed)
-    if name == "c1-sharpness":
-        return c1_sharpness_rows(seed)
-    if name == "c8c9-commutator":
-        return c8c9_rows(seed)
-    if name == "prop-power-weights":
-        return prop_power_weight_rows()
-    mapping = {
-        "c2-lebesgue": "C2", "c4-morrey": "C4", "c5-local": "C5",
-        "c6-lebesgue": "C6", "c7-composite": "C7", "c10-morrey": "C10",
-    }
-    if name in mapping:
-        return bound_rows(mapping[name], seed)
-    raise KeyError(f"unknown suite {name!r}")
+    if name not in _SUITES:
+        raise KeyError(f"unknown suite {name!r}")
+    return _SUITES[name](seed)
 
 
 # ----------------------------------------------------------------- Monte Carlo batch

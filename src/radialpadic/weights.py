@@ -30,6 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Callable, Sequence
 
 from .numeric import (
@@ -46,7 +47,14 @@ from .numeric import (
     nth_root,
     ppow,
 )
-from .radial import RadialFunction, ball_measure, integrate_radial, sphere_measure
+from .radial import (
+    RadialFunction,
+    RadialTerm,
+    _end_signs,
+    ball_measure,
+    integrate_radial,
+    sphere_measure,
+)
 from .series import power_log_sum
 
 #: probe offsets used to classify growth beyond a sup window
@@ -80,21 +88,20 @@ class Weight:
         w = self.profile
         t = w.terms[0] if w.is_single_power() else None
         # c|x|^beta with exact c > 0 and exact beta is an exact positive
-        # number on every shell; a float coefficient or exponent can underflow
-        # to 0 on a probed shell, so those keep the scan
-        if not (t is not None and is_exact(t.coeff) and is_exact(t.beta) and t.coeff > 0):
-            for g in range(-_POSITIVITY_WINDOW, _POSITIVITY_WINDOW + 1):
-                if w.value_on_shell(g) <= 0:
-                    raise ValueError(f"weight must be positive on every shell; fails at {g}")
-        for end in (-1, +1):
-            dom = _dominant_term(w, end)
-            if dom is None:
-                sign = 0  # no term reaches this end: the weight vanishes there
-            else:
-                _, k, c = dom
-                sign = c * ((-1) ** k if end < 0 else 1)
-            if sign <= 0:
-                raise ValueError("weight must stay positive toward infinity")
+        # number on every shell, so it needs no check; a float coefficient or
+        # exponent can underflow to 0 on a probed shell, so those keep the scan
+        if t is not None and is_exact(t.coeff) and is_exact(t.beta) and t.coeff > 0:
+            return
+        for g in range(-_POSITIVITY_WINDOW, _POSITIVITY_WINDOW + 1):
+            if w.value_on_shell(g) <= 0:
+                raise ValueError(f"weight must be positive on every shell; fails at {g}")
+        (s_lo, e_lo), (s_hi, e_hi) = _end_signs(w)
+        if s_lo <= 0 or s_hi <= 0:  # 0: no term reaches that end, so w vanishes there
+            raise ValueError("weight must stay positive toward infinity")
+        # the shells between the two certified edges that the scan skipped
+        for g in chain(range(1 - e_lo, -_POSITIVITY_WINDOW), range(_POSITIVITY_WINDOW + 1, e_hi)):
+            if w.value_on_shell(g) <= 0:
+                raise ValueError(f"weight must be positive on every shell; fails at {g}")
 
     @property
     def p(self) -> int:
@@ -594,10 +601,39 @@ def _windowed_masses(totals: Sequence[ExtendedValue] | None, density: Callable[[
     return masses
 
 
-def _weight_masses(w: Weight, window: int) -> list[tuple[float, bool]]:
-    """(omega(B_g), truncated) for g = -window..window (_windowed_masses)."""
-    return _windowed_masses(_ball_totals(w.profile, window), lambda g: float_sat(w.value(g)),
-                            w.p, w.n, window)
+def _power_profile(w: Weight, e: Number) -> RadialFunction | None:
+    """w^e inside the algebra, or None when it has no closed form there.
+
+    e = 1 gives the profile itself.  Otherwise w^e is taken term by term,
+    which is w^e exactly when no two terms share a shell and none carries a
+    log factor (each term is then positive on its own range).
+    """
+    prof = w.profile
+    if e == 1:
+        return prof
+    ts = sorted(prof.terms, key=lambda t: -math.inf if t.lo is None else t.lo)
+    if any(t.logpow for t in ts) or any(
+        a.hi is None or b.lo is None or a.hi >= b.lo for a, b in zip(ts, ts[1:])
+    ):
+        return None
+    return RadialFunction(prof.p, prof.n, tuple(
+        RadialTerm(abs_pow(t.coeff, e),
+                   Fraction(t.beta) * Fraction(e) if is_exact(t.beta) and is_exact(e)
+                   else float(t.beta) * float(e),
+                   0, t.lo, t.hi)
+        for t in ts
+    ))
+
+
+def _power_masses(w: Weight, e: Number, window: int) -> list[tuple[float, bool]]:
+    """(mass of w^e over B_g, truncated) for g = -window..window (_windowed_masses).
+
+    The closed form of _power_profile gives exact totals; without one every
+    ball sums the density w(g)^e over the window and is flagged truncated.
+    """
+    prof = _power_profile(w, e)
+    return _windowed_masses(None if prof is None else _ball_totals(prof, window),
+                            lambda g: fpow(float_sat(w.value(g)), float(e)), w.p, w.n, window)
 
 
 def ap_constant(w: Weight, ell: Number, window: int = 40) -> ExtendedValue:
@@ -606,14 +642,20 @@ def ap_constant(w: Weight, ell: Number, window: int = 40) -> ExtendedValue:
     Inner integrals use exact convergent tails; a divergent inner integral is
     truncated at the window floor and the result is flagged truncated (the
     untruncated constant is infinite and grows with the window).  The masses
-    of all balls come from one pass (_ball_totals, _windowed_masses).
+    of all balls come from one pass (_power_masses).
+
+    sigma = w^(-1/(ell-1)) has a closed form only when the terms of w do not
+    overlap and carry no log factor (_power_profile).  Otherwise every sigma
+    mass is a window sum, so for ell > 1 the result is always flagged
+    truncated, even for a weight in the class such as |x|^(1/2) + |x|^(-1/2)
+    on shells <= 0 (2 above) at ell = 2.
     """
     if ell < 1:
         raise ValueError("ell must be at least 1")
     p, n = w.p, w.n
     truncated = False
 
-    masses = _weight_masses(w, window)
+    masses = _power_masses(w, 1, window)
     if ell == 1:
         dom = _dominant_term(w.profile, -1)
         vanishes_deep = dom is not None and float(dom[0]) > 0
@@ -629,23 +671,9 @@ def ap_constant(w: Weight, ell: Number, window: int = 40) -> ExtendedValue:
             best = max(best, avg / essinf)
         return ExtendedValue(best, truncated=truncated)
 
-    # sigma = w^(-1/(ell-1)); exact when w is a pure power
-    alpha = w.power_exponent()
-    sigma_totals = None
-    if alpha is not None:
-        c = w.profile.terms[0].coeff
-        sigma_exact = RadialFunction.power(
-            p, n, abs_pow(c, Fraction(-1, 1) / (Fraction(ell) - 1)) if is_exact(c) and is_exact(ell)
-            else fpow(float(c), -1 / (float(ell) - 1)),
-            -Fraction(alpha) / (Fraction(ell) - 1) if is_exact(alpha) and is_exact(ell)
-            else -float(alpha) / (float(ell) - 1),
-        )
-        sigma_totals = _ball_totals(sigma_exact, window)
-
-    def sigma_eval(g: int) -> float:
-        return fpow(float_sat(w.value(g)), -1 / (float(ell) - 1))
-
-    smasses = _windowed_masses(sigma_totals, sigma_eval, p, n, window)
+    # sigma = w^(-1/(ell-1))
+    smasses = _power_masses(
+        w, Fraction(-1) / (Fraction(ell) - 1) if is_exact(ell) else -1 / (float(ell) - 1), window)
     best = -math.inf
     for g, (mass, t1), (smass, t2) in zip(range(-window, window + 1), masses, smasses):
         truncated |= t1 or t2
@@ -657,27 +685,18 @@ def ap_constant(w: Weight, ell: Number, window: int = 40) -> ExtendedValue:
 
 def rh_constant(w: Weight, r: Number, window: int = 40) -> ExtendedValue:
     """Reverse-Holder constant: sup over centered balls of
-    (avg of w^r)^(1/r) / (avg of w), with window-truncated divergent tails."""
+    (avg of w^r)^(1/r) / (avg of w), with window-truncated divergent tails.
+
+    As for sigma in ap_constant, w^r has a closed form only when the terms of
+    w do not overlap and carry no log factor; otherwise the result is always
+    flagged truncated.
+    """
     if r <= 1:
         raise ValueError("r must exceed 1")
     p, n = w.p, w.n
     truncated = False
-    alpha = w.power_exponent()
-    wr_totals = None
-    if alpha is not None:
-        c = w.profile.terms[0].coeff
-        wr_exact = RadialFunction.power(
-            p, n,
-            abs_pow(c, r),
-            Fraction(alpha) * Fraction(r) if is_exact(alpha) and is_exact(r) else float(alpha) * float(r),
-        )
-        wr_totals = _ball_totals(wr_exact, window)
-
-    def wr_eval(g: int) -> float:
-        return fpow(float_sat(w.value(g)), float(r))
-
-    masses = _weight_masses(w, window)
-    rmasses = _windowed_masses(wr_totals, wr_eval, p, n, window)
+    masses = _power_masses(w, 1, window)
+    rmasses = _power_masses(w, r, window)
     best = -math.inf
     for g, (mass, t1), (rmass, t2) in zip(range(-window, window + 1), masses, rmasses):
         truncated |= t1 or t2

@@ -167,6 +167,16 @@ def test_rejects_unbounded_growth():
         maximal_mod(RadialFunction.power(2, 1, 1, 0, lo=0, logpow=1))
 
 
+def test_cancelled_deep_lead_raises_instead_of_hanging():
+    # the leads of A(g) and |f|(g) on the deep tail cancel to a float
+    # residue, whose sign certificate would start at shell -1 660 500 081 839 348
+    f = (RadialFunction.power(3, 2, 3.2477, -3, lo=7)
+         + RadialFunction.power(3, 2, 0.5, 0, hi=-7)
+         + RadialFunction.power(3, 2, 0.7374101693, 0, hi=-7, logpow=1))
+    with pytest.raises(ValueError, match="not certified within"):
+        maximal_mod(f)
+
+
 def test_rejects_mixed_tail_exponents():
     f = RadialFunction(
         2, 1,

@@ -1,6 +1,7 @@
 """Scenario files: the bundled suites round-trip, and bad input names its field."""
 
 import copy
+import hashlib
 import json
 
 import pytest
@@ -84,3 +85,18 @@ def test_scenario_file_errors_name_the_path(tmp_path):
     bad.write_text("{")
     with pytest.raises(SchemaError, match="bad.json: not valid JSON"):
         load_scenario_file(bad)
+
+
+def test_generated_rows_are_pinned_beyond_the_first_pass():
+    # every benchmark pass draws the suites at SUITE_SEED + k, and the
+    # envelope calibration reads the bound rows at CALIBRATION_SEED, so the
+    # draw order of every generator is part of its contract
+    batches = [scenarios.suite_rows(name, scenarios.SUITE_SEED + k)
+               for k in range(50) for name in scenarios.SUITE_NAMES]
+    batches += [scenarios.commutator_bound_rows(seed, 40)
+                for seed in (scenarios.CALIBRATION_SEED, scenarios.SUITE_SEED)]
+    batches += [scenarios.bound_rows(cid, scenarios.CALIBRATION_SEED, 40)
+                for cid in ("C2", "C4", "C5", "C6", "C7", "C10")]
+    rows = [row for batch in batches for row in batch]
+    digest = hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest()
+    assert digest == "c3c934f46966e585ed6898bd231478315d6a9a0318d4d177544853c55be88791"

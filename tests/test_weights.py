@@ -57,6 +57,15 @@ def test_weight_positivity_enforced():
     Weight(RadialFunction.power(2, 1, 1, 2))  # fine
 
 
+def test_weight_positivity_checked_between_the_certified_edges():
+    # g^2 - 300 g + 22499 is positive on every scanned shell and toward both
+    # ends, yet 0 on shell 149 and -1 on shell 150
+    g = RadialFunction.log(2, 1)
+    profile = g * g - g.scale(300) + RadialFunction.constant(2, 1, 22499)
+    with pytest.raises(ValueError, match="fails at 149"):
+        Weight(profile)
+
+
 def test_ball_mass_closed_form_integer_alpha():
     # omega(B_g) = p^(g(alpha+n)) (1 - p^-n) / (1 - p^-(alpha+n)), exact
     w = power_weight(2, 1, 1)
@@ -347,6 +356,18 @@ def test_rh_power_weight_formula():
     got = rh_constant(power_weight(p, n, alpha), r, window=20)
     assert not got.truncated
     assert math.isclose(float(got), cr ** (2 / 3) / cw, rel_tol=1e-12)
+
+
+def test_step_weight_constants_have_closed_forms():
+    # 1 on shells <= 0 and 2 above: w^e is taken term by term, so the sigma
+    # and w^r masses are exact and the constants are window-stable
+    w = Weight(RadialFunction.power(2, 1, 1, 0, hi=0) + RadialFunction.power(2, 1, 2, 0, lo=1))
+    for window in (24, 48):
+        got = ap_constant(w, Fraction(3, 2), window=window)
+        assert (got.value, got.truncated) == (1.1858541225631423, False)
+    got = ap_constant(w, 2, window=24)
+    assert (got.value, got.truncated) == (1.125, False)
+    assert not rh_constant(w, 2, window=24).truncated
 
 
 def test_rh_beyond_critical_truncated():
