@@ -9,10 +9,11 @@ spec of their id and do not branch on the id itself.
 The constant is an exact shell series: the kernel weight ``Phi(y)/|y|^n``
 integrated against per-slot factors built from the family data
 (``||A_i(y)||``, ``||A_i^{-1}(y)||``, ``|det A_i^{-1}(y)|`` and, for
-commutator bounds, the ``|log_p ||A_i(y)|| |`` oscillation factor).  For
-scalar dilation families every factor lies in the radial power-log algebra
-on the shell line, so the series has a closed form; constant-matrix slots
-contribute shell-independent prefactors.
+commutator bounds, the ``|log_p ||A_i(y)|| |`` oscillation factor).  A scalar
+dilation family has ``||A_i(y)|| = p^k(g)`` on shell g, so each of its factors
+is written as a function of k and pulled back along k(g) once, which keeps
+the series in the radial power-log algebra with a closed form; constant-matrix
+slots contribute shell-independent prefactors.
 
 A :class:`Scenario` bundles the kernel, the families, and the space
 parameters.  ``validate_scenario`` runs the hypothesis steps, raises
@@ -156,11 +157,12 @@ class BoundSpec:
     """Everything the harness knows about one inequality; one per id in ``_SPECS``."""
 
     steps: tuple[Callable, ...]      # hypothesis steps, run in order as step(s, rec, window)
-    exponents: Callable              # slot -> (e,) of the factor p^(e k(g)) on the whole shell
-    #                                  line, or the pair (on k <= 0, on k > 0) of a delta split
+    exponents: Callable              # slot -> (e,) of the factor p^(e k) for every k, or the
+    #                                  pair (on k <= 0, on k > 0) of a delta split
     matrix: Callable                 # slot -> the factor of a constant-matrix slot
     envelope: float                  # K of ``holds``: lhs <= K * rhs
-    oscillation: Callable | None = None  # |k| or 4 + |k| of a commutator, times p^(e k(g))
+    oscillation: Callable | None = None  # (p, n) -> |k| or 4 + |k| of a commutator, as a
+    #                                      function of k; both factors pull back along k(g)
     morrey: bool = False             # Morrey norms on both sides, else Lebesgue norms
     shared_weight: bool = False      # one Muckenhoupt weight, else |x|^alpha and |x|^alpha_i
     out_q: str = "q"                 # record key of the output exponent
@@ -277,22 +279,16 @@ def _check_muckenhoupt(w: Weight, zeta: Number, n: int, window: int) -> None:
 
 
 def _check_support_condition(s: Scenario, *_) -> None:
-    """Kernel support must lie inside {||A_i(y)|| < 1} for every slot."""
+    """Kernel support must lie inside {||A_i(y)|| < 1} for every slot: its terms miss k(g) >= 0."""
     phi = s.kernel.phi
     if phi.is_zero():
         return
-    lo, hi = phi.support_bounds()
+    k_nonneg = RadialFunction.power(s.p, s.n, 1, 0, lo=0)
     for i, fam in enumerate(s.families):
         if isinstance(fam, ConstantMatrix):
             ok = fam.k_norm < 0
         else:
-            sl, off = fam.slope, fam.offset
-            if sl == 0:
-                ok = off < 0
-            elif sl > 0:
-                ok = hi is not None and sl * hi + off < 0
-            else:
-                ok = lo is not None and sl * lo + off < 0
+            ok = (phi * k_nonneg.pullback(fam.slope, fam.offset)).is_zero()
         if not ok:
             _fail(
                 "support-condition",
@@ -501,66 +497,28 @@ def validate_scenario(cid: ConstantId, s: Scenario, *, window: int = 48) -> dict
 # -- factor construction -----------------------------------------------------------
 
 
-def _k_regions(sl: int, off: int) -> tuple[tuple[int | None, int | None] | None,
-                                           tuple[int | None, int | None] | None]:
-    """Shell ranges where k(g) = sl*g + off is <= 0 and where it is > 0."""
-    if sl == 0:
-        return ((None, None), None) if off <= 0 else (None, (None, None))
-    if sl > 0:
-        cut = math.floor(Fraction(-off, sl))
-        return (None, cut), (cut + 1, None)
-    cut = math.ceil(Fraction(-off, sl))
-    return (cut, None), (None, cut - 1)
+def _k_factor(p: int, n: int, es: Sequence[Number]) -> RadialFunction:
+    """A slot's power factor in the shell variable k: |x|^e for es = (e,), or
+    for the delta split (e_le, e_gt) |x|^e_le on shells <= 0 plus |x|^e_gt on
+    shells >= 1."""
+    if len(es) == 1:
+        return RadialFunction(p, n, (RadialTerm(1, _fr(es[0]), 0),))
+    return RadialFunction(p, n, (RadialTerm(1, _fr(es[0]), 0, None, 0),
+                                 RadialTerm(1, _fr(es[1]), 0, 1, None)))
 
 
-def _linear_k(p: int, n: int, sl: int, off: int,
-              lo: int | None, hi: int | None) -> RadialFunction:
-    """The line g -> sl*g + off on [lo, hi]."""
-    terms = []
-    if sl:
-        terms.append(RadialTerm(Fraction(sl), 0, 1, lo, hi))
-    if off:
-        terms.append(RadialTerm(Fraction(off), 0, 0, lo, hi))
-    return RadialFunction(p, n, tuple(terms))
+# The oscillation factors as functions of k: |k| of a log symbol, and 4 + |k|,
+# where for scalar dilations the four bookkeeping summands of the commutator
+# factor collapse to the constant 4, leaving only the |log_p ||A|| | term.
+_ABS_K = (RadialTerm(-1, 0, 1, None, 0), RadialTerm(1, 0, 1, 1, None))
 
 
-def _abs_k_line(p: int, n: int, fam: ScalarRadial) -> RadialFunction:
-    """|k(g)| as a piecewise-linear element of the shell-line algebra."""
-    sl, off = fam.slope, fam.offset
-    if sl == 0:
-        return RadialFunction.constant(p, n, abs(off))
-    r_le, r_gt = _k_regions(sl, off)
-    out = RadialFunction.zero(p, n)
-    if r_le is not None:
-        out = out + _linear_k(p, n, -sl, -off, *r_le)
-    if r_gt is not None:
-        out = out + _linear_k(p, n, sl, off, *r_gt)
-    return out
+def _abs_k(p: int, n: int) -> RadialFunction:
+    return RadialFunction(p, n, _ABS_K)
 
 
-def _pow_k_line(p: int, n: int, fam: ScalarRadial, e: Number,
-                region: tuple[int | None, int | None] | None = (None, None)) -> RadialFunction:
-    """p^(e * k(g)) restricted to a shell range, in the shell-line algebra."""
-    if region is None:
-        return RadialFunction.zero(p, n)
-    lo, hi = region
-    coeff = ppow(p, _fr(e) * fam.offset)
-    return RadialFunction.power(p, n, coeff, _fr(e) * fam.slope, lo=lo, hi=hi)
-
-
-def _branch_split(p: int, n: int, fam: ScalarRadial, e_le: Number, e_gt: Number) -> RadialFunction:
-    """p^(e_le * k) on {k <= 0} plus p^(e_gt * k) on {k > 0}."""
-    r_le, r_gt = _k_regions(fam.slope, fam.offset)
-    return _pow_k_line(p, n, fam, e_le, r_le) + _pow_k_line(p, n, fam, e_gt, r_gt)
-
-
-def _four_plus_abs_k(p: int, n: int, fam: ScalarRadial) -> RadialFunction:
-    """The oscillation factor 4 + |k(g)|.
-
-    For scalar dilations the four bookkeeping summands of the commutator
-    factor collapse to the constant 4, leaving only the |log_p ||A|| | term.
-    """
-    return RadialFunction.constant(p, n, 4) + _abs_k_line(p, n, fam)
+def _abs_k_plus_four(p: int, n: int) -> RadialFunction:
+    return RadialFunction(p, n, (RadialTerm(4, 0, 0),) + _ABS_K)
 
 
 def _slot(s: Scenario, rec: dict[str, object], i: int, **extra) -> SimpleNamespace:
@@ -571,8 +529,8 @@ def _slot(s: Scenario, rec: dict[str, object], i: int, **extra) -> SimpleNamespa
                            **{k: v[i] if isinstance(v, list) else v for k, v in rec.items()})
 
 
-# Slot exponents of the scalar factor p^(e k(g)): one exponent for the whole
-# shell line, or the pair (on k <= 0, on k > 0) of a delta split.
+# Slot exponents of the scalar factor p^(e k): one exponent for every k, or
+# the pair (on k <= 0, on k > 0) of a delta split (_k_factor).
 
 def _lebesgue_exponent(v: SimpleNamespace) -> tuple[Number]:
     return (-(v.alpha_i + v.n) / v.q_i,)
@@ -642,15 +600,18 @@ def _c10_matrix(v: SimpleNamespace) -> Number:
 
 def _constant(spec: BoundSpec, s: Scenario, rec: dict[str, object]) -> ExtendedValue:
     """compute_constant on a validated record: the kernel line times each scalar
-    slot's factor, summed, times each constant-matrix slot's factor."""
+    slot's factor, summed, times each constant-matrix slot's factor.  The power
+    factor and the oscillation are pulled back apart, then multiplied."""
     p, n = s.p, s.n
     line = s.kernel.phi
     pre: Number = Fraction(1)
     for i, fam in enumerate(s.families):
         if isinstance(fam, ScalarRadial):
-            es = spec.exponents(_slot(s, rec, i))
-            power = _pow_k_line(p, n, fam, *es) if len(es) == 1 else _branch_split(p, n, fam, *es)
-            line = line * (power if spec.oscillation is None else spec.oscillation(p, n, fam) * power)
+            sl, off = fam.slope, fam.offset
+            factor = _k_factor(p, n, spec.exponents(_slot(s, rec, i))).pullback(sl, off)
+            if spec.oscillation is not None:
+                factor = spec.oscillation(p, n).pullback(sl, off) * factor
+            line = line * factor
         else:
             kp = fam.k_norm
             pre = pre * spec.matrix(_slot(s, rec, i, kp=kp, km=fam.k_inverse,
@@ -733,26 +694,26 @@ _SPECS: dict[ConstantId, BoundSpec] = {
         exponents=_c4_exponents, matrix=_c4_matrix, envelope=1.25, morrey=True, shared_weight=True,
         out_q="q_star"),
     ConstantId.C5: BoundSpec(
-        steps=(_validate_section4_balances,), exponents=_lebesgue_exponent, oscillation=_four_plus_abs_k,
+        steps=(_validate_section4_balances,), exponents=_lebesgue_exponent, oscillation=_abs_k_plus_four,
         matrix=_c5_matrix, envelope=1.25, cmo_r="r_i", local=True),
     ConstantId.C6: BoundSpec(
         steps=(partial(_validate_weighted_commutator, bounded_mass=True),),
         exponents=lambda v: (-v.n * (v.zeta / v.q_star_i), -v.n * (v.delta - 1) / (v.q_star_i * v.delta)),
-        oscillation=_four_plus_abs_k, matrix=_c6_matrix, envelope=1.25, shared_weight=True,
+        oscillation=_abs_k_plus_four, matrix=_c6_matrix, envelope=1.25, shared_weight=True,
         out_q="q_star", in_q="q_star_i", cmo_r="r_star_i"),
     ConstantId.C7: BoundSpec(
         steps=(_validate_composite,), exponents=lambda v: (-(v.zeta + v.n) / (v.zeta * v.q_i),),
-        oscillation=_four_plus_abs_k, matrix=_c7_matrix, envelope=1.25, out_q="q_star",
+        oscillation=_abs_k_plus_four, matrix=_c7_matrix, envelope=1.25, out_q="q_star",
         cmo_r="r_star_i", maximal=True),
     ConstantId.C8: BoundSpec(
         steps=(_validate_section4_balances, _validate_lambda_morrey, _check_support_condition, _record_nu),
-        exponents=_morrey_exponent, oscillation=_abs_k_line, matrix=lambda v: _morrey_matrix(v) * v.logf,
+        exponents=_morrey_exponent, oscillation=_abs_k, matrix=lambda v: _morrey_matrix(v) * v.logf,
         envelope=1.25, morrey=True, cmo_r="r_i", extremal=_power_eigenfunctions),
     ConstantId.C10: BoundSpec(
         steps=(partial(_validate_weighted_commutator, bounded_mass=False),
                partial(_validate_lambda_sum, key="q_star_i", label="q*")),
         exponents=lambda v: (v.n * v.zeta * v.lam_i, v.n * v.lam_i * (v.delta - 1) / v.delta),
-        oscillation=_four_plus_abs_k, matrix=_c10_matrix, envelope=1.25, morrey=True, shared_weight=True,
+        oscillation=_abs_k_plus_four, matrix=_c10_matrix, envelope=1.25, morrey=True, shared_weight=True,
         out_q="q_star", in_q="q_star_i", cmo_r="r_star_i"),
 }
 _SPECS[ConstantId.C9] = replace(_SPECS[ConstantId.C8], scalar_only=True)

@@ -9,11 +9,13 @@ together with the centered Hardy-Littlewood maximal function and its
 modified variant (sup restricted to balls at least as large as |x|).
 
 For scalar-radial families everything stays inside the radial power-log
-algebra: a finite-support kernel yields an exact radial output; an
-infinite-support kernel reduces each output shell to a closed-form sum
-along the kernel's shell line.  Constant-matrix families give exact values
-at rational points (the output is no longer radial); general pointwise
-families fall back to stratified Monte Carlo.
+algebra: a finite-support kernel yields an exact radial output (each
+input dilated by ``RadialFunction.dilate``); an infinite-support kernel
+reduces output shell v to a closed-form sum along the kernel's shell line,
+each input pulled back along g -> k(g) + v by ``RadialFunction.pullback``.
+Constant-matrix families give exact values at rational points (the output
+is no longer radial); general pointwise families fall back to stratified
+Monte Carlo.
 
 The maximal functions return exact radial profiles on the whole shell
 line.  The key identity is the one-step recurrence of centered ball
@@ -38,7 +40,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
 from typing import Callable, Sequence
 
 from .families import ConstantMatrix, Family, Pointwise, ScalarRadial
@@ -85,43 +86,6 @@ class KernelSpec:
     def line_mass(self) -> ExtendedValue:
         """integral Phi(y)/|y|^n dy = (1 - p^-n) sum_g Phi(g)."""
         return shell_sum(self.phi).scaled(1 - Fraction(self.p) ** (-self.n))
-
-
-# -- shell-line pullbacks -------------------------------------------------------
-
-
-def _ceil_div(a: int, b: int) -> int:
-    return math.ceil(Fraction(a, b))
-
-
-def _floor_div(a: int, b: int) -> int:
-    return math.floor(Fraction(a, b))
-
-
-def _affine_pullback(f: RadialFunction, m: int, c: int) -> RadialFunction:
-    """The shell-line function g -> f(m*g + c), inside the same algebra.
-
-    Each term of f pulls back with exponent m*beta, a binomial expansion of
-    (m g + c)^k, and the range mapped through the affine change of shell.
-    """
-    if m == 0:
-        return RadialFunction.constant(f.p, f.n, f.value_on_shell(c))
-    out = []
-    for t in f.terms:
-        if m > 0:
-            lo = None if t.lo is None else _ceil_div(t.lo - c, m)
-            hi = None if t.hi is None else _floor_div(t.hi - c, m)
-        else:
-            lo = None if t.hi is None else _ceil_div(t.hi - c, m)
-            hi = None if t.lo is None else _floor_div(t.lo - c, m)
-        if lo is not None and hi is not None and lo > hi:
-            continue
-        base = t.coeff * ppow(f.p, c * t.beta)
-        beta = m * t.beta
-        for j in range(t.logpow + 1):
-            cj = base * comb(t.logpow, j) * m ** j * c ** (t.logpow - j)
-            out.append(RadialTerm(cj, beta, j, lo, hi))
-    return RadialFunction(f.p, f.n, tuple(out))
 
 
 # -- operator application --------------------------------------------------------
@@ -231,10 +195,10 @@ def hausdorff_apply(
         line = kernel.phi
         for i, (fam, f) in enumerate(zip(families, inputs)):
             if isinstance(fam, ScalarRadial):
-                pf = _affine_pullback(f, fam.slope, fam.offset + v)
+                pf = f.pullback(fam.slope, fam.offset + v)
                 if symbols is not None:
                     b = symbols[i]
-                    pb = _affine_pullback(b, fam.slope, fam.offset + v)
+                    pb = b.pullback(fam.slope, fam.offset + v)
                     at_v = RadialFunction.constant(p, n, b.value_on_shell(v))
                     pf = (at_v - pb) * pf
                 line = line * pf
@@ -344,6 +308,33 @@ def _tail_data(part: RadialFunction, end: int, start_edge: int):
     # one exponent group has the sign of its polynomial in g
     sign, edge = _eventual_sign(part, end, start_edge)
     return betas.pop(), {t.logpow: t.coeff for t in part.terms}, sign, edge
+
+
+def _deep_crossover(a_deep: RadialFunction, s_w: Number, top: int) -> int:
+    """The highest shell v <= top with a_deep(v) >= s_w.
+
+    Below the window the averages a_deep grow strictly toward -inf (their
+    direction is certified), so the shells that qualify are exactly those
+    at or below some v: gallop down from top in doubling steps, then bisect.  A
+    crossover deeper than 10^6 shells below top raises RuntimeError.
+    """
+    if a_deep.value_on_shell(top) >= s_w:
+        return top
+    miss, step = top, 1  # a_deep(miss) < s_w
+    while True:
+        hit = max(top - step, top - 1_000_000)
+        if a_deep.value_on_shell(hit) >= s_w:
+            break
+        if hit == top - 1_000_000:
+            raise RuntimeError("deep crossover not found")
+        miss, step = hit, 2 * step
+    while miss - hit > 1:
+        mid = (miss + hit) // 2
+        if a_deep.value_on_shell(mid) >= s_w:
+            hit = mid
+        else:
+            miss = mid
+    return hit
 
 
 # -- centered maximal functions ---------------------------------------------------
@@ -504,13 +495,7 @@ def _maximal_profile(f: RadialFunction, window: int, modified: bool) -> RadialFu
 
     # ---- deep sup -------------------------------------------------------------------
     if deep_dir == "averages_grow":
-        v = w_lo - 1
-        steps = 0
-        while a_deep.value_on_shell(v) < s_w:
-            v -= 1
-            steps += 1
-            if steps > 1_000_000:
-                raise RuntimeError("deep crossover not found")
+        v = _deep_crossover(a_deep, s_w, w_lo - 1)
         deep_terms = [RadialTerm(t.coeff, t.beta, t.logpow, None, v) for t in a_deep.terms]
         if v < w_lo - 1:
             deep_terms.append(RadialTerm(s_w, 0, 0, v + 1, w_lo - 1))

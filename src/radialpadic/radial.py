@@ -6,8 +6,10 @@ A radial function here is a finite sum of terms
 
 identified with the map  shell gamma -> c * p^(gamma*beta) * gamma^k.  The
 class is closed under addition, multiplication, scalar multiplication, range
-restriction, and dilation x -> t*x, which is what makes Hausdorff operators
-with scalar-radial matrix families exactly computable on it.
+restriction, and affine pullback g -> f(m*g + c) along the shell line (the
+dilation x -> t*x is m = 1), which is what makes Hausdorff operators with
+scalar-radial matrix families, and the constants of their bounds, exactly
+computable on it.
 
 Functions are kept in canonical form: for each exponent pair (beta, k) the
 shell line is split into maximal intervals with a single combined coefficient,
@@ -286,21 +288,34 @@ class RadialFunction:
         return RadialFunction(self.p, self.n, tuple(clipped))
 
     def dilate(self, d: int) -> "RadialFunction":
-        """The function x -> f(t x) for any t with |t|_p = p^d.
+        """The function x -> f(t x) for any t with |t|_p = p^d: on shell v it
+        takes f's value on shell v + d."""
+        return self.pullback(1, d)
 
-        On shell v the dilated function takes f's value on shell v + d, so
-        each term picks up p^(d*beta), its range shifts down by d, and the
-        log factor (v + d)^k expands binomially into powers of v.
+    def pullback(self, m: int, c: int) -> "RadialFunction":
+        """The shell-line function g -> f(m*g + c), inside the same algebra.
+
+        Each term picks up p^(c*beta) and the exponent m*beta, its log factor
+        (m g + c)^k expands binomially into powers of g, and its range maps
+        through the inverse change of shell (ends swapped when m < 0).  For
+        m = 0 the result is the constant f(c).
         """
-        new_terms = []
+        if m == 0:
+            return RadialFunction.constant(self.p, self.n, self.value_on_shell(c))
+        out = []
         for t in self.terms:
-            scale = t.coeff * ppow(self.p, d * t.beta)
-            lo = None if t.lo is None else t.lo - d
-            hi = None if t.hi is None else t.hi - d
+            a, b = (t.lo, t.hi) if m > 0 else (t.hi, t.lo)
+            lo = None if a is None else -((c - a) // m)
+            hi = None if b is None else (b - c) // m
+            if lo is not None and hi is not None and lo > hi:
+                continue
+            base = t.coeff * ppow(self.p, c * t.beta)
+            beta = m * t.beta
             for j in range(t.logpow + 1):
-                c = scale * comb(t.logpow, j) * d ** (t.logpow - j)
-                new_terms.append(RadialTerm(c, t.beta, j, lo, hi))
-        return RadialFunction(self.p, self.n, tuple(new_terms))
+                # the integer factor first: one Fraction product per term fewer
+                out.append(RadialTerm(base * (comb(t.logpow, j) * m ** j) * c ** (t.logpow - j),
+                                      beta, j, lo, hi))
+        return RadialFunction(self.p, self.n, tuple(out))
 
 
 # -- sign certification for power-log expressions ----------------------------

@@ -81,10 +81,6 @@ class ProfileModel(_Strict):
     terms: list[TermTuple]
 
 
-class KernelModel(ProfileModel):
-    pass
-
-
 class FamilyModel(_Strict):
     slope: int | None = None
     offset: int | None = None
@@ -148,7 +144,7 @@ class ScenarioModel(_Strict):
     dim: int = Field(default=1, ge=1)
     constant: Literal["C1", "C2", "C3", "C4", "C5", "C6", "C7", "C8", "C9", "C10"] | None = None
     arity: int | None = Field(default=None, ge=1)
-    kernel: KernelModel | None = None
+    kernel: ProfileModel | None = None
     families: list[FamilyModel] | None = None
     params: ParamsModel | None = None
     weight: WeightModel | None = None
@@ -184,14 +180,10 @@ def _require(value, name: str):
 
 
 def radial_from_terms(p: int, n: int, terms) -> RadialFunction:
-    out = []
-    for coeff, beta, logpow, lo, hi in terms:
-        if logpow < 0:
-            raise SchemaError("field 'terms': logpow must be nonnegative")
-        if lo is not None and hi is not None and lo > hi:
-            raise SchemaError("field 'terms': lo must not exceed hi")
-        out.append(RadialTerm(coeff, beta, logpow, lo, hi))
-    return RadialFunction(p, n, tuple(out))
+    try:
+        return RadialFunction(p, n, tuple(RadialTerm(*t) for t in terms))
+    except ValueError as exc:
+        raise SchemaError(f"field 'terms': {exc}") from exc
 
 
 def _build_family(p: int, fm: FamilyModel) -> Family:
@@ -220,19 +212,6 @@ def _build_symbol(p: int, n: int, sm: SymbolModel) -> RadialFunction:
     if sm.log_coeff is not None:
         return RadialFunction.log(p, n, sm.log_coeff)
     return radial_from_terms(p, n, sm.terms)
-
-
-def _build_params(pm: ParamsModel | None) -> SpaceParams:
-    if pm is None:
-        return SpaceParams()
-    data = {}
-    for name in ("q", "alpha", "lam", "q_star", "zeta", "delta"):
-        data[name] = getattr(pm, name)
-    for name in ("q_i", "alpha_i", "lam_i", "r_i", "r_star_i", "q_star_i"):
-        v = getattr(pm, name)
-        data[name] = tuple(v) if v is not None else None
-    data["gamma"] = pm.gamma
-    return SpaceParams(**data)
 
 
 def build_scenario(model: ScenarioModel) -> BuiltScenario:
@@ -276,7 +255,9 @@ def build_scenario(model: ScenarioModel) -> BuiltScenario:
                   if model.inputs is not None else None)
         scenario = Scenario(
             p=p, n=n, m=len(families), kernel=kernel, families=families,
-            params=_build_params(model.params), symbols=symbols,
+            params=SpaceParams(**{k: tuple(v) if isinstance(v, list) else v
+                                  for k, v in model.params or ParamsModel()}),
+            symbols=symbols,
             weight=weight, inputs=inputs,
         )
     elif model.kind == "weights":

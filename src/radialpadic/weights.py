@@ -429,9 +429,10 @@ def lebesgue_norm(
 
 def _sup_over_window(
     values: Sequence[float], probe: Callable[[int], float], window: int
-) -> tuple[float, int | None, bool]:
-    """(sup, witness, grows) of the ball quotients values[i] at shell -window + i,
-    with growth probes beyond the window."""
+) -> NormResult:
+    """The sup of the ball quotients values[i] at shell -window + i, with its
+    witness; infinite when it is, or when a growth probe beyond the window
+    exceeds it."""
     best = -math.inf
     witness = None
     for g, v in zip(range(-window, window + 1), values):
@@ -442,7 +443,9 @@ def _sup_over_window(
         for g in (window + off, -window - off):
             if probe(g) > best * (1 + 1e-9) + 1e-300:
                 grows = True
-    return best, witness, grows
+    if grows or math.isinf(best):
+        return NormResult(ExtendedValue.infinite(+1), witness)
+    return NormResult(ExtendedValue.finite(best), witness)
 
 
 def morrey_norm(
@@ -510,10 +513,7 @@ def morrey_norm(
     else:
         # a weight that is not locally integrable has infinite mass on every ball
         values = [math.inf] * len(masses)
-    best, witness, grows = _sup_over_window(values, q_at, window)
-    if grows or math.isinf(best):
-        return NormResult(ExtendedValue.infinite(+1), witness)
-    return NormResult(ExtendedValue.finite(best), witness)
+    return _sup_over_window(values, q_at, window)
 
 
 def cmo_norm(b: RadialFunction, w: Weight, r: Number, window: int = 48) -> NormResult:
@@ -570,10 +570,7 @@ def cmo_norm(b: RadialFunction, w: Weight, r: Number, window: int = 48) -> NormR
 
     values = [d_at(g, _average(total, b.p, b.n, g))
               for g, total in zip(range(-window, window + 1), _ball_totals(b, window))]
-    best, witness, grows = _sup_over_window(values, lambda g: d_at(g, ball_average(b, g)), window)
-    if grows or math.isinf(best):
-        return NormResult(ExtendedValue.infinite(+1), witness)
-    return NormResult(ExtendedValue.finite(best), witness)
+    return _sup_over_window(values, lambda g: d_at(g, ball_average(b, g)), window)
 
 
 # -- Muckenhoupt machinery ---------------------------------------------------

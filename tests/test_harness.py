@@ -194,6 +194,31 @@ def test_c5_constant_matches_oracle():
     assert math.isclose(got, want, rel_tol=1e-12)
 
 
+@pytest.mark.parametrize("cid", ["C4", "C5"])
+def test_constant_matches_oracle_on_every_slope_and_offset(cid):
+    # the delta split (C4) and 4 + |k| (C5) cut the shell line where
+    # k(g) = slope*g + offset changes sign; |slope| >= 2 with an odd offset
+    # puts that cut between shells
+    p, n = 2, 1
+    ker, kt = kernel_from_terms(p, n, [(Fr(1), 0, 0, -2, 5), (Fr(1, 2), -1, 1, -1, 2)])
+    if cid == "C4":
+        P = SpaceParams(q_star=Fr(3, 2), zeta=1, q_i=(8, 8), delta=Fr(3, 2),
+                        lam=Fr(-1, 8), lam_i=(Fr(-1, 16), Fr(-1, 16)))
+        extra = dict(weight=Weight.power(p, n, Fr(-1, 2)))
+        op = {"zeta": 1.0, "q_i": [8.0, 8.0], "delta": 1.5, "lam_i": [-1 / 16, -1 / 16]}
+    else:
+        P = SpaceParams(q=Fr(4, 3), q_i=(8, 8), r_i=(4, 4), alpha=Fr(3, 2), alpha_i=(1, 2), gamma=0)
+        extra = dict(symbols=(RadialFunction.log(p, n),) * 2)
+        op = {"q_i": [8.0, 8.0], "r_i": [4.0, 4.0], "alpha_i": [1.0, 2.0]}
+    for sl in range(-3, 4):
+        for off in range(-3, 4):
+            fams = (ScalarRadial(sl, off), ScalarRadial(-1, 1))
+            s = Scenario(p=p, n=n, m=2, kernel=ker, families=fams, params=P, **extra)
+            got = float(compute_constant(cid, s).value)
+            want = oracle_constant(cid, p, n, kt, -2, 5, [scalar_desc(f) for f in fams], op)
+            assert math.isclose(got, want, rel_tol=1e-12), (sl, off)
+
+
 def test_c5_constant_matches_oracle_with_matrix_slot():
     p, n = 3, 1
     terms = [(Fr(2), 0, 0, -2, 2)]
@@ -446,6 +471,24 @@ def test_c8_support_gate_rejects_kernel_reaching_contractive_boundary():
     with pytest.raises(ScenarioError) as exc:
         compute_constant(C.C8, s)
     assert exc.value.condition == "support-condition"
+
+
+@pytest.mark.parametrize("slope", [-3, -2, 2, 3])
+def test_c8_support_gate_cuts_at_the_kernel_edge(slope):
+    # the kernel lives on shells -3..1; its edge toward growing k is shell 1
+    # for slope > 0 and shell -3 for slope < 0
+    s8, *_ = _c8_scenario()
+    ker = KernelSpec(RadialFunction.power(s8.p, s8.n, 1, 0, lo=-3, hi=1))
+    edge = 1 if slope > 0 else -3
+    for k_edge, ok in ((0, False), (-1, True)):
+        fams = (ScalarRadial(slope, k_edge - slope * edge), s8.families[0])
+        s = replace(s8, kernel=ker, families=fams)
+        if ok:
+            assert compute_constant(C.C8, s).is_finite
+        else:
+            with pytest.raises(ScenarioError) as exc:
+                compute_constant(C.C8, s)
+            assert exc.value.condition == "support-condition"
 
 
 def test_c8_support_gate_rejects_unbounded_kernel_support():

@@ -2,11 +2,13 @@
 
 import math
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from radialpadic import operators
 from radialpadic.operators import maximal, maximal_mod
 from radialpadic.radial import RadialFunction, RadialTerm
 
@@ -147,6 +149,86 @@ def test_modified_below_plain_and_plain_dominates_f(f):
     for v in range(-10, 11):
         assert mm.value_on_shell(v) <= m.value_on_shell(v)
         assert m.value_on_shell(v) >= abs(f.value_on_shell(v))
+
+
+# -- the deep crossover of growing averages ------------------------------------------
+
+
+def linear_walk(a_deep, s_w, top):
+    """The shell-by-shell search the gallop replaced: the first v <= top,
+    going down, with a_deep(v) >= s_w."""
+    v = top
+    while a_deep.value_on_shell(v) < s_w:
+        v -= 1
+    return v
+
+
+@st.composite
+def growing_deep_profiles(draw):
+    """A bump over a decaying top, above a deep tail whose averages grow toward
+    -inf: c0 - c1 log_p|x| (linear growth) or |x|^beta with -n < beta < 0."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.integers(1, 2))
+    edge = draw(st.integers(-9, -3))
+    if draw(st.booleans()):
+        deep = [RadialTerm(Fraction(draw(st.integers(0, 4))), 0, 0, None, edge),
+                RadialTerm(Fraction(-draw(st.integers(1, 5)), draw(st.integers(1, 4))), 0, 1, None, edge)]
+    else:
+        beta = Fraction(-draw(st.integers(1, 2 * n - 1)), 2)
+        deep = [RadialTerm(Fraction(draw(st.integers(1, 3))), beta, 0, None, edge)]
+    bump = RadialTerm(Fraction(draw(st.integers(1, 400)), draw(st.integers(1, 3))), draw(st.integers(-1, 1)), 0,
+                      draw(st.integers(-2, 0)), draw(st.integers(0, 3)))
+    top = RadialTerm(Fraction(draw(st.integers(1, 3))), draw(st.integers(-3, -1)), draw(st.integers(0, 1)), 5, None)
+    return RadialFunction(p, n, tuple(deep + [bump, top]))
+
+
+@settings(max_examples=30, deadline=None)
+@given(f=growing_deep_profiles())
+def test_deep_crossover_matches_linear_walk(f):
+    with mock.patch.object(operators, "_deep_crossover", linear_walk):
+        want = (maximal(f, 8), maximal_mod(f, 8))
+    assert (maximal(f, 8), maximal_mod(f, 8)) == want
+
+
+def slow_log_tail(c1):
+    """1 - c1 log_p|x| on shells <= -5 (averages grow like c1 |g|) under a plateau 10."""
+    return RadialFunction(3, 1, (RadialTerm(Fraction(1), 0, 0, None, -5),
+                                 RadialTerm(-c1, 0, 1, None, -5),
+                                 RadialTerm(Fraction(10), 0, 0, -1, 1)))
+
+
+def count_shell_values(monkeypatch):
+    calls = [0]
+    value_on_shell = RadialFunction.value_on_shell
+
+    def counting(self, gamma):
+        calls[0] += 1
+        return value_on_shell(self, gamma)
+
+    monkeypatch.setattr(RadialFunction, "value_on_shell", counting)
+    return calls
+
+
+def test_deep_crossover_is_found_in_few_evaluations(monkeypatch):
+    # a slowly growing deep tail under a large window sup: the shell-by-shell
+    # walk evaluated the averages on about 335 000 shells to reach -335 344
+    f = RadialFunction(5, 1, tuple(RadialTerm(Fraction(c), b, k, lo, hi) for c, b, k, lo, hi in [
+        (1, 0, 0, None, -9), (-5, 0, 1, None, -9), (1, -4, 0, 1, 2), (4, -4, 0, 4, None),
+        (Fraction(1, 2), -4, 1, 4, None), (-1, 1, 0, 0, 2), (Fraction(4, 3), 2, 1, -2, 4)]))
+    calls = count_shell_values(monkeypatch)
+    m = maximal(f, 16)
+    assert calls[0] < 1000
+    assert {t.hi for t in m.terms if t.lo is None} == {-335344}
+    assert m(-335344) > m(-335343) == m(-100)
+
+
+def test_deep_crossover_beyond_a_million_shells_raises(monkeypatch):
+    calls = count_shell_values(monkeypatch)
+    m = maximal(slow_log_tail(Fraction(1, 10 ** 5)), 8)  # crossover at -863 100
+    assert {t.hi for t in m.terms if t.lo is None} == {-863100}
+    with pytest.raises(RuntimeError, match="deep crossover not found"):
+        maximal(slow_log_tail(Fraction(1, 10 ** 7)), 8)
+    assert calls[0] < 1000
 
 
 # -- rejected inputs -----------------------------------------------------------------

@@ -101,6 +101,12 @@ def test_dilate_is_shift_on_shells(f, d, v):
     assert f.dilate(d)(v) == f(v + d)
 
 
+@settings(max_examples=80, deadline=None)
+@given(f=radial_functions(), m=st.integers(-3, 3), c=st.integers(-6, 6), v=st.integers(-8, 8))
+def test_pullback_is_affine_change_of_shell(f, m, c, v):
+    assert f.pullback(m, c)(v) == f(m * v + c)
+
+
 @settings(max_examples=40, deadline=None)
 @given(f=radial_functions(), d=st.integers(-4, 4))
 def test_dilate_change_of_variables(f, d):

@@ -58,10 +58,16 @@ def with_empty_term_range(row):
     return row
 
 
+def with_negative_logpow(row):
+    row["inputs"][0]["terms"][0][2] = -1
+    return row
+
+
 @pytest.mark.parametrize("suite, spoil, field", [
     ("prop-power-weights", with_boolean_ell, "'ell'"),
     ("prop-power-weights", with_prime_four, "'prime'"),
     ("c2-lebesgue", with_empty_term_range, "'terms'"),
+    ("c2-lebesgue", with_negative_logpow, "'terms'"),
 ])
 def test_schema_error_names_the_field(suite, spoil, field):
     row = spoil(first_row(suite))
