@@ -203,8 +203,7 @@ def hausdorff_apply(
                     pf = (at_v - pb) * pf
                 line = line * pf
             else:
-                z = fam.matrix.matvec(x)
-                sz = int(z.shell())
+                sz = int(fam.matrix.image_shell(x))
                 val = f.value_on_shell(sz)
                 if symbols is not None:
                     b = symbols[i]
@@ -260,7 +259,7 @@ def hausdorff_apply(
                 mat = fam.matrix_at(p, n, y)
                 if mat.det() == 0:
                     return 0.0
-                sz = int(mat.matvec(x).shell())
+                sz = int(mat.image_shell(x))
                 fv = factors.get((i, sz))
                 if fv is None:
                     fv = float(inputs[i].value_on_shell(sz))

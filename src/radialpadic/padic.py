@@ -4,6 +4,11 @@ Everything here is exact.  Rational numbers carry their p-adic valuation
 exactly (valuation of a Fraction is valuation(numerator) - valuation(denominator)),
 so norms are exact powers of p represented as Fractions, and matrix inversion
 is exact Gaussian elimination over the rationals.
+
+A vector computes its shell log_p |x|_p once and keeps it; a sampler that
+already knows the shell builds the vector with it.  A scalar matrix s I
+built by `PAdicMatrix.scalar` carries s, so its determinant is s^n and
+shell(s x) = shell(x) - valuation(s) without forming s x.
 """
 
 from __future__ import annotations
@@ -111,8 +116,11 @@ class PAdicVector:
         return max(pnorm(c, self.p) for c in self.coords)
 
     def shell(self) -> int | float:
-        """log_p |x|_p; -inf for the zero vector."""
-        return -min(_valuation(c, self.p) for c in self.coords)
+        """log_p |x|_p; -inf for the zero vector.  Computed once, then kept."""
+        s = self.__dict__.get("_shell")
+        if s is None:
+            s = self.__dict__["_shell"] = -min(_valuation(c, self.p) for c in self.coords)
+        return s
 
     def scale(self, t: int | Fraction) -> "PAdicVector":
         return PAdicVector(self.p, tuple(Fraction(t) * c for c in self.coords))
@@ -121,6 +129,19 @@ class PAdicVector:
         if self.p != other.p or self.n != other.n:
             raise ValueError("mismatched vectors")
         return PAdicVector(self.p, tuple(a + b for a, b in zip(self.coords, other.coords)))
+
+
+def _vector(p: int, coords: tuple[Fraction, ...], shell: int | float) -> PAdicVector:
+    """A vector whose shell is known: p is checked and coords are Fractions."""
+    x = object.__new__(PAdicVector)
+    x.__dict__.update(p=p, coords=coords, _shell=shell)
+    return x
+
+
+def _check_square(rows: tuple[tuple[Fraction, ...], ...]) -> None:
+    n = len(rows)
+    if n == 0 or any(len(r) != n for r in rows):
+        raise ValueError("matrix must be square and nonempty")
 
 
 @dataclass(frozen=True)
@@ -134,9 +155,7 @@ class PAdicMatrix:
         check_prime(self.p)
         rows = tuple(tuple(_exact(e) for e in row) for row in self.rows)
         object.__setattr__(self, "rows", rows)
-        n = len(rows)
-        if n == 0 or any(len(r) != n for r in rows):
-            raise ValueError("matrix must be square and nonempty")
+        _check_square(rows)
 
     @property
     def n(self) -> int:
@@ -150,8 +169,11 @@ class PAdicMatrix:
         return max(log_norm(e, self.p) for row in self.rows for e in row)
 
     def det(self) -> Fraction:
-        """exact determinant: the product of the elimination pivots."""
+        """exact determinant: the product of the elimination pivots, s^n for s I."""
         n = self.n
+        s = self.__dict__.get("_scalar")
+        if s is not None:
+            return s ** n
         m = [list(row) for row in self.rows]
         negate = False
         for col in range(n):
@@ -194,6 +216,15 @@ class PAdicMatrix:
             raise ValueError("mismatched matrix and vector")
         return PAdicVector(self.p, tuple(_dot(row, x.coords) for row in self.rows))
 
+    def image_shell(self, x: PAdicVector) -> int | float:
+        """shell(A x); for A = s I it is shell(x) - valuation(s), -inf when s = 0."""
+        s = self.__dict__.get("_scalar")
+        if s is None:
+            return self.matvec(x).shell()
+        if x.p != self.p or x.n != self.n:
+            raise ValueError("mismatched matrix and vector")
+        return x.shell() - _valuation(s, self.p) if s else -math.inf
+
     @staticmethod
     def identity(p: int, n: int) -> "PAdicMatrix":
         return PAdicMatrix(p, tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n)))
@@ -201,7 +232,12 @@ class PAdicMatrix:
     @staticmethod
     def scalar(p: int, n: int, s: int | Fraction) -> "PAdicMatrix":
         s = _exact(s)
-        return PAdicMatrix(p, tuple(tuple(s if i == j else _ZERO for j in range(n)) for i in range(n)))
+        rows = tuple(tuple(s if i == j else _ZERO for j in range(n)) for i in range(n))
+        check_prime(p)
+        _check_square(rows)
+        a = object.__new__(PAdicMatrix)
+        a.__dict__.update(p=p, rows=rows, _scalar=s)
+        return a
 
 
 def det_norm_bounds_hold(a: PAdicMatrix) -> bool:

@@ -6,9 +6,10 @@ in [0, p^D).  Each coordinate is built as one exact Fraction: u_j p^(-gamma)
 when gamma <= 0, else u_j / p^gamma, reduced once, with no Fraction product.
 The sphere S_gamma = B_gamma minus the interior is sampled by
 rejection (resample while every coordinate has positive valuation), which is
-exactly Haar conditioned on the sphere.  Estimates over a set of shells are
-stratified: shell masses |S_gamma| are exact, so only the within-shell means
-are estimated.
+exactly Haar conditioned on the sphere.  A sphere point knows its shell: some
+unit is prime to p, so the shell is gamma, and it is never recomputed.
+Estimates over a set of shells are stratified: shell masses |S_gamma| are
+exact, so only the within-shell means are estimated.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
-from .padic import PAdicVector, check_prime
+from .padic import PAdicVector, _vector, check_prime
 from .radial import sphere_measure
 
 #: base-p digits kept per coordinate; valuations beyond this depth are
@@ -60,7 +61,7 @@ def sample_sphere(rng: random.Random, p: int, n: int, gamma: int, depth: int = D
     while True:
         units = [rng.randrange(top) for _ in range(n)]
         if any(u % p for u in units):
-            return PAdicVector(p, tuple(Fraction(u * num, den) for u in units))
+            return _vector(p, tuple(Fraction(u * num, den) for u in units), gamma)
 
 
 @dataclass(frozen=True)

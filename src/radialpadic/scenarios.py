@@ -450,13 +450,7 @@ def suite_rows(name: str, seed: int = SUITE_SEED) -> list[dict]:
 
 def _pointwise_of(fam: ScalarRadial, p: int, n: int) -> Pointwise:
     """The same scalar dilation action exposed only through an evaluator."""
-
-    def evaluator(y: PAdicVector, _fam=fam, _p=p, _n=n) -> PAdicMatrix:
-        k = _fam.slope * int(y.shell()) + _fam.offset
-        s = Fraction(1, _p ** k) if k >= 0 else Fraction(_p ** (-k))
-        return PAdicMatrix.scalar(_p, _n, s)
-
-    return Pointwise(evaluator)
+    return Pointwise(lambda y: PAdicMatrix.scalar(p, n, fam.scalar_on_shell(p, int(y.shell()))))
 
 
 def mc_cases(seed: int = SUITE_SEED, count: int = 20) -> list[dict]:

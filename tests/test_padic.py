@@ -1,6 +1,7 @@
 """Exact p-adic arithmetic: valuations, norms, matrices."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,7 @@ from radialpadic.padic import (
     pnorm,
     valuation,
 )
+from radialpadic.sampling import sample_sphere
 
 from oracles import brute_shell, det_by_elimination
 
@@ -187,3 +189,88 @@ def test_shell_of_zero_vector_and_negative_valuations():
     assert PAdicVector(5, (Fraction(0), Fraction(0))).shell() == -math.inf
     assert PAdicVector(3, (Fraction(0), Fraction(2, 27))).shell() == 3
     assert PAdicVector(2, (Fraction(12), Fraction(3, 5))).shell() == 0
+
+
+# -- integer shells: cached vector shells, carried scalars, image_shell ----------
+
+SMALL_PRIMES = [2, 3, 5]
+
+
+@st.composite
+def shaped_matrices(draw):
+    """(A, x): A scalar (built by `scalar` or from rows), diagonal, general or
+    singular, with s = 0 among the scalars; x may have zero coordinates."""
+    p = draw(st.sampled_from(SMALL_PRIMES))
+    n = draw(st.integers(1, 3))
+    entry = st.fractions(min_value=-30, max_value=30, max_denominator=30)
+    shape = draw(st.sampled_from(["scalar", "scalar-int", "scalar-rows", "diagonal", "general", "singular"]))
+    if shape.startswith("scalar"):
+        if shape == "scalar-int":
+            s = draw(st.integers(-400, 400))
+        else:
+            s = draw(st.one_of(st.just(Fraction(0)), entry)) * Fraction(p) ** draw(st.integers(-6, 6))
+        if shape == "scalar-rows":
+            a = PAdicMatrix(p, tuple(tuple(s if i == j else 0 for j in range(n)) for i in range(n)))
+        else:
+            a = PAdicMatrix.scalar(p, n, s)
+    else:
+        rows = [[draw(entry) for _ in range(n)] for _ in range(n)]
+        if shape == "diagonal":
+            rows = [[e if i == j else 0 for j, e in enumerate(row)] for i, row in enumerate(rows)]
+        if shape == "singular":
+            rows[-1] = [draw(entry) * e for e in rows[0]]
+        a = PAdicMatrix(p, tuple(tuple(r) for r in rows))
+    coord = st.one_of(st.just(Fraction(0)), st.fractions(max_denominator=10**4))
+    shift = draw(st.integers(-5, 5))
+    x = PAdicVector(p, tuple(draw(coord) * Fraction(p) ** shift for _ in range(n)))
+    return a, x
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=shaped_matrices())
+def test_image_shell_and_det_match_brute_force(case):
+    a, x = case
+    assert a.image_shell(x) == brute_shell(a.p, a.matvec(x).coords)
+    d = a.det()
+    assert isinstance(d, Fraction) and d == det_by_elimination(a.rows)
+    # the carried scalar is not part of the value
+    plain = PAdicMatrix(a.p, a.rows)
+    assert a == plain and hash(a) == hash(plain) and repr(a) == repr(plain)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    p=st.sampled_from(SMALL_PRIMES),
+    n=st.integers(1, 3),
+    gamma=st.integers(-4, 4),
+    depth=st.sampled_from([1, 2, 32]),
+    seed=st.integers(0, 2**31),
+)
+def test_sampled_point_carries_its_shell(p, n, gamma, depth, seed):
+    x = sample_sphere(random.Random(seed), p, n, gamma, depth)
+    assert x.shell() == brute_shell(p, x.coords) == gamma
+    # the cached shell is not part of the value
+    plain = PAdicVector(p, x.coords)
+    assert x == plain and hash(x) == hash(plain) and repr(x) == repr(plain)
+    assert plain.shell() == gamma
+
+
+@pytest.mark.parametrize("a", [
+    PAdicMatrix.scalar(3, 2, Fraction(1, 3)),
+    PAdicMatrix.scalar(3, 2, 0),
+    PAdicMatrix(3, ((Fraction(1), Fraction(2)), (Fraction(0), Fraction(1)))),
+])
+def test_image_shell_rejects_mismatched_vector(a):
+    for x in (PAdicVector(5, (Fraction(1), Fraction(1))),
+              PAdicVector(3, (Fraction(1),)),
+              PAdicVector(3, (Fraction(1), Fraction(1), Fraction(1)))):
+        with pytest.raises(ValueError, match="mismatched matrix and vector"):
+            a.image_shell(x)
+
+
+def test_scalar_matrix_is_checked():
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="square and nonempty"):
+            PAdicMatrix.scalar(3, n, Fraction(1, 3))
+    with pytest.raises(ValueError, match="prime"):
+        PAdicMatrix.scalar(4, 2, 1)

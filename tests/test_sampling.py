@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 import signal
 from contextlib import contextmanager
 from fractions import Fraction
@@ -135,3 +136,20 @@ def test_sampler_rejects_empty_draws(sampler, n, depth, match):
     # could never accept a point
     with _deadline(5), pytest.raises(ValueError, match=match):
         sampler(random.Random(0), 3, n, 0, depth=depth)
+
+
+@pytest.mark.parametrize(
+    "n, depth, message",
+    [(0, 32, "dimension n must be at least 1, got 0"), (1, 0, "digit depth must be at least 1, got 0")],
+)
+def test_integrate_mc_rejects_empty_draws_before_sampling(n, depth, message):
+    # the arguments are checked once, before the first draw
+    seen = []
+
+    def integrand(x):
+        seen.append(x)
+        return 1.0
+
+    with _deadline(5), pytest.raises(ValueError, match=re.escape(message)):
+        integrate_mc(integrand, 3, n, [0, 1], 100, seed=1, depth=depth)
+    assert not seen
