@@ -520,41 +520,45 @@ def cmo_norm(b: RadialFunction, w: Weight, r: Number, window: int = 48) -> NormR
     """Central oscillation norm: sup over balls of the weighted L^r deviation
     of b from its unweighted ball average, normalized by the ball's weight mass.
 
-    The ball averages of the window come from one pass (_ball_totals), each
-    exactly the ball_average value.  Ball quotients are memoized within one
-    call, keyed on the deviation as integrated (dilated to the unit ball for
-    a power weight, and cut to the ball) and the ball it is integrated over.  The reuse is exact: for fixed w and r the quotient
-    is a function of that pair alone, and for a power weight the pair is
-    (dev.dilate(g) on B_0, 0), which for a log symbol is the same function
-    on every ball, and for a symbol cut off above shell c the same on every
-    ball B_g with g <= c.  Other weights integrate over B_g itself, so their
-    keys never repeat.
+    For a power weight, the deviation integral and the mass over B_g both
+    scale by p^(g(n + alpha)) under x -> p^(-g) x, so each ball's quotient is
+    taken on B_0, of the deviation b - avg_g dilated by g and cut to B_0.
+    When the terms of b that reach shell -inf make up c log_p|x| + d with
+    exact c and d, b = c s + d on every ball B_g below b's lowest breakpoint
+    e (+inf when b has none), and that deviation is c (s - m0) on B_0 for
+    each of them, m0 being B_0's mean shell: one exact function, hence one
+    quotient, computed at the first such ball reached.  Every other ball (at
+    or above e, of another symbol, or under a weight that is not a power) is
+    integrated on its own, its average from one pass over the window
+    (_ball_totals), each exactly the ball_average value.
     """
     if r < 1:
         raise ValueError("r must be at least 1")
     if b.is_zero():
         return NormResult(ExtendedValue.finite(Fraction(0)))
     rescale = w.power_exponent() is not None
-    quotients: dict[tuple, float] = {}
+    affine = rescale and all(is_exact(t.coeff) and is_exact(t.beta) and t.beta == 0 and t.logpow <= 1
+                             for t in b.terms if t.lo is None)
+    # the balls B_g with g < reach share one quotient
+    reach = min(b.breakpoints(), default=math.inf) if affine else -math.inf
+    totals = None if window < reach else _ball_totals(b, window)
+    shared: float | None = None
 
-    def d_at(g: int, avg: Number) -> float:
-        dev = b + RadialFunction.constant(b.p, b.n, -avg)
-        if rescale:
-            # for power weights both the deviation integral and the mass
-            # scale by p^(g(n+alpha)) under x -> p^(-g) x, so evaluate the
-            # quotient on the unit ball where every shell value is O(|g|^r)
-            dev, gam = dev.dilate(g), 0
+    def d_at(g: int) -> float:
+        nonlocal shared
+        if g < reach and shared is not None:
+            return shared
+        if totals is not None and abs(g) <= window:
+            avg = _average(totals[g + window], b.p, b.n, g)
         else:
-            gam = g
-        # only shells <= gam are integrated, so the cut changes no value and
-        # symbols that differ only above the ball share a key
-        dev = dev.restrict(None, gam)
-        # Fraction(1, 2) and 0.5 compare and hash equal; the number types keep
-        # an exact deviation from sharing a quotient with a float one
-        key = (dev, gam, tuple((type(t.coeff), type(t.beta)) for t in dev.terms))
-        if key not in quotients:
-            quotients[key] = quotient(dev, gam)
-        return quotients[key]
+            avg = ball_average(b, g)
+        dev = b + RadialFunction.constant(b.p, b.n, -avg)
+        dev, gam = (dev.dilate(g), 0) if rescale else (dev, g)
+        # only shells <= gam are integrated, so the cut changes no value
+        value = quotient(dev.restrict(None, gam), gam)
+        if g < reach:
+            shared = value
+        return value
 
     def quotient(dev: RadialFunction, gam: int) -> float:
         mass = weight_ball_mass(w, gam)
@@ -568,9 +572,7 @@ def cmo_norm(b: RadialFunction, w: Weight, r: Number, window: int = 48) -> NormR
         # log-space quotient: exact masses can exceed the float range
         return exp_sat((log_exact(osc.value) - log_exact(mass.value)) / float(r))
 
-    values = [d_at(g, _average(total, b.p, b.n, g))
-              for g, total in zip(range(-window, window + 1), _ball_totals(b, window))]
-    return _sup_over_window(values, lambda g: d_at(g, ball_average(b, g)), window)
+    return _sup_over_window([d_at(g) for g in range(-window, window + 1)], d_at, window)
 
 
 # -- Muckenhoupt machinery ---------------------------------------------------

@@ -5,7 +5,7 @@ from decimal import Decimal
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from radialpadic import weights
@@ -395,11 +395,11 @@ def test_norm_result_float_protocol():
     assert float(res) == 1.0
 
 
-# -- references for the memo and the one-pass ball sweeps -------------------------------------------
+# -- references for the shared CMO quotient and the one-pass ball sweeps ---
 
 
 def cmo_reference(b, w, r, window):
-    """cmo_norm without the per-call memo: every ball quotient from scratch."""
+    """cmo_norm with every ball from scratch."""
     rescale = w.power_exponent() is not None
 
     def d_at(g):
@@ -455,7 +455,7 @@ LOG = RadialFunction.power(2, 1, 1, 0, logpow=1)
         # the 14 balls at or below shell 3 share one quotient and the 7
         # above it (3 window balls, 4 probes) differ
         (LOG.restrict(None, 3), power_weight(2, 1, Fraction(1, 2)), 6, 8),
-        # not a power weight: every ball keeps gam = g, so no key repeats
+        # not a power weight: every ball keeps gam = g, so none shares a quotient
         (LOG, Weight(RadialFunction.constant(2, 1, 1) + RadialFunction.power(2, 1, 1, Fraction(1, 2))), 6, 21),
     ],
     ids=["log", "cut-log", "non-power-weight"],
@@ -547,6 +547,80 @@ def test_cmo_deviation_cut_to_the_ball_matches_reference(b, w):
     res = cmo_norm(b, w, 2, window=6)
     assert float(res.value) == want
     assert res.witness_shell == want_witness
+
+
+ZERO = st.sampled_from([0, Fraction(0)])  # both spellings of the exact exponent 0
+
+
+@st.composite
+def affine_log_symbols(draw):
+    """(b, window): c log_p|x| + d with exact c, d below a shell e with e - 1
+    and e in the window, and an extra exact term that starts at e or takes
+    over from e; or c log_p|x| + d alone, with no breakpoint."""
+    p, n = draw(st.sampled_from([2, 3, 5])), draw(st.integers(1, 2))
+    window = draw(st.integers(4, 12))
+    small = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    c, d = draw(small), draw(small)
+    mode = draw(st.sampled_from(["none", "start", "stop"]))
+    e = None if mode == "none" else draw(st.integers(1 - window, window))
+    hi = e - 1 if mode == "stop" else None
+    terms = [RadialTerm(c, draw(ZERO), 1, None, hi), RadialTerm(d, draw(ZERO), 0, None, hi)]
+    if e is not None:
+        beta = draw(st.sampled_from([-1, Fraction(-1, 2), 0, Fraction(1, 3)]))
+        top = draw(st.one_of(st.none(), st.integers(e, e + 6)))
+        terms.append(RadialTerm(draw(small.filter(bool)), beta, draw(st.integers(0, 2)), e, top))
+    b = RadialFunction(p, n, tuple(terms))
+    assume(not b.is_zero() and min(b.breakpoints(), default=None) == e)
+    return b, window
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    case=affine_log_symbols(),
+    alpha=st.fractions(min_value=Fraction(-1, 2), max_value=3, max_denominator=4),
+    r=st.sampled_from([1, Fraction(3, 2), 2, 3]),
+)
+def test_cmo_shared_quotient_matches_reference(case, alpha, r):
+    b, window = case
+    w = power_weight(b.p, b.n, alpha)
+    want, want_witness = cmo_reference(b, w, r, window)
+    res = cmo_norm(b, w, r, window=window)
+    assert float(res.value) == want
+    assert res.witness_shell == want_witness
+
+
+@pytest.mark.parametrize(
+    "b, w",
+    [
+        (RadialFunction.power(2, 1, 1, 0, logpow=2), power_weight(2, 1, Fraction(1, 2))),
+        (RadialFunction.log(2, 1, 0.5), power_weight(2, 1, Fraction(1, 2))),
+        (RadialFunction(2, 1, (RadialTerm(1, 0.0, 1),)), power_weight(2, 1, Fraction(1, 2))),
+    ],
+    ids=["log-squared", "float-coeff", "float-zero-exponent"],
+)
+def test_cmo_integrates_every_ball_outside_the_identity(monkeypatch, b, w):
+    # the non-power weight is test_cmo_memo_matches_reference[non-power-weight]
+    want, want_witness = cmo_reference(b, w, 2, 6)
+    calls = count_calls(monkeypatch, "integral_abs_power")
+    res = cmo_norm(b, w, 2, window=6)
+    assert len(calls) == 13 + 2 * len(_GROWTH_PROBES)
+    assert float(res.value) == want
+    assert res.witness_shell == want_witness
+
+
+@pytest.mark.parametrize(
+    "b, window, dilations, sweeps",
+    # cut-log: one deviation for the balls below shell 4, then one for each
+    # of the 7 balls at or above it (3 window balls, 4 probes)
+    [(LOG, 16, 1, 0), (LOG.restrict(None, 3), 6, 1 + 7, 1)],
+    ids=["log", "cut-log"],
+)
+def test_cmo_builds_one_deviation_below_the_first_breakpoint(monkeypatch, b, window, dilations, sweeps):
+    dilates = count_calls(monkeypatch, "dilate", owner=RadialFunction)
+    totals = count_calls(monkeypatch, "_ball_totals")
+    cmo_norm(b, power_weight(2, 1, Fraction(1, 2)), 2, window=window)
+    assert len(dilates) == dilations
+    assert len(totals) == sweeps
 
 
 SWEPT = [
