@@ -18,9 +18,16 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Sequence
 
 from .padic import PAdicMatrix, PAdicVector, check_prime, pnorm
+
+
+@lru_cache(maxsize=1024)
+def _p_power(p: int, e: int) -> Fraction:
+    """p^e as a Fraction, kept per (p, e): both decide the value."""
+    return Fraction(p) ** e
 
 
 @dataclass(frozen=True)
@@ -35,8 +42,11 @@ class ScalarRadial:
         return self.slope * gamma + self.offset
 
     def scalar_on_shell(self, p: int, gamma: int) -> Fraction:
-        """A concrete scalar with the required norm: s = p^(-k)."""
-        return Fraction(p) ** (-self.k_on_shell(gamma))
+        """A concrete scalar with the required norm: s = p^(-k).
+
+        The power is built once per (p, -k) and then taken from a bounded cache.
+        """
+        return _p_power(p, -self.k_on_shell(gamma))
 
     def matrix_at(self, p: int, n: int, y: PAdicVector) -> PAdicMatrix:
         shell = y.shell()
@@ -52,7 +62,7 @@ class ConstantMatrix:
     matrix: PAdicMatrix
 
     def __post_init__(self) -> None:
-        if self.matrix.det() == 0:
+        if self.matrix.is_singular():
             raise ValueError("family matrix must be invertible")
 
     @property
@@ -110,7 +120,7 @@ def nu_of_family(
         for _ in range(samples_per_shell):
             y = sample_sphere(rng, p, n, gamma)
             a = family.matrix_at(p, n, y)
-            if a.det() == 0:
+            if a.is_singular():
                 continue
             best = max(best, int(a.log_norm() + a.inverse().log_norm()))
     return best

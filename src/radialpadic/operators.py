@@ -257,7 +257,7 @@ def hausdorff_apply(
             acc = w
             for i, fam in enumerate(families):
                 mat = fam.matrix_at(p, n, y)
-                if mat.det() == 0:
+                if mat.is_singular():
                     return 0.0
                 sz = int(mat.image_shell(x))
                 fv = factors.get((i, sz))

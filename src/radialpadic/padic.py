@@ -5,10 +5,14 @@ exactly (valuation of a Fraction is valuation(numerator) - valuation(denominator
 so norms are exact powers of p represented as Fractions, and matrix inversion
 is exact Gaussian elimination over the rationals.
 
-A vector computes its shell log_p |x|_p once and keeps it; a sampler that
-already knows the shell builds the vector with it.  A scalar matrix s I
-built by `PAdicMatrix.scalar` carries s, so its determinant is s^n and
-shell(s x) = shell(x) - valuation(s) without forming s x.
+A vector computes its shell log_p |x|_p once and keeps it.  A sampled point
+(`_sampled_vector`) carries its shell, its integer units and their common
+scale, and builds its Fraction coordinates on first read.  A scalar matrix
+s I built by `PAdicMatrix.scalar` carries s and builds its rows on first
+read: it is singular iff s = 0, its determinant is s^n, and
+shell(s x) = shell(x) - valuation(s) without forming s x.  Values built
+on first read are the ones an eager build gives, so equality, hashing,
+repr, pickling and copying do not see the difference.
 """
 
 from __future__ import annotations
@@ -106,10 +110,20 @@ class PAdicVector:
         object.__setattr__(self, "coords", tuple(_exact(c) for c in self.coords))
         if not self.coords:
             raise ValueError("vector needs at least one coordinate")
+        self.__dict__["_n"] = len(self.coords)
+
+    def __getattr__(self, name: str):
+        # only a sampled point lacks `coords`: u * num / den per integer unit u
+        d = self.__dict__
+        if name != "coords" or "_units" not in d:
+            raise AttributeError(name)
+        num, den = d["_scale"]
+        coords = d["coords"] = tuple(Fraction(u * num, den) for u in d["_units"])
+        return coords
 
     @property
     def n(self) -> int:
-        return len(self.coords)
+        return self._n
 
     def norm(self) -> Fraction:
         """max norm: |x|_p = max_j |x_j|_p."""
@@ -131,10 +145,11 @@ class PAdicVector:
         return PAdicVector(self.p, tuple(a + b for a, b in zip(self.coords, other.coords)))
 
 
-def _vector(p: int, coords: tuple[Fraction, ...], shell: int | float) -> PAdicVector:
-    """A vector whose shell is known: p is checked and coords are Fractions."""
+def _sampled_vector(p: int, units: list[int], num: int, den: int, shell: int) -> PAdicVector:
+    """The point with coordinates u * num / den, u in `units`, on a known shell;
+    p is checked and the coordinates are built on first read."""
     x = object.__new__(PAdicVector)
-    x.__dict__.update(p=p, coords=coords, _shell=shell)
+    x.__dict__.update(p=p, _n=len(units), _units=units, _scale=(num, den), _shell=shell)
     return x
 
 
@@ -156,10 +171,20 @@ class PAdicMatrix:
         rows = tuple(tuple(_exact(e) for e in row) for row in self.rows)
         object.__setattr__(self, "rows", rows)
         _check_square(rows)
+        self.__dict__["_n"] = len(rows)
+
+    def __getattr__(self, name: str):
+        # only a scalar matrix s I lacks `rows`
+        d = self.__dict__
+        if name != "rows" or "_scalar" not in d:
+            raise AttributeError(name)
+        n, s = d["_n"], d["_scalar"]
+        rows = d["rows"] = tuple(tuple(s if i == j else _ZERO for j in range(n)) for i in range(n))
+        return rows
 
     @property
     def n(self) -> int:
-        return len(self.rows)
+        return self._n
 
     def norm(self) -> Fraction:
         """operator norm for the max norm: ||A||_p = max_ij |a_ij|_p."""
@@ -167,6 +192,11 @@ class PAdicMatrix:
 
     def log_norm(self) -> int | float:
         return max(log_norm(e, self.p) for row in self.rows for e in row)
+
+    def is_singular(self) -> bool:
+        """det A == 0; for A = s I, s == 0 without forming s^n."""
+        s = self.__dict__.get("_scalar")
+        return not s if s is not None else self.det() == 0
 
     def det(self) -> Fraction:
         """exact determinant: the product of the elimination pivots, s^n for s I."""
@@ -231,20 +261,20 @@ class PAdicMatrix:
 
     @staticmethod
     def scalar(p: int, n: int, s: int | Fraction) -> "PAdicMatrix":
+        """s I on Q_p^n; its rows are built on first read."""
         s = _exact(s)
-        rows = tuple(tuple(s if i == j else _ZERO for j in range(n)) for i in range(n))
         check_prime(p)
-        _check_square(rows)
+        if n < 1:
+            raise ValueError("matrix must be square and nonempty")
         a = object.__new__(PAdicMatrix)
-        a.__dict__.update(p=p, rows=rows, _scalar=s)
+        a.__dict__.update(p=p, _n=n, _scalar=s)
         return a
 
 
 def det_norm_bounds_hold(a: PAdicMatrix) -> bool:
     """Check ||A||^(-n) <= |det A^{-1}|_p <= ||A^{-1}||^n for invertible A."""
     n = a.n
-    det = a.det()
-    if det == 0:
+    if a.is_singular():
         raise ZeroDivisionError("matrix is singular")
-    det_inv_norm = pnorm(Fraction(1) / det, a.p)
+    det_inv_norm = pnorm(Fraction(1) / a.det(), a.p)
     return a.norm() ** (-n) <= det_inv_norm <= a.inverse().norm() ** n

@@ -4,6 +4,8 @@ Haar measure on the ball B_gamma factors over coordinates: x_j = p^(-gamma) u_j
 with u_j Haar-uniform in Z_p, realized to finite depth D as a uniform integer
 in [0, p^D).  Each coordinate is built as one exact Fraction: u_j p^(-gamma)
 when gamma <= 0, else u_j / p^gamma, reduced once, with no Fraction product.
+A sphere point keeps its integer units and builds these coordinates on
+first read, so an integrand that reads only the shell builds none.
 The sphere S_gamma = B_gamma minus the interior is sampled by
 rejection (resample while every coordinate has positive valuation), which is
 exactly Haar conditioned on the sphere.  A sphere point knows its shell: some
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
-from .padic import PAdicVector, _vector, check_prime
+from .padic import PAdicVector, _sampled_vector, check_prime
 from .radial import sphere_measure
 
 #: base-p digits kept per coordinate; valuations beyond this depth are
@@ -54,14 +56,15 @@ def sample_sphere(rng: random.Random, p: int, n: int, gamma: int, depth: int = D
 
     Rejection from the ball: a ball point lies in the interior iff every
     coordinate's unit part is divisible by p, which happens with probability
-    p^-n, so the loop accepts quickly.
+    p^-n, so the loop accepts quickly.  The point's coordinates are
+    built on first read.
     """
     num, den = _checked_scale(p, n, gamma, depth)
     top = p ** depth
     while True:
         units = [rng.randrange(top) for _ in range(n)]
         if any(u % p for u in units):
-            return _vector(p, tuple(Fraction(u * num, den) for u in units), gamma)
+            return _sampled_vector(p, units, num, den, gamma)
 
 
 @dataclass(frozen=True)

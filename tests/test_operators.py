@@ -491,6 +491,53 @@ def test_sampled_estimate_matches_reference_bit_for_bit(case):
         assert est.per_shell == per_shell
 
 
+def _estimate_matches_reference_and_exact(case, n_samples, seed):
+    """The sampled estimate equals the reference bit for bit and, its integrand
+    being constant on each shell, the exact value of the ScalarRadial path."""
+    kernel = KernelSpec(case["kernel_phi"])
+    res = hausdorff_apply(kernel, case["pointwise_families"], case["inputs"])
+    est = res.estimate(case["x"], n_samples=n_samples, seed=seed)
+    value, stderr, per_shell = reference_mc_estimate(
+        case["kernel_phi"], case["pointwise_families"], case["inputs"], case["x"],
+        kernel.support_shells(), n_samples, seed,
+    )
+    assert (est.value, est.stderr, est.per_shell) == (value, stderr, per_shell)
+    # the reference shares the evaluator: only the exact path sees a wrong scalar
+    exact = hausdorff_apply(kernel, case["scalar_families"], case["inputs"]).as_radial()
+    want = float(exact.value_on_shell(int(case["x"].shell())))
+    assert math.isclose(est.value, want, rel_tol=1e-12, abs_tol=1e-12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    offset=st.integers(0, 199),
+    index=st.integers(0, 19),
+    n_samples=st.integers(20, 40),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_deep_pass_estimate_matches_reference_bit_for_bit(offset, index, n_samples, seed):
+    # the benchmark's pass k samples mc_cases(SUITE_SEED + k); the fast paths
+    # must hold on the cases of every pass it can reach, not only pass 0's
+    _estimate_matches_reference_and_exact(mc_cases(SUITE_SEED + offset)[index], n_samples, seed)
+
+
+def test_shared_scalar_family_alternating_primes_matches_reference():
+    # one ScalarRadial serves p = 2 and p = 3 in turn: its cached powers
+    # depend on p as well as on the exponent
+    fam = ScalarRadial(1, -1)
+    for p in (2, 3, 2, 3):
+        n = 2
+        case = {
+            "kernel_phi": RadialFunction.power(p, n, 1, 0, lo=-2, hi=1),
+            "scalar_families": (fam,),
+            "pointwise_families": (Pointwise(
+                lambda y, p=p: PAdicMatrix.scalar(p, n, fam.scalar_on_shell(p, int(y.shell())))),),
+            "inputs": (RadialFunction.power(p, n, 2, Fraction(-1, 2), lo=-3, hi=3),),
+            "x": PAdicVector(p, (Fraction(1, p), Fraction(0))),
+        }
+        _estimate_matches_reference_and_exact(case, 40, seed=11)
+
+
 def test_sampled_commutator_disguised_scalar_matches_exact():
     # A(y) = p^-(shell(y) - 1) I behind an opaque evaluator: the commutator
     # integrand (log|x| - log|A(y)x|) f(A(y)x) is constant on each shell

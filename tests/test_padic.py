@@ -1,6 +1,8 @@
 """Exact p-adic arithmetic: valuations, norms, matrices."""
 
+import copy
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -274,3 +276,68 @@ def test_scalar_matrix_is_checked():
             PAdicMatrix.scalar(3, n, Fraction(1, 3))
     with pytest.raises(ValueError, match="prime"):
         PAdicMatrix.scalar(4, 2, 1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=shaped_matrices())
+def test_is_singular_matches_det(case):
+    a, _ = case
+    assert a.is_singular() == (a.det() == 0)
+
+
+def _check_built_on_first_read(make, eager, name):
+    """Each call of `make()` gives a fresh object lacking attribute `name`
+    until it is read; every operation on one sees the eagerly built `eager`."""
+    built = getattr(eager, name)
+
+    def same(y):
+        return hash(y) == hash(eager) and y == eager and getattr(y, name) == built
+
+    checks = [
+        lambda x: x == eager and eager == x,
+        lambda x: hash(x) == hash(eager),
+        lambda x: repr(x) == repr(eager),
+        lambda x: getattr(x, name) == built,
+        lambda x: not hasattr(x, "other"),
+        lambda x: same(pickle.loads(pickle.dumps(x))),
+        lambda x: same(copy.copy(x)),
+        lambda x: same(copy.deepcopy(x)),
+    ]
+    for check in checks:
+        x = make()
+        assert name not in vars(x)
+        assert check(x)
+    x = make()
+    assert type(getattr(x, name)) is tuple and getattr(x, name) is getattr(x, name)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    p=st.sampled_from(SMALL_PRIMES),
+    n=st.integers(1, 3),
+    s=st.one_of(st.just(0), st.integers(-400, 400), st.fractions(max_denominator=30)),
+)
+def test_scalar_matrix_builds_rows_on_first_read(p, n, s):
+    eager = PAdicMatrix(p, tuple(tuple(s if i == j else 0 for j in range(n)) for i in range(n)))
+    _check_built_on_first_read(lambda: PAdicMatrix.scalar(p, n, s), eager, "rows")
+    rows = PAdicMatrix.scalar(p, n, s).rows
+    assert all(type(e) is Fraction for row in rows for e in row)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    p=st.sampled_from(SMALL_PRIMES),
+    n=st.integers(1, 3),
+    gamma=st.integers(-4, 4),
+    depth=st.sampled_from([1, 2, 32]),
+    seed=st.integers(0, 2**31),
+)
+def test_sampled_point_builds_coords_on_first_read(p, n, gamma, depth, seed):
+    def make():
+        return sample_sphere(random.Random(seed), p, n, gamma, depth)
+
+    eager = PAdicVector(p, make().coords)
+    _check_built_on_first_read(make, eager, "coords")
+    x = make()
+    assert x.n == n and "coords" not in vars(x)
+    assert all(type(c) is Fraction for c in x.coords)
