@@ -725,7 +725,7 @@ K_ENVELOPE: dict[ConstantId, float] = {cid: _SPECS[cid].envelope for cid in Cons
 
 
 def _apply_exact(s: Scenario, fs: Sequence[RadialFunction],
-                 symbols: Sequence[RadialFunction] | None, window: int) -> RadialFunction:
+                 symbols: Sequence[RadialFunction] | None) -> RadialFunction:
     """The operator's output on the inputs: the commutator with the symbols,
     or the Hausdorff operator itself when symbols is None."""
     if not all(isinstance(f, ScalarRadial) for f in s.families):
@@ -733,9 +733,9 @@ def _apply_exact(s: Scenario, fs: Sequence[RadialFunction],
     if s.kernel.support_shells() is None:
         _fail("kernel-support", "exact norm verification requires a finite-support kernel")
     if symbols is not None:
-        res = commutator_apply(s.kernel, s.families, tuple(symbols), tuple(fs), window=window)
+        res = commutator_apply(s.kernel, s.families, tuple(symbols), tuple(fs))
     else:
-        res = hausdorff_apply(s.kernel, s.families, tuple(fs), window=window)
+        res = hausdorff_apply(s.kernel, s.families, tuple(fs))
     return res.as_radial()
 
 
@@ -752,7 +752,7 @@ def _sides(spec: BoundSpec, s: Scenario, rec: dict[str, object], F: RadialFuncti
         w, wis = Weight.power(p, n, rec["alpha"]), [Weight.power(p, n, a) for a in rec["alpha_i"]]
     in_qs = rec[spec.in_q]
     if spec.maximal:
-        F = maximal_mod(F, window=window)
+        F = maximal_mod(F)
         in_qs = [rec["zeta"] * qi for qi in in_qs]
     pre, hi = [], None
     if spec.local:
@@ -791,7 +791,7 @@ def verify_bound(cid: ConstantId, s: Scenario, fs: Sequence[RadialFunction],
             _fail("arity", "inputs must live on the scenario's Q_p^n")
 
     constant = _constant(spec, s, rec)
-    F = _apply_exact(s, fs, s.symbols if spec.cmo_r is not None else None, window)
+    F = _apply_exact(s, fs, s.symbols if spec.cmo_r is not None else None)
     lhs, pre, factors = _sides(spec, s, rec, F, fs, window)
     rhs = _prod_ev(pre + [constant] + factors)
 
@@ -837,8 +837,8 @@ def _ratio_for(spec: BoundSpec, s: Scenario, r: int, rec: dict[str, object], win
         # multiple of |x|^((alpha+n)lam); the study reports that eigenvalue
         # (the inputs have unit coefficient, so it is the shell-0 value).
         symbols = tuple(RadialFunction.log(s.p, s.n) for _ in range(s.m))
-        return float(_apply_exact(s, fs, symbols, window).value_on_shell(0))
-    F = _apply_exact(s, fs, None, window)
+        return float(_apply_exact(s, fs, symbols).value_on_shell(0))
+    F = _apply_exact(s, fs, None)
     num, _, factors = _sides(spec, s, rec, F, fs, window)
     num_f = float_sat(num.value)
     den_f = float_sat(_prod_ev(factors).value)

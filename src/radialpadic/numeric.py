@@ -156,22 +156,6 @@ class ExtendedValue:
     def __float__(self) -> float:
         return float_sat(self.value)
 
-    def __add__(self, other: "ExtendedValue") -> "ExtendedValue":
-        if not isinstance(other, ExtendedValue):
-            return NotImplemented
-        if self.is_finite and other.is_finite:
-            return ExtendedValue(
-                self.value + other.value,
-                truncated=self.truncated or other.truncated,
-            )
-        if self.is_finite:
-            return other
-        if other.is_finite:
-            return self
-        if float(self.value) == float(other.value):
-            return self
-        raise ArithmeticError("sum of opposite infinities is undefined")
-
     def scaled(self, c: Number) -> "ExtendedValue":
         if not self.is_finite:
             if c == 0:

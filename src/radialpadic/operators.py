@@ -24,11 +24,11 @@ averages A(g) = p^(-ng) * integral_{B_g} |f|,
     A(g+1) - A(g) = (1 - p^-n) (|f|(g+1) - A(g)),
     A(g-1) - A(g) = (p^n - 1)  (A(g)     - |f|(g)),
 
-so monotonicity of the averages beyond the resolved window is decided by
+so monotonicity of the averages past f's breakpoint hull is decided by
 the sign of an explicit power-log expression, which is certified exactly
 by polynomial root bounds plus a geometric dominance gap.
 
-Beyond the window a tail c g^t p^(beta g) of |f| adds c (1 - p^-n) g^t r^g
+Past the hull a tail c g^t p^(beta g) of |f| adds c (1 - p^-n) g^t r^g
 to the ball mass on shell g, with r = p^(beta + n).  The antidifference P
 of ``series.antidifference`` sums it for every r > 0,
 sum_{k=a}^{g} k^t r^k = r^g P(g) - r^(a-1) P(a-1), so the averages stay
@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .families import ConstantMatrix, Family, Pointwise, ScalarRadial
+from .families import Family, Pointwise, ScalarRadial
 from .numeric import ExtendedValue, Number, fpow, ppow
 from .padic import PAdicVector
 from .radial import RadialFunction, RadialTerm, _end_signs, _eventual_sign, shell_sum
@@ -290,15 +290,16 @@ def commutator_apply(
 # -- tail data for the maximal engine ---------------------------------------------
 
 
-def _tail_data(part: RadialFunction, end: int, start_edge: int):
-    """Validate and describe one tail of f: (beta, poly, sign, edge) or None.
+def _tail_data(part: RadialFunction, end: int, start_edge: int) -> tuple[RadialFunction, int]:
+    """Validate one tail of f and return (|f| there as unbounded terms, edge).
 
-    `poly` maps log power to coefficient; `sign` is the constant sign of the
-    tail for |g| >= edge.  Tails mixing several growth exponents are outside
-    the exact maximal engine.
+    f's sign is constant for |g| >= edge toward `end`; an empty tail gives
+    (part, 0).  Tails mixing several growth exponents are outside the exact
+    maximal engine, as are a deep tail without locally finite mass and a top
+    tail that does not stay bounded.
     """
     if part.is_zero():
-        return None
+        return part, 0
     betas = {t.beta for t in part.terms}
     if len(betas) > 1:
         raise NotImplementedError(
@@ -306,16 +307,48 @@ def _tail_data(part: RadialFunction, end: int, start_edge: int):
         )
     # one exponent group has the sign of its polynomial in g
     sign, edge = _eventual_sign(part, end, start_edge)
-    return betas.pop(), {t.logpow: t.coeff for t in part.terms}, sign, edge
+    beta = betas.pop()
+    if end < 0 and not ppow(part.p, beta + part.n) > 1:
+        raise ValueError("not locally integrable: |f| has infinite mass on small balls")
+    if end > 0 and (float(beta) > 0 or (float(beta) == 0 and max(t.logpow for t in part.terms) > 0)):
+        raise ValueError("maximal function is identically infinite: |f| does not stay bounded")
+    return RadialFunction(
+        part.p, part.n, tuple(RadialTerm(sign * t.coeff, beta, t.logpow) for t in part.terms)
+    ), edge
+
+
+def _tail_averages(tail: RadialFunction, mass: Number = 0, edge: int | None = None) -> RadialFunction:
+    """The ball averages A(g) = head p^(-ng) + unit sum_k c_k p^(beta g) P_k(g)
+    of a tail |f| = sum_k c_k g^k p^(beta g), P_k the antidifference of ratio
+    p^(beta + n).
+
+    Without an edge the tail runs to -inf and the head is 0.  With one, the
+    tail starts at shell edge + 1 over the ball mass `mass` at the edge, and
+    the head is that mass minus the tail sum up to the edge.
+    """
+    p, n = tail.p, tail.n
+    unit = 1 - Fraction(p) ** (-n)
+    coeffs: dict[int, Number] = {}
+    extra: Number = 0
+    for t in tail.terms:
+        r = ppow(p, t.beta + n)
+        poly = antidifference(r, t.logpow)
+        for j, d in enumerate(poly):
+            coeffs[j] = coeffs.get(j, 0) + unit * t.coeff * d
+        if edge is not None:
+            extra -= unit * t.coeff * antidifference_at(r, poly, edge)
+    terms = [RadialTerm(mass + extra, -n, 0)] if edge is not None and mass + extra != 0 else []
+    terms += [RadialTerm(c, tail.terms[0].beta, j) for j, c in coeffs.items() if c != 0]
+    return RadialFunction(p, n, tuple(terms))
 
 
 def _deep_crossover(a_deep: RadialFunction, s_w: Number, top: int) -> int:
     """The highest shell v <= top with a_deep(v) >= s_w.
 
-    Below the window the averages a_deep grow strictly toward -inf (their
-    direction is certified), so the shells that qualify are exactly those
-    at or below some v: gallop down from top in doubling steps, then bisect.  A
-    crossover deeper than 10^6 shells below top raises RuntimeError.
+    Below the resolved shells the averages a_deep grow strictly toward -inf
+    (their direction is certified), so the shells that qualify are exactly
+    those at or below some v: gallop down from top in doubling steps, then
+    bisect.  A crossover deeper than 10^6 shells below top raises RuntimeError.
     """
     if a_deep.value_on_shell(top) >= s_w:
         return top
@@ -339,152 +372,95 @@ def _deep_crossover(a_deep: RadialFunction, s_w: Number, top: int) -> int:
 # -- centered maximal functions ---------------------------------------------------
 
 
-def maximal(f: RadialFunction, window: int = 48) -> RadialFunction:
-    """Centered Hardy-Littlewood maximal function of a radial f, exact.
+def maximal(f: RadialFunction) -> RadialFunction:
+    """Centered Hardy-Littlewood maximal function of a radial f, exact on the
+    whole shell line.
 
     M f(x) = sup over balls centered at x of the average of |f|.  For
     |x|_p = p^v the balls with radius >= p^v coincide with centered balls;
     smaller balls sit inside the shell S_v where |f| is constant, so
     M f(v) = max(|f(v)|, sup_{g >= v} A(g)).
     """
-    return _maximal_profile(f, window, modified=False)
+    return _maximal_profile(f, modified=False)
 
 
-def maximal_mod(f: RadialFunction, window: int = 48) -> RadialFunction:
-    """The modified maximal function: sup restricted to balls with radius
-    at least |x|_p (only the centered-average branch)."""
-    return _maximal_profile(f, window, modified=True)
+def maximal_mod(f: RadialFunction) -> RadialFunction:
+    """The modified maximal function, exact on the whole shell line: the sup
+    restricted to balls with radius at least |x|_p (only the centered-average
+    branch)."""
+    return _maximal_profile(f, modified=True)
 
 
-def _maximal_profile(f: RadialFunction, window: int, modified: bool) -> RadialFunction:
+def _maximal_profile(f: RadialFunction, modified: bool) -> RadialFunction:
+    """Resolves the shells of f's breakpoint hull, with shell 0 kept in it,
+    and those up to the certified edges beyond; past them every piece of the
+    profile is a closed form."""
     p, n = f.p, f.n
     unit = 1 - Fraction(p) ** (-n)
     if f.is_zero():
         return f
     bps = f.breakpoints()
-    lo_hull = min([-window] + ([min(bps) - 2] if bps else []))
-    hi_hull = max([window] + ([max(bps) + 2] if bps else []))
+    lo_hull = min(bps[0] - 2, 0) if bps else 0
+    hi_hull = max(bps[-1] + 2, 0) if bps else 0
 
     # ---- deep tail: closed-form running averages --------------------------------
-    dd = _tail_data(f.restrict(None, lo_hull - 1), -1, abs(lo_hull) + 1)
-    if dd is None:
-        w_lo = lo_hull
-        a_deep = RadialFunction.zero(p, n)
-        abs_deep = RadialFunction.zero(p, n)
-        deep_dir = "empty"
-    else:
-        beta_d, poly_d, sign_d, edge_d = dd
-        w_lo = min(lo_hull, -edge_d)
-        r_d = ppow(p, beta_d + n)
-        if not r_d > 1:
-            raise ValueError("not locally integrable: |f| has infinite mass on small balls")
-        abs_poly = {k: sign_d * c for k, c in poly_d.items()}
-        acoeffs: dict[int, Number] = {}
-        for k, c in abs_poly.items():
-            for j, d in enumerate(antidifference(r_d, k)):
-                acoeffs[j] = acoeffs.get(j, 0) + unit * c * d
-        a_deep = RadialFunction(
-            p, n, tuple(RadialTerm(c, beta_d, j) for j, c in acoeffs.items() if c != 0)
-        )
-        abs_deep = RadialFunction(
-            p, n, tuple(RadialTerm(c, beta_d, k) for k, c in abs_poly.items() if c != 0)
-        )
-        ddeep = a_deep - abs_deep  # A(g) - |f|(g): sign of A(g-1) - A(g)
-        if ddeep.is_zero():
-            deep_dir = "flat"
-        else:
-            sgn, edge = _eventual_sign(ddeep, -1, abs(w_lo))
-            w_lo = min(w_lo, -edge)
-            deep_dir = "averages_grow" if sgn > 0 else "averages_shrink"
+    abs_deep, edge_d = _tail_data(f.restrict(None, lo_hull - 1), -1, 1 - lo_hull)
+    w_lo = min(lo_hull, -edge_d)
+    a_deep = _tail_averages(abs_deep)
+    ddeep = a_deep - abs_deep  # A(g) - |f|(g): sign of A(g-1) - A(g)
+    deep_grows = False
+    if not ddeep.is_zero():
+        sgn, edge = _eventual_sign(ddeep, -1, abs(w_lo))
+        w_lo = min(w_lo, -edge)
+        deep_grows = sgn > 0
 
     # ---- top tail: validate decay, fix the resolved ceiling ---------------------
-    td = _tail_data(f.restrict(hi_hull + 1, None), +1, abs(hi_hull) + 1)
-    if td is not None:
-        beta_t, poly_t, sign_t, edge_t = td
-        if float(beta_t) > 0 or (float(beta_t) == 0 and max(poly_t) > 0):
-            raise ValueError(
-                "maximal function is identically infinite: |f| does not stay bounded"
-            )
-        w_hi = max(hi_hull, edge_t)
-    else:
-        w_hi = hi_hull
+    abs_top, edge_t = _tail_data(f.restrict(hi_hull + 1, None), +1, hi_hull + 1)
+    w_hi = max(hi_hull, edge_t)
 
     # ---- forward pass: exact averages on [w_lo, w_hi] ---------------------------
-    if dd is None:
-        t_mass: Number = Fraction(0)
-    else:
-        t_mass = a_deep.value_on_shell(w_lo - 1) * ppow(p, n * (w_lo - 1))
+    t_mass = a_deep.value_on_shell(w_lo - 1) * ppow(p, n * (w_lo - 1))
     avals: dict[int, Number] = {}
     for g in range(w_lo, w_hi + 1):
         fv = f.value_on_shell(g)
         av = -fv if fv < 0 else fv
         t_mass = t_mass + av * ppow(p, n * g) * unit
         avals[g] = t_mass * ppow(p, -n * g)
-    t_end = t_mass
+    a_top = _tail_averages(abs_top, t_mass, w_hi)
 
-    # ---- analytic averages beyond w_hi -------------------------------------------
-    if td is None:
-        a_top = RadialFunction.power(p, n, t_end, -n)
-        abs_top = RadialFunction.zero(p, n)
-    else:
-        abs_poly_t = {k: sign_t * c for k, c in poly_t.items()}
-        r_t = ppow(p, beta_t + n)
-        a0 = w_hi + 1
-        # mass(g) = t_end + unit * sum_{k=a0}^{g} |f|(k) p^(nk); each log power
-        # telescopes to r^g P(g) - r^(a0-1) P(a0-1), and r^g p^(-ng) = p^(beta_t g)
-        const_extra: Number = 0  # extra coefficient on p^(-n g)
-        tpoly: dict[int, Number] = {}  # coefficients on g^j p^(beta_t g)
-        for k, c in abs_poly_t.items():
-            poly = antidifference(r_t, k)
-            for j, d in enumerate(poly):
-                tpoly[j] = tpoly.get(j, 0) + unit * c * d
-            const_extra -= unit * c * antidifference_at(r_t, poly, a0 - 1)
-        head = t_end + const_extra
-        terms = []
-        if head != 0:
-            terms.append(RadialTerm(head, -n, 0))
-        terms.extend(RadialTerm(c, beta_t, j) for j, c in tpoly.items() if c != 0)
-        a_top = RadialFunction(p, n, tuple(terms))
-        abs_top = RadialFunction(
-            p, n, tuple(RadialTerm(c, beta_t, k) for k, c in abs_poly_t.items() if c != 0)
-        )
-
-    # ---- direction of the averages beyond the window -----------------------------
+    # ---- direction of the averages beyond w_hi -----------------------------------
     dtop = a_top - abs_top.dilate(1)  # A(g) - |f|(g+1): sign of A(g+1) - A(g), negated
-    if dtop.is_zero():
-        top_dir = "flat"
-        g_top = w_hi + 1
-    else:
-        sgn_t2, edge2 = _eventual_sign(dtop, +1, w_hi + 1)
-        top_dir = "averages_shrink" if sgn_t2 > 0 else "averages_grow"
-        g_top = max(w_hi + 1, edge2)
-    limit_top: Number = 0
-    if top_dir == "averages_grow":
-        for t in a_top.terms:
-            if float(t.beta) == 0 and t.logpow == 0:
-                limit_top = t.coeff
-        if not limit_top > 0:
-            raise RuntimeError("internal: growing averages without a finite limit")
-
-    sgn_d2 = 0
+    g_top = w_hi + 1
+    top_grows = False
+    if not dtop.is_zero():
+        sgn, edge = _eventual_sign(dtop, +1, w_hi + 1)
+        top_grows = sgn < 0
+        g_top = max(g_top, edge)
     if not modified:
-        d2 = a_top - abs_top  # A(g) - |f|(g) beyond the window
+        # Past the certified edge of A - |f|, the top tail of M f is that of
+        # the averages, never |f|: for |f| = sum_k c_k g^k p^(beta g) with
+        # -n < beta < 0 the lead of A - |f| is c_K (1 - p^beta)/(p^(beta+n) - 1)
+        # > 0; for beta <= -n the positive head, or the extra log power,
+        # dominates; for a constant |f|, A - |f| = head p^(-ng) is negative
+        # only when the averages grow, and they grow to the limit |f|.  The
+        # edge still moves g_top, below which M f is written shell by shell.
+        d2 = a_top - abs_top
         if not d2.is_zero():
-            sgn_d2, edge3 = _eventual_sign(d2, +1, g_top)
-            g_top = max(g_top, edge3)
+            g_top = max(g_top, _eventual_sign(d2, +1, g_top)[1])
 
     for g in range(w_hi + 1, g_top):
         avals[g] = a_top.value_on_shell(g)
 
     # ---- running sup from the top down --------------------------------------------
-    if top_dir == "averages_grow":
-        s_at_gtop: Number = limit_top
-        top_tail = [RadialTerm(limit_top, 0, 0, g_top, None)]
+    if top_grows:  # the averages rise to their constant term
+        s_run = next((t.coeff for t in a_top.terms if float(t.beta) == 0 and t.logpow == 0), 0)
+        if not s_run > 0:
+            raise RuntimeError("internal: growing averages without a finite limit")
+        top_tail = [RadialTerm(s_run, 0, 0, g_top, None)]
     else:
-        s_at_gtop = a_top.value_on_shell(g_top)
+        s_run = a_top.value_on_shell(g_top)
         top_tail = [RadialTerm(t.coeff, t.beta, t.logpow, g_top, None) for t in a_top.terms]
     svals: dict[int, Number] = {}
-    s_run = s_at_gtop
     for g in range(g_top - 1, w_lo - 1, -1):
         a = avals[g]
         if a > s_run:
@@ -493,48 +469,35 @@ def _maximal_profile(f: RadialFunction, window: int, modified: bool) -> RadialFu
     s_w = svals[w_lo]
 
     # ---- deep sup -------------------------------------------------------------------
-    if deep_dir == "averages_grow":
+    first = w_lo  # the lowest shell written on its own
+    if deep_grows:
         v = _deep_crossover(a_deep, s_w, w_lo - 1)
         deep_terms = [RadialTerm(t.coeff, t.beta, t.logpow, None, v) for t in a_deep.terms]
         if v < w_lo - 1:
             deep_terms.append(RadialTerm(s_w, 0, 0, v + 1, w_lo - 1))
     else:
-        if deep_dir == "empty":
-            deep_const = s_w
-        else:
-            edge_val = a_deep.value_on_shell(w_lo - 1)
-            deep_const = edge_val if edge_val > s_w else s_w
-        deep_terms = [RadialTerm(deep_const, 0, 0, None, w_lo - 1)]
+        edge_val = a_deep.value_on_shell(w_lo - 1)
+        deep_const = edge_val if edge_val > s_w else s_w
+        if not modified and not abs_deep.is_zero():
+            # Averages that do not grow toward -inf have A(g-1) <= A(g), so
+            # |f| >= A there, and an |f| that blew up would drag A up with it.
+            # So |f| tends to 0, or to a constant c with A -> c <= deep_const:
+            # |f| - deep_const is eventually negative and M f is deep_const there.
+            dcmp = abs_deep - RadialFunction.constant(p, n, deep_const)
+            if not dcmp.is_zero():
+                first = -_eventual_sign(dcmp, -1, abs(w_lo))[1]
+        deep_terms = [RadialTerm(deep_const, 0, 0, None, first - 1)]
+        for g in range(first, w_lo):
+            svals[g] = deep_const
 
     # ---- assemble -----------------------------------------------------------------
-    if modified:
-        window_terms = [RadialTerm(svals[g], 0, 0, g, g) for g in range(w_lo, g_top)]
-        return RadialFunction(p, n, tuple(deep_terms + window_terms + top_tail))
-
-    window_terms = []
-    for g in range(w_lo, g_top):
-        fv = f.value_on_shell(g)
-        af = -fv if fv < 0 else fv
-        window_terms.append(RadialTerm(af if af > svals[g] else svals[g], 0, 0, g, g))
-    if top_dir != "averages_grow" and sgn_d2 < 0:
-        top_tail = [RadialTerm(t.coeff, t.beta, t.logpow, g_top, None) for t in abs_top.terms]
-    if deep_dir != "averages_grow" and not abs_deep.is_zero():
-        deep_const = deep_terms[0].coeff
-        dcmp = abs_deep - RadialFunction.constant(p, n, deep_const)
-        if not dcmp.is_zero():
-            sgn_dc, edge4 = _eventual_sign(dcmp, -1, abs(w_lo))
-            w_deep = -edge4
-            deep_singles = []
-            for g in range(w_deep, w_lo):
-                fv = abs_deep.value_on_shell(g)
-                deep_singles.append(
-                    RadialTerm(fv if fv > deep_const else deep_const, 0, 0, g, g)
-                )
-            if sgn_dc < 0:
-                deep_terms = [RadialTerm(deep_const, 0, 0, None, w_deep - 1)] + deep_singles
-            else:
-                deep_terms = [
-                    RadialTerm(t.coeff, t.beta, t.logpow, None, w_deep - 1)
-                    for t in abs_deep.terms
-                ] + deep_singles
-    return RadialFunction(p, n, tuple(deep_terms + window_terms + top_tail))
+    singles = []
+    for g in range(first, g_top):
+        s = svals[g]
+        if not modified:
+            fv = f.value_on_shell(g)
+            af = -fv if fv < 0 else fv
+            if af > s:
+                s = af
+        singles.append(RadialTerm(s, 0, 0, g, g))
+    return RadialFunction(p, n, tuple(deep_terms + singles + top_tail))

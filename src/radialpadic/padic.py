@@ -139,11 +139,6 @@ class PAdicVector:
     def scale(self, t: int | Fraction) -> "PAdicVector":
         return PAdicVector(self.p, tuple(Fraction(t) * c for c in self.coords))
 
-    def __add__(self, other: "PAdicVector") -> "PAdicVector":
-        if self.p != other.p or self.n != other.n:
-            raise ValueError("mismatched vectors")
-        return PAdicVector(self.p, tuple(a + b for a, b in zip(self.coords, other.coords)))
-
 
 def _sampled_vector(p: int, units: list[int], num: int, den: int, shell: int) -> PAdicVector:
     """The point with coordinates u * num / den, u in `units`, on a known shell;

@@ -32,7 +32,7 @@ from radialpadic.operators import KernelSpec, commutator_apply
 from radialpadic.padic import PAdicMatrix
 from radialpadic.radial import RadialFunction, RadialTerm
 from radialpadic.scenario_io import build_scenario, load_scenario_text
-from radialpadic.weights import Weight
+from radialpadic.weights import Weight, ap_constant
 
 from oracles import oracle_constant
 
@@ -517,6 +517,36 @@ def test_c2_muckenhoupt_gate_rejects_out_of_class_power():
                  params=s2.params, weight=Weight.power(s2.p, s2.n, Fr(1, 2)))
     with pytest.raises(ScenarioError) as exc:
         compute_constant(C.C2, s)
+    assert exc.value.condition == "muckenhoupt-class"
+
+
+def _two_power_weight(top):
+    """|x|^(-1/4) on shells <= 0 and |x|^top above, on Q_2: not a single
+    power, so the Muckenhoupt gate probes the window stability of A_zeta."""
+    return Weight(RadialFunction(2, 1, (RadialTerm(Fr(1), Fr(-1, 4), 0, None, 0),
+                                        RadialTerm(Fr(1), top, 0, 1, None))))
+
+
+def _c2_at_zeta_three_halves(w):
+    s2, *_ = _shared_weight_scenario_c2()
+    P = SpaceParams(q_star=Fr(3, 2), zeta=Fr(3, 2), q_i=(8, 8), delta=Fr(3, 2))
+    return Scenario(p=s2.p, n=s2.n, m=2, kernel=s2.kernel, families=s2.families, params=P, weight=w)
+
+
+def test_c2_muckenhoupt_gate_accepts_window_stable_non_power_weight():
+    w = _two_power_weight(Fr(1, 4))
+    half, full = ap_constant(w, Fr(3, 2), window=24), ap_constant(w, Fr(3, 2), window=48)
+    assert math.isclose(float(half.value), 1.12714, rel_tol=1e-5)
+    assert math.isclose(float(full.value), 1.12722, rel_tol=1e-5)
+    assert not full.truncated
+    assert compute_constant(C.C2, _c2_at_zeta_three_halves(w)).is_finite
+
+
+def test_c2_muckenhoupt_gate_rejects_window_unstable_non_power_weight():
+    w = _two_power_weight(2)  # A_zeta reads 3.6e10 at window 24 and 2.5e21 at 48
+    assert float(ap_constant(w, Fr(3, 2), window=48).value) > 2 * float(ap_constant(w, Fr(3, 2), window=24).value)
+    with pytest.raises(ScenarioError) as exc:
+        compute_constant(C.C2, _c2_at_zeta_three_halves(w))
     assert exc.value.condition == "muckenhoupt-class"
 
 

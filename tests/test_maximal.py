@@ -107,16 +107,25 @@ def test_matches_brute_sup(f, modified):
         assert math.isclose(got, want, rel_tol=1e-9), (v, got, want)
 
 
-def test_window_choice_does_not_change_values():
-    f = PROFILES[3]
-    a = maximal(f, window=48)
-    b = maximal(f, window=80)
-    for v in list(range(-90, -60, 7)) + list(range(-12, 13, 3)) + list(range(55, 91, 7)):
-        assert a.value_on_shell(v) == b.value_on_shell(v)
-    am = maximal_mod(f, window=48)
-    bm = maximal_mod(f, window=80)
-    for v in (-88, -70, -5, 0, 60, 90):
-        assert am.value_on_shell(v) == bm.value_on_shell(v)
+def test_averages_growing_to_a_limit_at_the_top():
+    # chi_{|x| >= 1} on Q_2: A(g) = 1 - 2^-(g+1) for g >= 0 rises to its limit 1
+    f = RadialFunction.power(2, 1, 1, 0, lo=0)
+    for out in (maximal(f), maximal_mod(f)):
+        for v in list(range(-60, 61)) + [-500, 500]:
+            assert out.value_on_shell(v) == 1
+
+
+@pytest.mark.parametrize("modified", [False, True])
+def test_deep_log_tail_matches_brute_sup(modified):
+    # 3|x| log_2|x| on shells <= -50: |f| peaks near the edge, then the
+    # averages decay; M f follows |f| shell by shell below the breakpoint
+    f = RadialFunction.power(2, 1, 3, 1, hi=-50, logpow=1)
+    out = maximal_mod(f) if modified else maximal(f)
+    fv = cached(f, BRUTE_LO - 1, 200)
+    for v in range(-60, 10):
+        got = float(out.value_on_shell(v))
+        want = brute_maximal(f.p, f.n, fv, v, BRUTE_LO, v + 120, modified)
+        assert math.isclose(got, want, rel_tol=1e-9), (v, got, want)
 
 
 # -- order properties ---------------------------------------------------------------
@@ -186,8 +195,8 @@ def growing_deep_profiles(draw):
 @given(f=growing_deep_profiles())
 def test_deep_crossover_matches_linear_walk(f):
     with mock.patch.object(operators, "_deep_crossover", linear_walk):
-        want = (maximal(f, 8), maximal_mod(f, 8))
-    assert (maximal(f, 8), maximal_mod(f, 8)) == want
+        want = (maximal(f), maximal_mod(f))
+    assert (maximal(f), maximal_mod(f)) == want
 
 
 def slow_log_tail(c1):
@@ -210,13 +219,13 @@ def count_shell_values(monkeypatch):
 
 
 def test_deep_crossover_is_found_in_few_evaluations(monkeypatch):
-    # a slowly growing deep tail under a large window sup: the shell-by-shell
+    # a slowly growing deep tail under a large sup above it: the shell-by-shell
     # walk evaluated the averages on about 335 000 shells to reach -335 344
     f = RadialFunction(5, 1, tuple(RadialTerm(Fraction(c), b, k, lo, hi) for c, b, k, lo, hi in [
         (1, 0, 0, None, -9), (-5, 0, 1, None, -9), (1, -4, 0, 1, 2), (4, -4, 0, 4, None),
         (Fraction(1, 2), -4, 1, 4, None), (-1, 1, 0, 0, 2), (Fraction(4, 3), 2, 1, -2, 4)]))
     calls = count_shell_values(monkeypatch)
-    m = maximal(f, 16)
+    m = maximal(f)
     assert calls[0] < 1000
     assert {t.hi for t in m.terms if t.lo is None} == {-335344}
     assert m(-335344) > m(-335343) == m(-100)
@@ -224,10 +233,10 @@ def test_deep_crossover_is_found_in_few_evaluations(monkeypatch):
 
 def test_deep_crossover_beyond_a_million_shells_raises(monkeypatch):
     calls = count_shell_values(monkeypatch)
-    m = maximal(slow_log_tail(Fraction(1, 10 ** 5)), 8)  # crossover at -863 100
+    m = maximal(slow_log_tail(Fraction(1, 10 ** 5)))  # crossover at -863 100
     assert {t.hi for t in m.terms if t.lo is None} == {-863100}
     with pytest.raises(RuntimeError, match="deep crossover not found"):
-        maximal(slow_log_tail(Fraction(1, 10 ** 7)), 8)
+        maximal(slow_log_tail(Fraction(1, 10 ** 7)))
     assert calls[0] < 1000
 
 

@@ -274,17 +274,20 @@ def test_table_branch_matches_truncated_brute():
     f1 = RadialFunction(p, n, (RadialTerm(Fraction(1), -1, 0, -4, None),
                                RadialTerm(Fraction(3), 0, 1, -8, -5)))
     f2 = RadialFunction.chi_ball(p, n, 2)
-    res = hausdorff_apply(ker, fams, [f1, f2], window=8)
-    assert res.kind == "table" and res.exact
+    bs = [RadialFunction.log(p, n), RadialFunction.log(p, n, Fraction(1, 2)) + RadialFunction.chi_ball(p, n, 0)]
     trunc = {g: phi.value_on_shell(g) for g in range(-220, 80)}
-    for v in range(-8, 9):
-        got = res.value_on_shell(v)
-        assert got.is_finite
-        want = brute_hausdorff_shell(
-            p, n, trunc, [1, -2], [0, 3],
-            [f1.value_on_shell, f2.value_on_shell], v,
-        )
-        assert math.isclose(float(got.value), float(want), rel_tol=1e-10, abs_tol=1e-18)
+    for symbols in (None, bs):
+        res = hausdorff_apply(ker, fams, [f1, f2], symbols=symbols, window=8)
+        assert res.kind == "table" and res.exact
+        for v in range(-8, 9):
+            got = res.value_on_shell(v)
+            assert got.is_finite
+            slots = [f.value_on_shell for f in (f1, f2)]
+            if symbols is not None:  # the commutator's slot factor (b(v) - b(s)) f(s)
+                slots = [lambda s, b=b, f=f: (b.value_on_shell(v) - b.value_on_shell(s)) * f.value_on_shell(s)
+                         for b, f in zip(symbols, (f1, f2))]
+            want = brute_hausdorff_shell(p, n, trunc, [1, -2], [0, 3], slots, v)
+            assert math.isclose(float(got.value), float(want), rel_tol=1e-10, abs_tol=1e-18)
 
 
 def test_table_branch_power_eigenfunction_closed_form():

@@ -136,6 +136,18 @@ def test_lnorm_infinite_tail_matches_deep_brute():
     assert math.isclose(got, want, rel_tol=1e-12)
 
 
+def test_odd_log_power_on_negative_shells_is_taken_in_absolute_value():
+    # |log_2|x|| on |x| <= 1/2: (1/2) sum_{m >= 1} m 2^(-m) = 1
+    f = RadialFunction.power(2, 1, 1, 0, hi=-1, logpow=1)
+    assert integral_abs_power(f, power_weight(2, 1, 0), 1).value == 1
+    g = RadialFunction.power(3, 2, Fraction(1, 2), Fraction(1, 2), hi=-1, logpow=3)
+    w = power_weight(3, 2, 1)
+    got = integral_abs_power(g, w, 1)
+    assert got.value > 0
+    want = brute_weighted_lq(3, 2, g.value_on_shell, w.value, 1, -400, -1)
+    assert math.isclose(float(got.value), want, rel_tol=1e-12)
+
+
 def spike(coeff, betas, lo, hi):
     """coeff * sum of |x|^beta on shells lo..hi, p = 3, n = 1."""
     return sum((RadialFunction.power(3, 1, coeff, b, lo, hi) for b in betas), RadialFunction.zero(3, 1))
