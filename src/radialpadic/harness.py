@@ -645,7 +645,8 @@ def _truncated_powers(s: Scenario, rec: dict[str, object], r: int) -> tuple[Radi
 
 
 def _power_eigenfunctions(s: Scenario, rec: dict[str, object], r: int) -> tuple[RadialFunction, ...]:
-    """C3, C8, C9: the exact power eigenfunctions (r is ignored)."""
+    """C3, C8, C9: the exact power eigenfunctions.  r is ignored, so every r
+    gives the same family and a ratio study applies the operator once."""
     p, n = s.p, s.n
     return tuple(
         RadialFunction.power(p, n, 1, (a + n) * li)
@@ -739,17 +740,23 @@ def _apply_exact(s: Scenario, fs: Sequence[RadialFunction],
     return res.as_radial()
 
 
+def _weights(spec: BoundSpec, s: Scenario, rec: dict[str, object]) -> tuple[Weight, list[Weight]]:
+    """The output weight and the input weights: the shared weight, else
+    |x|^alpha and the |x|^alpha_i."""
+    if spec.shared_weight:
+        return s.weight, [s.weight] * s.m
+    return Weight.power(s.p, s.n, rec["alpha"]), [Weight.power(s.p, s.n, a) for a in rec["alpha_i"]]
+
+
 def _sides(spec: BoundSpec, s: Scenario, rec: dict[str, object], F: RadialFunction,
-           fs: Sequence[RadialFunction], window: int
+           fs: Sequence[RadialFunction], window: int, weights: tuple[Weight, list[Weight]]
            ) -> tuple[ExtendedValue, list[Number], list[ExtendedValue]]:
     """(lhs, pre, factors): the norm of the output F, the factors put before
     the constant on the right side (C5's ball prefactor), and those after it
-    (the CMO norms of the symbols, then the norms of the inputs)."""
+    (the CMO norms of the symbols, then the norms of the inputs).  weights
+    is ``_weights(spec, s, rec)``."""
     p, n = s.p, s.n
-    if spec.shared_weight:
-        w, wis = s.weight, [s.weight] * s.m
-    else:
-        w, wis = Weight.power(p, n, rec["alpha"]), [Weight.power(p, n, a) for a in rec["alpha_i"]]
+    w, wis = weights
     in_qs = rec[spec.in_q]
     if spec.maximal:
         F = maximal_mod(F)
@@ -792,7 +799,7 @@ def verify_bound(cid: ConstantId, s: Scenario, fs: Sequence[RadialFunction],
 
     constant = _constant(spec, s, rec)
     F = _apply_exact(s, fs, s.symbols if spec.cmo_r is not None else None)
-    lhs, pre, factors = _sides(spec, s, rec, F, fs, window)
+    lhs, pre, factors = _sides(spec, s, rec, F, fs, window, _weights(spec, s, rec))
     rhs = _prod_ev(pre + [constant] + factors)
 
     K = spec.envelope
@@ -830,16 +837,18 @@ def maximal_composite_check(s: Scenario, fs: Sequence[RadialFunction] | None = N
 # -- sharpness ratio studies ----------------------------------------------------------
 
 
-def _ratio_for(spec: BoundSpec, s: Scenario, r: int, rec: dict[str, object], window: int) -> float:
-    fs = spec.extremal(s, rec, r)
-    if spec.cmo_r is not None:
+def _ratio_for(spec: BoundSpec, s: Scenario, fs: tuple[RadialFunction, ...], rec: dict[str, object],
+               window: int, symbols: tuple[RadialFunction, ...] | None,
+               weights: tuple[Weight, list[Weight]] | None) -> float:
+    """The norm ratio of one extremal family fs.  A commutator study passes
+    its log symbols (weights is then None); any other passes ``_weights``."""
+    if symbols is not None:
         # The commutator sends the power eigenfunctions to an exact constant
         # multiple of |x|^((alpha+n)lam); the study reports that eigenvalue
         # (the inputs have unit coefficient, so it is the shell-0 value).
-        symbols = tuple(RadialFunction.log(s.p, s.n) for _ in range(s.m))
         return float(_apply_exact(s, fs, symbols).value_on_shell(0))
     F = _apply_exact(s, fs, None)
-    num, _, factors = _sides(spec, s, rec, F, fs, window)
+    num, _, factors = _sides(spec, s, rec, F, fs, window, weights)
     num_f = float_sat(num.value)
     den_f = float_sat(_prod_ev(factors).value)
     if den_f == 0.0 or math.isinf(den_f):
@@ -851,8 +860,11 @@ def ratio_study(cid: ConstantId, s: Scenario, rs: Sequence[int],
                 *, tol: float = 0.05, window: int = 48) -> RatioReport:
     """Drive the extremal families and report norm ratios against the constant.
 
-    The study converges when the last ratio is within ``tol`` of the
-    (finite) target; an infinite target instead documents unbounded ratios.
+    Each distinct extremal family is evaluated once: an r whose family equals
+    an earlier r's reuses that ratio, so a study whose family ignores r
+    (C3, C8, C9) applies the operator once.  The study converges when the
+    last ratio is within ``tol`` of the (finite) target; an infinite target
+    instead documents unbounded ratios.
     """
     spec = _SPECS[cid]
     if spec.extremal is None:
@@ -869,7 +881,18 @@ def ratio_study(cid: ConstantId, s: Scenario, rs: Sequence[int],
             rs=rs, ratios=(math.inf,) * len(rs), target=math.inf, converged=False,
             note="target constant diverges; the ratios are unbounded in r",
         )
-    ratios = tuple(_ratio_for(spec, s, r, rec, window) for r in rs)
+    symbols = weights = None
+    if spec.cmo_r is not None:
+        symbols = tuple(RadialFunction.log(s.p, s.n) for _ in range(s.m))
+    else:
+        weights = _weights(spec, s, rec)
+    by_family: dict[tuple[RadialFunction, ...], float] = {}
+    ratios = []
+    for r in rs:
+        fs = spec.extremal(s, rec, r)
+        if fs not in by_family:
+            by_family[fs] = _ratio_for(spec, s, fs, rec, window, symbols, weights)
+        ratios.append(by_family[fs])
     target = float_sat(target_ev.value)
     converged = target > 0 and abs(ratios[-1] / target - 1.0) <= tol
-    return RatioReport(rs=rs, ratios=ratios, target=target, converged=converged)
+    return RatioReport(rs=rs, ratios=tuple(ratios), target=target, converged=converged)

@@ -40,6 +40,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Sequence
 
 from .families import Family, Pointwise, ScalarRadial
@@ -76,12 +77,21 @@ class KernelSpec:
     def n(self) -> int:
         return self.phi.n
 
-    def support_shells(self) -> list[int] | None:
-        """Shells where Phi is nonzero, or None when the support is unbounded."""
+    @cached_property
+    def _support(self) -> tuple[int, ...] | None:
         lo, hi = self.phi.support_bounds()
         if lo is None or hi is None:
             return None
-        return [g for g in range(lo, hi + 1) if self.phi.value_on_shell(g) != 0]
+        return tuple(g for g in range(lo, hi + 1) if self.phi.value_on_shell(g) != 0)
+
+    def support_shells(self) -> list[int] | None:
+        """Shells where Phi is nonzero, or None when the support is unbounded.
+
+        The support is computed once, on the first call, and each call
+        returns a fresh list.
+        """
+        supp = self._support
+        return None if supp is None else list(supp)
 
     def line_mass(self) -> ExtendedValue:
         """integral Phi(y)/|y|^n dy = (1 - p^-n) sum_g Phi(g)."""

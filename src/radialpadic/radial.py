@@ -24,7 +24,7 @@ from fractions import Fraction
 from math import comb
 from typing import Iterable, Sequence
 
-from .numeric import ExtendedValue, Number, is_exact, ppow
+from .numeric import ExtendedValue, Number, exp_sat, is_exact, log_exact, ppow
 from .padic import check_prime
 from .series import power_log_sum
 
@@ -53,7 +53,18 @@ class RadialTerm:
         return (self.lo is None or gamma >= self.lo) and (self.hi is None or gamma <= self.hi)
 
     def value(self, p: int, gamma: int) -> Number:
-        v = self.coeff * ppow(p, gamma * self.beta)
+        pw = ppow(p, gamma * self.beta)
+        try:
+            v = self.coeff * pw
+        except OverflowError:
+            # one factor lies outside the float range (a float coefficient
+            # times a huge exact power): take the product in log space, so it
+            # saturates only when the product itself is out of range
+            if self.coeff == 0 or pw == 0:
+                v = 0.0
+            else:
+                mag = exp_sat(log_exact(abs(self.coeff)) + log_exact(pw))
+                v = -mag if self.coeff < 0 else mag
         if self.logpow:
             v = v * gamma ** self.logpow
         return v

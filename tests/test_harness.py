@@ -13,7 +13,7 @@ from fractions import Fraction as Fr
 
 import pytest
 
-from radialpadic import scenarios
+from radialpadic import harness, scenarios
 from radialpadic.families import ConstantMatrix, Pointwise, ScalarRadial
 from radialpadic.harness import (
     ConstantId,
@@ -865,6 +865,12 @@ def test_composite_log_symbols_finite_and_bounded():
 # ---------------------------------------------------------------- ratio studies
 
 
+def _c1_two_shell():
+    ker, _ = kernel_from_terms(2, 1, [(Fr(1), 0, 0, 0, 0), (Fr(1, 2), 0, 0, 2, 2)])
+    return Scenario(p=2, n=1, m=1, kernel=ker, families=(ScalarRadial(1, 0),),
+                    params=SpaceParams(q=2, q_i=(2,), alpha=0, alpha_i=(0,)))
+
+
 def test_ratio_study_c3_is_exactly_the_constant():
     s = _c3_symmetric()
     rep = ratio_study(C.C3, s, [1, 2, 3])
@@ -882,10 +888,7 @@ def test_ratio_study_c9_log_symbols_hit_constant():
 
 
 def test_ratio_study_c1_monotone_below_target():
-    ker, _ = kernel_from_terms(2, 1, [(Fr(1), 0, 0, 0, 0), (Fr(1, 2), 0, 0, 2, 2)])
-    s = Scenario(p=2, n=1, m=1, kernel=ker, families=(ScalarRadial(1, 0),),
-                 params=SpaceParams(q=2, q_i=(2,), alpha=0, alpha_i=(0,)))
-    rep = ratio_study(C.C1, s, list(range(1, 9)))
+    rep = ratio_study(C.C1, _c1_two_shell(), list(range(1, 9)))
     assert all(a <= b * (1 + 1e-10) for a, b in zip(rep.ratios, rep.ratios[1:]))
     assert all(r <= rep.target * (1 + 1e-10) for r in rep.ratios)
     assert abs(rep.ratios[-1] / rep.target - 1.0) <= 0.05
@@ -901,6 +904,59 @@ def test_ratio_study_divergent_target_notes_unbounded():
     assert rep.target == math.inf
     assert not rep.converged
     assert "unbounded" in rep.note
+
+
+def _count_applications(monkeypatch):
+    calls = []
+    apply_exact = harness._apply_exact
+    monkeypatch.setattr(harness, "_apply_exact", lambda *a: calls.append(a) or apply_exact(*a))
+    return calls
+
+
+@pytest.mark.parametrize("cid, make", [
+    (C.C3, _c3_symmetric), (C.C8, lambda: _c8_scenario()[0]), (C.C9, lambda: _c8_scenario()[0]),
+])
+def test_ratio_study_applies_an_r_independent_family_once(monkeypatch, cid, make):
+    calls = _count_applications(monkeypatch)
+    rep = ratio_study(cid, make(), list(range(1, 9)))
+    assert len(calls) == 1
+    assert len(set(rep.ratios)) == 1 and len(rep.ratios) == 8
+
+
+def test_ratio_study_c1_applies_once_per_distinct_r(monkeypatch):
+    calls = _count_applications(monkeypatch)
+    s = _c1_two_shell()
+    every = ratio_study(C.C1, s, list(range(1, 9)))
+    assert len(calls) == 8
+    calls.clear()
+    rep = ratio_study(C.C1, s, [3, 3, 1])
+    assert len(calls) == 2
+    assert rep.ratios == (every.ratios[2], every.ratios[2], every.ratios[0])
+
+
+def _per_r_ratios(b):
+    """The ratios of a study with every r evaluated afresh."""
+    s, spec = b.scenario, harness._SPECS[b.constant]
+    rec = validate_scenario(b.constant, s, window=b.window)
+    out = []
+    for r in b.rs:
+        symbols = weights = None
+        if spec.cmo_r is not None:
+            symbols = tuple(RadialFunction.log(s.p, s.n) for _ in range(s.m))
+        else:
+            weights = harness._weights(spec, s, rec)
+        out.append(harness._ratio_for(spec, s, spec.extremal(s, rec, r), rec, b.window,
+                                      symbols, weights))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("suite", ["c1-sharpness", "c8c9-commutator"])
+def test_ratio_study_matches_a_per_r_loop_on_bundled_rows(suite):
+    for row in scenarios.suite_rows(suite, scenarios.SUITE_SEED):
+        (model,) = load_scenario_text(json.dumps(row))
+        b = build_scenario(model)
+        rep = ratio_study(b.constant, b.scenario, b.rs, tol=b.tol, window=b.window)
+        assert rep.ratios == _per_r_ratios(b), row["id"]
 
 
 def test_ratio_study_unsupported_id():

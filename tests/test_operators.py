@@ -1,6 +1,9 @@
 """Multilinear Hausdorff operator and its commutator on the radial algebra."""
 
+import json
 import math
+import pickle
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -8,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from radialpadic.families import ConstantMatrix, Pointwise, ScalarRadial
+from radialpadic.harness import extremal_family
 from radialpadic.operators import (
     KernelSpec,
     commutator_apply,
@@ -15,7 +19,8 @@ from radialpadic.operators import (
 )
 from radialpadic.padic import PAdicMatrix, PAdicVector, log_norm
 from radialpadic.radial import RadialFunction, RadialTerm
-from radialpadic.scenarios import SUITE_SEED, mc_cases
+from radialpadic.scenario_io import build_scenario, load_scenario_text
+from radialpadic.scenarios import SUITE_SEED, commutator_bound_rows, mc_cases, suite_rows
 
 from oracles import brute_hausdorff_shell, reference_mc_estimate
 
@@ -73,6 +78,31 @@ def test_kernel_support_and_line_mass():
     assert ker.line_mass().value == (2 + Fraction(1, 3)) * unit
     ker_inf = KernelSpec(RadialFunction.power(2, 1, 1, -1, hi=0))
     assert ker_inf.support_shells() is None
+
+
+def test_kernel_support_is_scanned_once(monkeypatch):
+    ker = sphere_kernel(3, 1, {-1: Fraction(2), 2: Fraction(1, 3)})
+    fresh = sphere_kernel(3, 1, {-1: Fraction(2), 2: Fraction(1, 3)})
+    evaluated = []
+    value_on_shell = RadialFunction.value_on_shell
+    monkeypatch.setattr(RadialFunction, "value_on_shell",
+                        lambda self, g: evaluated.append(g) or value_on_shell(self, g))
+    first = ker.support_shells()
+    assert first == [-1, 2] and evaluated == [-1, 0, 1, 2]
+    first.append(7)
+    first[0] = 5
+    assert ker.support_shells() == [-1, 2]
+    assert ker.support_shells() is not ker.support_shells()
+    assert evaluated == [-1, 0, 1, 2]
+    # the cached support is not part of the kernel's value
+    assert [f.name for f in fields(KernelSpec)] == ["phi"]
+    assert ker == fresh and hash(ker) == hash(fresh)
+    for k in (ker, fresh):
+        back = pickle.loads(pickle.dumps(k))
+        assert back == k and hash(back) == hash(k)
+        assert back.support_shells() == [-1, 2]
+    ker_inf = KernelSpec(RadialFunction.power(2, 1, 1, -1, hi=0))
+    assert ker_inf.support_shells() is None and ker_inf.support_shells() is None
 
 
 # -- exact radial branch -------------------------------------------------------
@@ -589,3 +619,42 @@ def test_input_validation():
         hausdorff_apply(ker, [ScalarRadial(1, 0)], [RadialFunction.chi_ball(3, 1, 0)])
     with pytest.raises(ValueError):
         commutator_apply(ker, [ScalarRadial(1, 0)], [], [f])
+
+
+# -- log symbols: the commutator is a Hausdorff operator -------------------------
+
+
+def _rewritten_kernel_output(kernel, families, coeffs, inputs):
+    """sum_g Phi(g) (1 - p^-n) prod_i (-c_i k_i(g)) f_i.dilate(k_i(g)).
+
+    For b_i = c_i log_p|x| and ||A_i(y)|| = p^k_i(y), b_i(x) - b_i(A_i(y) x)
+    = -c_i k_i(y) exactly, so the commutator is the Hausdorff operator of the
+    kernel Phi(y) prod_i (-c_i k_i(y)).
+    """
+    p, n = kernel.p, kernel.n
+    unit = 1 - Fraction(p) ** (-n)
+    out = RadialFunction.zero(p, n)
+    for g in kernel.support_shells():
+        term = RadialFunction.constant(p, n, kernel.phi.value_on_shell(g) * unit)
+        for fam, c, f in zip(families, coeffs, inputs):
+            k = fam.k_on_shell(g)
+            term = term * f.dilate(k).scale(-c * k)
+        out = out + term
+    return out
+
+
+def test_log_symbol_commutator_is_the_rewritten_kernel_on_every_bundled_row():
+    names = ("c8c9-commutator", "c5-local", "c6-lebesgue", "c7-composite", "c10-morrey")
+    rows = [row for name in names for row in suite_rows(name, SUITE_SEED)]
+    rows += commutator_bound_rows(SUITE_SEED, 40)
+    assert len(rows) == 98
+    for row in rows:
+        (model,) = load_scenario_text(json.dumps(row))
+        b = build_scenario(model)
+        s = b.scenario
+        coeffs = [Fraction(sym["log_coeff"]) for sym in row["symbols"]]
+        assert s.symbols == tuple(RadialFunction.log(s.p, s.n, c) for c in coeffs)
+        # a ratio row has no inputs; its study applies the extremal family
+        fs = s.inputs if s.inputs is not None else extremal_family(b.constant, s)
+        got = commutator_apply(s.kernel, s.families, s.symbols, fs).as_radial()
+        assert got == _rewritten_kernel_output(s.kernel, s.families, coeffs, fs), row["id"]

@@ -189,6 +189,23 @@ def test_dilate_log_picks_up_constant():
     assert d == expect
 
 
+def test_float_coefficient_times_out_of_range_power_saturates_only_out_of_range():
+    # 1e-300 * 5^500: the exact power is outside the float range, the product
+    # (about 3.05e49) is not
+    f = RadialFunction(5, 2, (RadialTerm(1e-300, -1, 0),))
+    want = float(Fraction(1e-300) * 5 ** 500)
+    assert math.isclose(f.value_on_shell(-500), want, rel_tol=1e-12)
+    assert RadialFunction(5, 2, (RadialTerm(-1e-300, -1, 2),)).value_on_shell(-500) == pytest.approx(
+        -want * 500 ** 2, rel=1e-12)
+    # the deep term 0.75 |x|^-1 of a maximal profile: 0.75 * 5^500 is itself
+    # out of range, so it saturates
+    deep = RadialFunction(5, 2, (RadialTerm(0.75, -1, 0, None, -9),))
+    assert deep.value_on_shell(-500) == math.inf
+    # in-range products are the plain products, bit for bit
+    assert deep.value_on_shell(-9) == 0.75 * 5 ** 9
+    assert f.value_on_shell(-100) == 1e-300 * 5 ** 100
+
+
 def test_equality_is_canonical():
     a = RadialFunction(2, 1, (RadialTerm(1, 0, 0, 0, 4), RadialTerm(1, 0, 0, 5, 9)))
     b = RadialFunction(2, 1, (RadialTerm(1, 0, 0, 0, 9),))
