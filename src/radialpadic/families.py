@@ -9,19 +9,18 @@ Three kinds, in decreasing order of exact computability:
   * ConstantMatrix: A(y) = A fixed and invertible.  Operator values at a
     point remain exact; outputs are no longer radial.
   * Pointwise: an opaque evaluator y -> A(y).  Only Monte Carlo estimates
-    are available, and the distortion exponent can only be probed by sampling.
+    are available, and the distortion exponent nu is not computed for it.
 """
 
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Sequence
 
-from .padic import PAdicMatrix, PAdicVector, check_prime, pnorm
+from .padic import PAdicMatrix, PAdicVector
 
 
 @lru_cache(maxsize=1024)
@@ -73,10 +72,6 @@ class ConstantMatrix:
     def k_inverse(self) -> int:
         return int(self.matrix.inverse().log_norm())
 
-    @property
-    def det_inv_norm(self) -> Fraction:
-        return pnorm(Fraction(1) / self.matrix.det(), self.matrix.p)
-
     def matrix_at(self, p: int, n: int, y: PAdicVector) -> PAdicMatrix:
         return self.matrix
 
@@ -94,37 +89,18 @@ class Pointwise:
 Family = ScalarRadial | ConstantMatrix | Pointwise
 
 
-def nu_of_family(
-    family: Family,
-    p: int,
-    n: int,
-    probe_shells: Sequence[int] = (-3, -2, -1, 0, 1, 2, 3),
-    samples_per_shell: int = 8,
-    seed: int = 0,
-) -> int:
-    """Least nu with ||A(y)|| ||A(y)^-1|| <= p^nu over the probed y.
+def nu_of_family(family: Family) -> int:
+    """Least nu with ||A(y)|| ||A(y)^-1|| <= p^nu for every y, exactly.
 
-    Exact for ScalarRadial (always 0) and ConstantMatrix; for Pointwise
-    families the result is a sampled lower bound.
+    That is 0 for ScalarRadial and k_norm + k_inverse for ConstantMatrix; a
+    Pointwise family raises TypeError.
     """
-    check_prime(p)
     if isinstance(family, ScalarRadial):
         return 0
     if isinstance(family, ConstantMatrix):
         return family.k_norm + family.k_inverse
-    from .sampling import sample_sphere
-
-    rng = random.Random(seed)
-    best = 0
-    for gamma in probe_shells:
-        for _ in range(samples_per_shell):
-            y = sample_sphere(rng, p, n, gamma)
-            a = family.matrix_at(p, n, y)
-            if a.is_singular():
-                continue
-            best = max(best, int(a.log_norm() + a.inverse().log_norm()))
-    return best
+    raise TypeError("nu is computed for scalar-radial and constant-matrix families only")
 
 
-def nu_of_scenario(families: Sequence[Family], p: int, n: int, **kw) -> int:
-    return max(nu_of_family(f, p, n, **kw) for f in families)
+def nu_of_scenario(families: Sequence[Family]) -> int:
+    return max(nu_of_family(f) for f in families)

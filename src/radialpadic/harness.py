@@ -37,7 +37,7 @@ from typing import Callable, Sequence
 
 from .families import ConstantMatrix, Family, Pointwise, ScalarRadial, nu_of_scenario
 from .numeric import ExtendedValue, Number, float_sat, is_exact, ppow
-from .operators import KernelSpec, commutator_apply, hausdorff_apply, maximal_mod
+from .operators import KernelSpec, hausdorff_apply, maximal_mod
 from .padic import valuation
 from .radial import RadialFunction, RadialTerm, shell_sum
 from .weights import (
@@ -476,7 +476,7 @@ def _validate_composite(s: Scenario, rec: dict[str, object], *_) -> None:
 
 
 def _record_nu(s: Scenario, rec: dict[str, object], *_) -> None:
-    rec["nu"] = nu_of_scenario(s.families, s.p, s.n)
+    rec["nu"] = nu_of_scenario(s.families)
 
 
 def validate_scenario(cid: ConstantId, s: Scenario, *, window: int = 48) -> dict[str, object]:
@@ -733,11 +733,7 @@ def _apply_exact(s: Scenario, fs: Sequence[RadialFunction],
         _fail("family-class", "exact norm verification requires scalar dilation families")
     if s.kernel.support_shells() is None:
         _fail("kernel-support", "exact norm verification requires a finite-support kernel")
-    if symbols is not None:
-        res = commutator_apply(s.kernel, s.families, tuple(symbols), tuple(fs))
-    else:
-        res = hausdorff_apply(s.kernel, s.families, tuple(fs))
-    return res.as_radial()
+    return hausdorff_apply(s.kernel, s.families, fs, symbols=symbols).as_radial()
 
 
 def _weights(spec: BoundSpec, s: Scenario, rec: dict[str, object]) -> tuple[Weight, list[Weight]]:

@@ -93,10 +93,6 @@ class KernelSpec:
         supp = self._support
         return None if supp is None else list(supp)
 
-    def line_mass(self) -> ExtendedValue:
-        """integral Phi(y)/|y|^n dy = (1 - p^-n) sum_g Phi(g)."""
-        return shell_sum(self.phi).scaled(1 - Fraction(self.p) ** (-self.n))
-
 
 # -- operator application --------------------------------------------------------
 
@@ -130,16 +126,6 @@ class OperatorResult:
             raise ValueError(f"shell {v} is outside the synthesized window")
         raise TypeError("pointwise results have no shell values; evaluate at a point")
 
-    def shell_table(self, lo: int, hi: int) -> list[tuple[int, ExtendedValue]]:
-        if self.radial is not None:
-            return [
-                (g, ExtendedValue.finite(self.radial.value_on_shell(g)))
-                for g in range(lo, hi + 1)
-            ]
-        if self.table is not None:
-            return [(g, ev) for g, ev in self.table if lo <= g <= hi]
-        raise TypeError("pointwise results have no shell table; evaluate at points")
-
 
 def _check_inputs(
     kernel: KernelSpec,
@@ -166,8 +152,6 @@ def hausdorff_apply(
     *,
     symbols: Sequence[RadialFunction] | None = None,
     window: int = 48,
-    mc_samples: int = 100_000,
-    mc_seed: int = 1,
 ) -> OperatorResult:
     """Apply the multilinear Hausdorff operator (or its commutator when
     `symbols` is given) in the strongest computable form.
@@ -175,7 +159,8 @@ def hausdorff_apply(
     All-scalar-radial families with a finite-support kernel give an exact
     radial output.  Infinite kernel support gives exact per-shell values
     over [-window, window].  Constant matrices give an exact evaluator at
-    rational points; pointwise families give a seeded Monte Carlo estimator.
+    rational points; pointwise families give a Monte Carlo estimator
+    ``estimate(x, n_samples, seed)`` that takes its budget and seed per call.
     """
     _check_inputs(kernel, families, inputs, symbols)
     p, n = kernel.p, kernel.n
@@ -246,7 +231,7 @@ def hausdorff_apply(
         shells = supp
         note = ""
 
-    def estimate(x: PAdicVector, n_samples: int = mc_samples, seed: int = mc_seed) -> MCEstimate:
+    def estimate(x: PAdicVector, n_samples: int, seed: int) -> MCEstimate:
         vshell = x.shell()
         if vshell == -math.inf:
             raise ValueError("evaluation point must be nonzero")
@@ -283,18 +268,6 @@ def hausdorff_apply(
         return integrate_mc(integrand, p, n, shells, n_samples=n_samples, seed=seed)
 
     return OperatorResult("sampled", p, n, estimate=estimate, exact=False, note=note)
-
-
-def commutator_apply(
-    kernel: KernelSpec,
-    families: Sequence[Family],
-    symbols: Sequence[RadialFunction],
-    inputs: Sequence[RadialFunction],
-    **kw,
-) -> OperatorResult:
-    """The Coifman-Rochberg-Weiss commutator: inserts
-    prod_i (b_i(x) - b_i(A_i(y)x)) into the Hausdorff integrand."""
-    return hausdorff_apply(kernel, families, inputs, symbols=symbols, **kw)
 
 
 # -- tail data for the maximal engine ---------------------------------------------
@@ -358,17 +331,18 @@ def _deep_crossover(a_deep: RadialFunction, s_w: Number, top: int) -> int:
     Below the resolved shells the averages a_deep grow strictly toward -inf
     (their direction is certified), so the shells that qualify are exactly
     those at or below some v: gallop down from top in doubling steps, then
-    bisect.  A crossover deeper than 10^6 shells below top raises RuntimeError.
+    bisect.  The gallop always ends: only a deep tail c g^t p^(beta g) with
+    beta in (-n, 0), or with beta = 0 and t > 0, gives growing averages, and
+    those grow without bound, as p^(beta g) or |g|^t, so some shell reaches
+    the finite s_w.  A crossover 10^k shells down costs about 7k evaluations.
     """
     if a_deep.value_on_shell(top) >= s_w:
         return top
     miss, step = top, 1  # a_deep(miss) < s_w
     while True:
-        hit = max(top - step, top - 1_000_000)
+        hit = top - step
         if a_deep.value_on_shell(hit) >= s_w:
             break
-        if hit == top - 1_000_000:
-            raise RuntimeError("deep crossover not found")
         miss, step = hit, 2 * step
     while miss - hit > 1:
         mid = (miss + hit) // 2

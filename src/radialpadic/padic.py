@@ -264,12 +264,3 @@ class PAdicMatrix:
         a = object.__new__(PAdicMatrix)
         a.__dict__.update(p=p, _n=n, _scalar=s)
         return a
-
-
-def det_norm_bounds_hold(a: PAdicMatrix) -> bool:
-    """Check ||A||^(-n) <= |det A^{-1}|_p <= ||A^{-1}||^n for invertible A."""
-    n = a.n
-    if a.is_singular():
-        raise ZeroDivisionError("matrix is singular")
-    det_inv_norm = pnorm(Fraction(1) / a.det(), a.p)
-    return a.norm() ** (-n) <= det_inv_norm <= a.inverse().norm() ** n

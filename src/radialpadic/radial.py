@@ -24,7 +24,7 @@ from fractions import Fraction
 from math import comb
 from typing import Iterable, Sequence
 
-from .numeric import ExtendedValue, Number, exp_sat, is_exact, log_exact, ppow
+from .numeric import ExtendedValue, Number, exp_sat, float_sat, is_exact, log_exact, ppow
 from .padic import check_prime
 from .series import power_log_sum
 
@@ -213,10 +213,6 @@ class RadialFunction:
     def chi_ball(p: int, n: int, gamma: int) -> "RadialFunction":
         return RadialFunction.power(p, n, 1, 0, hi=gamma)
 
-    @staticmethod
-    def chi_sphere(p: int, n: int, gamma: int) -> "RadialFunction":
-        return RadialFunction.power(p, n, 1, 0, lo=gamma, hi=gamma)
-
     # -- evaluation --------------------------------------------------------
 
     def value_on_shell(self, gamma: int) -> Number:
@@ -225,7 +221,7 @@ class RadialFunction:
             return 0
         if all(is_exact(v) for v in vals):
             return sum(vals, Fraction(0))
-        return math.fsum(float(v) for v in vals)
+        return math.fsum(float_sat(v) for v in vals)
 
     def __call__(self, gamma: int) -> Number:
         return self.value_on_shell(gamma)

@@ -20,7 +20,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from .padic import PAdicVector, _sampled_vector, check_prime
 from .radial import sphere_measure
@@ -42,13 +42,6 @@ def _checked_scale(p: int, n: int, gamma: int, depth: int) -> tuple[int, int]:
     if depth < 1:
         raise ValueError(f"digit depth must be at least 1, got {depth!r}")
     return (p ** -gamma, 1) if gamma <= 0 else (1, p ** gamma)
-
-
-def sample_ball(rng: random.Random, p: int, n: int, gamma: int, depth: int = DIGIT_DEPTH) -> PAdicVector:
-    """One Haar-uniform point of B_gamma = {|x|_p <= p^gamma} to `depth` digits."""
-    num, den = _checked_scale(p, n, gamma, depth)
-    top = p ** depth
-    return PAdicVector(p, tuple(Fraction(rng.randrange(top) * num, den) for _ in range(n)))
 
 
 def sample_sphere(rng: random.Random, p: int, n: int, gamma: int, depth: int = DIGIT_DEPTH) -> PAdicVector:

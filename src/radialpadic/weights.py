@@ -6,8 +6,7 @@ Implements, on the radial power-log algebra over Q_p^n:
   * central Morrey norms (sup over balls centered at 0),
   * central oscillation (CMO-type) norms,
   * A_ell and reverse-Holder constants with exact tails, and the critical
-    reverse-Holder index,
-  * the sandwich and embedding inequalities that power weights satisfy.
+    reverse-Holder index.
 
 Every ball integral is exact (closed-form tails) whenever it converges.  A
 divergent tail is truncated at the window floor and flagged: the returned
@@ -719,73 +718,3 @@ def critical_index(w: Weight) -> Number:
     if is_exact(beta):
         return Fraction(-w.n, 1) / Fraction(beta)
     return -w.n / float(beta)
-
-
-@dataclass(frozen=True)
-class PropositionReport:
-    """Fitted constants for the measure-sandwich and averaging inequalities."""
-
-    sandwich_lower: float
-    sandwich_upper: float
-    sandwich_holds: bool
-    embedding_constant: float
-    embedding_holds: bool
-    monotone_holds: bool
-
-
-def proposition_checks(
-    w: Weight,
-    ell: Number,
-    r: Number,
-    nested_pairs: Sequence[tuple[int, int]],
-    window: int = 24,
-) -> PropositionReport:
-    """Numerically certify the power-weight inequalities on given ball pairs.
-
-    For nested centered balls E = B_a subset B = B_b the mass ratio
-    omega(E)/omega(B) is sandwiched between C1 (|E|/|B|)^ell and
-    C2 (|E|/|B|)^((r-1)/r); the fitted constants must be positive and finite.
-    The embedding inequality bounds the plain average of chi_{B_{b-1}} by the
-    weighted L^ell average.  Monotonicity: A_q <= A_ell for q >= ell.
-    """
-    p, n = w.p, w.n
-    lower = math.inf
-    upper = -math.inf
-    for a, b in nested_pairs:
-        if a > b:
-            a, b = b, a
-        me = weight_ball_mass(w, a)
-        mb = weight_ball_mass(w, b)
-        if not (me.is_finite and mb.is_finite):
-            return PropositionReport(0.0, math.inf, False, math.inf, False, False)
-        if is_exact(me.value) and is_exact(mb.value):
-            # exact quotient first: the masses themselves may be off-scale
-            ratio = float_sat(Fraction(me.value) / Fraction(mb.value))
-        else:
-            ratio = float_sat(me.value) / float_sat(mb.value)
-        mu = fpow(float(p), n * (a - b))
-        lower = min(lower, ratio / fpow(mu, float(ell)))
-        upper = max(upper, ratio / fpow(mu, (float(r) - 1) / float(r)))
-    sandwich_ok = 0 < lower and upper < math.inf
-
-    embed = -math.inf
-    for _, b in nested_pairs:
-        f = RadialFunction.chi_ball(p, n, b - 1)
-        avg = abs(float(ball_average(f, b)))
-        mb = weight_ball_mass(w, b)
-        num = integral_abs_power(f, w, ell, None, b)
-        if not (mb.is_finite and num.is_finite):
-            return PropositionReport(lower, upper, sandwich_ok, math.inf, False, False)
-        if is_exact(num.value) and is_exact(mb.value):
-            quot = float_sat(Fraction(num.value) / Fraction(mb.value))
-        else:
-            quot = float_sat(num.value) / float_sat(mb.value)
-        rhs = fpow(quot, 1 / float(ell))
-        embed = max(embed, avg / rhs if rhs > 0 else math.inf)
-    embed_ok = math.isfinite(embed)
-
-    base = ap_constant(w, ell, window)
-    bigger = ap_constant(w, float(ell) + 1, window)
-    monotone = float(bigger) <= float(base) * (1 + 1e-9)
-
-    return PropositionReport(lower, upper, sandwich_ok, embed, embed_ok, monotone)

@@ -1,4 +1,4 @@
-"""Matrix families: shell-scalar dilations, constant matrices, sampled bounds."""
+"""Matrix families: shell-scalar dilations, constant matrices and their exact nu."""
 
 from fractions import Fraction
 
@@ -13,7 +13,7 @@ from radialpadic.families import (
     nu_of_family,
     nu_of_scenario,
 )
-from radialpadic.padic import PAdicMatrix, PAdicVector, log_norm
+from radialpadic.padic import PAdicMatrix, PAdicVector, log_norm, valuation
 
 
 # -- scalar-radial families ----------------------------------------------------
@@ -65,7 +65,7 @@ def test_constant_matrix_norm_exponents():
     fam = ConstantMatrix(a)
     assert fam.k_norm == 1
     assert fam.k_inverse == 1
-    assert fam.det_inv_norm == Fraction(1)  # det = 1
+    assert valuation(a.det(), 3) == 0  # det = 1
     y = PAdicVector(3, (Fraction(1), Fraction(1)))
     assert fam.matrix_at(3, 2, y).rows == a.rows
 
@@ -74,38 +74,30 @@ def test_constant_matrix_nu_is_exact():
     a = PAdicMatrix(2, ((Fraction(1), Fraction(1, 4)), (Fraction(0), Fraction(1))))
     fam = ConstantMatrix(a)
     # ||A|| = 4 (entry 1/4), A^-1 = [[1, -1/4], [0, 1]] so ||A^-1|| = 4
-    assert nu_of_family(fam, 2, 2) == fam.k_norm + fam.k_inverse == 4
+    assert nu_of_family(fam) == fam.k_norm + fam.k_inverse == 4
 
 
-# -- sampled families ----------------------------------------------------------
+# -- nu of a family ------------------------------------------------------------
 
 
 def test_scalar_radial_nu_is_zero():
-    assert nu_of_family(ScalarRadial(2, -3), 5, 1) == 0
-    assert nu_of_family(ScalarRadial(0, 7), 2, 2) == 0
+    assert nu_of_family(ScalarRadial(2, -3)) == 0
+    assert nu_of_family(ScalarRadial(0, 7)) == 0
 
 
-def test_pointwise_constant_disguise_recovers_nu():
+def test_pointwise_family_has_no_nu():
     a = PAdicMatrix(3, ((Fraction(9), Fraction(0)), (Fraction(0), Fraction(1))))
-    fam = Pointwise(lambda y: a)
-    # constant evaluator: sampling must find exactly k_A + k_{A^-1} = 0 + 2
-    assert nu_of_family(fam, 3, 2) == ConstantMatrix(a).k_norm + ConstantMatrix(a).k_inverse
-
-
-def test_pointwise_shell_scalar_is_balanced():
-    def ev(y):
-        s = Fraction(2) ** (-int(y.shell()))
-        return PAdicMatrix.scalar(2, 1, s)
-
-    # scalar matrices always have k_A + k_{A^-1} = 0, whatever the shell
-    assert nu_of_family(Pointwise(ev), 2, 1) == 0
+    with pytest.raises(TypeError, match="scalar-radial and constant-matrix"):
+        nu_of_family(Pointwise(lambda y: a))
+    with pytest.raises(TypeError):
+        nu_of_scenario([ScalarRadial(1, 0), Pointwise(lambda y: a)])
 
 
 def test_nu_of_scenario_takes_max():
     a = PAdicMatrix(2, ((Fraction(4),),))
     fams = [ScalarRadial(1, 0), ConstantMatrix(a)]
     # k_A = -2? ||A|| = |4|_2 = 1/4 -> log = -2; inverse norm = 4 -> log = 2; nu = 0
-    assert nu_of_scenario(fams, 2, 1) == 0
+    assert nu_of_scenario(fams) == 0
     b = PAdicMatrix(2, ((Fraction(1), Fraction(1, 2)), (Fraction(0), Fraction(1))))
     fams2 = [ScalarRadial(0, 0), ConstantMatrix(b)]
-    assert nu_of_scenario(fams2, 2, 2) == 2
+    assert nu_of_scenario(fams2) == 2

@@ -28,7 +28,7 @@ from radialpadic.harness import (
     validate_scenario,
     verify_bound,
 )
-from radialpadic.operators import KernelSpec, commutator_apply
+from radialpadic.operators import KernelSpec, hausdorff_apply
 from radialpadic.padic import PAdicMatrix
 from radialpadic.radial import RadialFunction, RadialTerm
 from radialpadic.scenario_io import build_scenario, load_scenario_text
@@ -787,7 +787,7 @@ def test_verify_c8_matches_c9_report():
 def test_commutator_output_is_constant_times_power():
     s, *_ = _c8_scenario()
     fs = extremal_family(C.C9, s)
-    out = commutator_apply(s.kernel, s.families, s.symbols, fs).as_radial()
+    out = hausdorff_apply(s.kernel, s.families, fs, symbols=s.symbols).as_radial()
     assert out.is_single_power()
     c9 = float(compute_constant(C.C9, s).value)
     t = out.terms[0]

@@ -231,13 +231,27 @@ def test_deep_crossover_is_found_in_few_evaluations(monkeypatch):
     assert m(-335344) > m(-335343) == m(-100)
 
 
-def test_deep_crossover_beyond_a_million_shells_raises(monkeypatch):
+def test_deep_crossover_beyond_a_million_shells_is_found(monkeypatch):
+    seen = []
+    crossover = operators._deep_crossover
+
+    def recording(a_deep, s_w, top):
+        v = crossover(a_deep, s_w, top)
+        seen.append((a_deep, s_w, v))
+        return v
+
+    monkeypatch.setattr(operators, "_deep_crossover", recording)
     calls = count_shell_values(monkeypatch)
     m = maximal(slow_log_tail(Fraction(1, 10 ** 5)))  # crossover at -863 100
     assert {t.hi for t in m.terms if t.lo is None} == {-863100}
-    with pytest.raises(RuntimeError, match="deep crossover not found"):
-        maximal(slow_log_tail(Fraction(1, 10 ** 7)))
+    f = slow_log_tail(Fraction(1, 10 ** 7))
+    for profile in (maximal(f), maximal_mod(f)):
+        assert {t.hi for t in profile.terms if t.lo is None} == {-86310014}
     assert calls[0] < 1000
+    assert len(seen) == 3
+    for a_deep, s_w, v in seen:
+        # v is the highest shell whose average reaches the sup above it
+        assert a_deep(v) >= s_w > a_deep(v + 1)
 
 
 # -- rejected inputs -----------------------------------------------------------------

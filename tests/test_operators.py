@@ -12,11 +12,7 @@ from hypothesis import strategies as st
 
 from radialpadic.families import ConstantMatrix, Pointwise, ScalarRadial
 from radialpadic.harness import extremal_family
-from radialpadic.operators import (
-    KernelSpec,
-    commutator_apply,
-    hausdorff_apply,
-)
+from radialpadic.operators import KernelSpec, hausdorff_apply
 from radialpadic.padic import PAdicMatrix, PAdicVector, log_norm
 from radialpadic.radial import RadialFunction, RadialTerm
 from radialpadic.scenario_io import build_scenario, load_scenario_text
@@ -75,7 +71,10 @@ def test_kernel_support_and_line_mass():
     ker = sphere_kernel(3, 1, {-1: Fraction(2), 2: Fraction(1, 3)})
     assert ker.support_shells() == [-1, 2]
     unit = 1 - Fraction(1, 3)
-    assert ker.line_mass().value == (2 + Fraction(1, 3)) * unit
+    # the line mass integral Phi(y)/|y|^n dy is the operator's value on f = 1
+    one = RadialFunction.constant(3, 1, 1)
+    mass = hausdorff_apply(ker, [ScalarRadial(0, 0)], [one]).as_radial()
+    assert mass == RadialFunction.constant(3, 1, (2 + Fraction(1, 3)) * unit)
     ker_inf = KernelSpec(RadialFunction.power(2, 1, 1, -1, hi=0))
     assert ker_inf.support_shells() is None
 
@@ -175,7 +174,7 @@ def test_commutator_matches_brute_sum(scen, v):
         RadialFunction.log(p, n, Fraction(i + 1, 2)) + RadialFunction.constant(p, n, i)
         for i in range(len(fams))
     ]
-    res = commutator_apply(ker, fams, bs, fs)
+    res = hausdorff_apply(ker, fams, fs, symbols=bs)
     got = res.as_radial().value_on_shell(v)
     unit = 1 - Fraction(p) ** (-n)
     want = Fraction(0)
@@ -251,7 +250,7 @@ def test_log_symbol_commutator_single_power():
     betas = [Fraction(-1), Fraction(2)]
     fs = [RadialFunction.power(p, n, 1, b) for b in betas]
     bs = [RadialFunction.log(p, n), RadialFunction.log(p, n)]
-    res = commutator_apply(ker, fams, bs, fs).as_radial()
+    res = hausdorff_apply(ker, fams, fs, symbols=bs).as_radial()
     assert res.is_single_power()
     coeff, beta = res.terms[0].coeff, res.terms[0].beta
     assert beta == sum(betas)
@@ -272,7 +271,7 @@ def test_commutator_annihilates_constant_symbols():
     fams = [ScalarRadial(1, 1), ScalarRadial(0, -2)]
     fs = [RadialFunction.chi_ball(p, n, 3), RadialFunction.power(p, n, 2, -1, lo=-5)]
     bs = [RadialFunction.constant(p, n, Fraction(7, 3)), RadialFunction.log(p, n)]
-    res = commutator_apply(ker, fams, bs, fs).as_radial()
+    res = hausdorff_apply(ker, fams, fs, symbols=bs).as_radial()
     assert res.terms == ()
 
 
@@ -281,9 +280,9 @@ def test_commutator_log_symbol_single_shell_value():
     # the symbol difference is -1 on S_1, so the value is -(1 - 1/2) = -1/2
     p, n = 2, 1
     ker = sphere_kernel(p, n, {1: Fraction(1)})
-    res = commutator_apply(
-        ker, [ScalarRadial(1, 0)], [RadialFunction.log(p, n)],
-        [RadialFunction.constant(p, n, 1)],
+    res = hausdorff_apply(
+        ker, [ScalarRadial(1, 0)], [RadialFunction.constant(p, n, 1)],
+        symbols=[RadialFunction.log(p, n)],
     )
     out = res.as_radial()
     for v in range(-5, 6):
@@ -336,8 +335,7 @@ def test_table_branch_window_bounds():
     p, n = 2, 1
     ker = KernelSpec(RadialFunction.power(p, n, 1, 2, hi=-1))
     res = hausdorff_apply(ker, [ScalarRadial(1, 0)], [RadialFunction.chi_ball(p, n, 0)], window=4)
-    rows = res.shell_table(-4, 4)
-    assert [g for g, _ in rows] == list(range(-4, 5))
+    assert [g for g, _ in res.table] == list(range(-4, 5))
     with pytest.raises(ValueError):
         res.value_on_shell(5)
 
@@ -402,9 +400,9 @@ def test_constant_matrix_commutator_evaluator():
     p, n = 2, 1
     ker = sphere_kernel(p, n, {0: Fraction(1)})
     a = PAdicMatrix(p, ((Fraction(4),),))  # |Ax| = |x|/4, so k_A = -2
-    res = commutator_apply(
-        ker, [ConstantMatrix(a)], [RadialFunction.log(p, n)],
-        [RadialFunction.constant(p, n, 1)],
+    res = hausdorff_apply(
+        ker, [ConstantMatrix(a)], [RadialFunction.constant(p, n, 1)],
+        symbols=[RadialFunction.log(p, n)],
     )
     x = PAdicVector(p, (Fraction(3),))  # shell 0; A x on shell -2
     # symbol difference: log|x| - log|Ax| = 0 - (-2) = 2; mass of S_0 = 1/2
@@ -618,7 +616,7 @@ def test_input_validation():
     with pytest.raises(ValueError):
         hausdorff_apply(ker, [ScalarRadial(1, 0)], [RadialFunction.chi_ball(3, 1, 0)])
     with pytest.raises(ValueError):
-        commutator_apply(ker, [ScalarRadial(1, 0)], [], [f])
+        hausdorff_apply(ker, [ScalarRadial(1, 0)], [f], symbols=[])
 
 
 # -- log symbols: the commutator is a Hausdorff operator -------------------------
@@ -656,5 +654,5 @@ def test_log_symbol_commutator_is_the_rewritten_kernel_on_every_bundled_row():
         assert s.symbols == tuple(RadialFunction.log(s.p, s.n, c) for c in coeffs)
         # a ratio row has no inputs; its study applies the extremal family
         fs = s.inputs if s.inputs is not None else extremal_family(b.constant, s)
-        got = commutator_apply(s.kernel, s.families, s.symbols, fs).as_radial()
+        got = hausdorff_apply(s.kernel, s.families, fs, symbols=s.symbols).as_radial()
         assert got == _rewritten_kernel_output(s.kernel, s.families, coeffs, fs), row["id"]

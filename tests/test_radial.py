@@ -172,7 +172,7 @@ def test_mixed_divergence_raises():
 def test_shell_sum_plain():
     f = RadialFunction.power(2, 1, 1, -1, lo=0)  # sum 2^-g over g>=0
     assert shell_sum(f).value == 2
-    g = RadialFunction.chi_sphere(2, 1, 7)
+    g = RadialFunction.power(2, 1, 1, 0, lo=7, hi=7)  # chi of the sphere S_7
     assert shell_sum(g).value == 1
 
 
@@ -204,6 +204,16 @@ def test_float_coefficient_times_out_of_range_power_saturates_only_out_of_range(
     # in-range products are the plain products, bit for bit
     assert deep.value_on_shell(-9) == 0.75 * 5 ** 9
     assert f.value_on_shell(-100) == 1e-300 * 5 ** 100
+
+
+def test_exact_term_beside_float_term_saturates_out_of_range():
+    # the exact 5^500 of the first term is outside the float range; with a
+    # float term beside it the sum saturates instead of raising OverflowError
+    f = RadialFunction(5, 2, (RadialTerm(1, -1, 0), RadialTerm(0.5, 0, 0)))
+    assert f.value_on_shell(-500) == math.inf
+    assert (-f).value_on_shell(-500) == -math.inf
+    # in range the sum is the plain fsum, bit for bit
+    assert f.value_on_shell(-9) == math.fsum([float(5 ** 9), 0.5])
 
 
 def test_equality_is_canonical():

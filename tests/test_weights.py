@@ -23,7 +23,6 @@ from radialpadic.weights import (
     integral_abs_power,
     lebesgue_norm,
     morrey_norm,
-    proposition_checks,
     rh_constant,
     weight_ball_mass,
 )
@@ -392,13 +391,6 @@ def test_critical_index_exact():
     assert critical_index(power_weight(3, 2, Fraction(-1, 2))) == 4
     assert critical_index(power_weight(2, 1, Fraction(1, 3))) == math.inf
     assert critical_index(power_weight(2, 1, 0)) == math.inf
-
-
-def test_proposition_checks_power_weight():
-    w = power_weight(2, 1, Fraction(1, 2))
-    rep = proposition_checks(w, 2, Fraction(4, 3), [(-3, 0), (-1, 2), (0, 4), (-5, -2)])
-    assert rep.sandwich_holds and rep.embedding_holds and rep.monotone_holds
-    assert rep.sandwich_lower > 0 and math.isfinite(rep.sandwich_upper)
 
 
 def test_norm_result_float_protocol():
