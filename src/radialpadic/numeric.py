@@ -47,9 +47,21 @@ def ppow(p: int, e: Number) -> Number:
             return p ** ei
         return Fraction(1, p ** (-ei))
     if is_exact(e):
-        fl = math.floor(e)
-        return Fraction(ppow(p, fl)) * Fraction(float(p) ** float(e - fl))
+        return Fraction(*ppow_ratio(p, e.numerator, e.denominator))
     return fpow(float(p), float(e))
+
+
+def ppow_ratio(p: int, num: int, den: int) -> tuple[int, int]:
+    """Integers (a, b), not reduced, with a / b == ppow(p, num / den) for
+    den > 0: p to the floor of the exponent, times the float correction of
+    its fractional part."""
+    fl, rem = divmod(num, den)
+    a, b = (p ** fl, 1) if fl >= 0 else (1, p ** -fl)
+    if rem:
+        # rem / den is the correctly rounded float of the fractional part
+        c, d = (float(p) ** (rem / den)).as_integer_ratio()
+        a, b = a * c, b * d
+    return a, b
 
 
 def fpow(base: float, e: float) -> float:

@@ -24,7 +24,7 @@ from fractions import Fraction
 from math import comb
 from typing import Iterable, Sequence
 
-from .numeric import ExtendedValue, Number, exp_sat, float_sat, is_exact, log_exact, ppow
+from .numeric import ExtendedValue, Number, exp_sat, float_sat, is_exact, log_exact, ppow, ppow_ratio
 from .padic import check_prime
 from .series import power_log_sum
 
@@ -216,12 +216,29 @@ class RadialFunction:
     # -- evaluation --------------------------------------------------------
 
     def value_on_shell(self, gamma: int) -> Number:
-        vals = [t.value(self.p, gamma) for t in self.terms if t.active(gamma)]
-        if not vals:
+        terms = [t for t in self.terms if t.active(gamma)]
+        if not terms:
             return 0
-        if all(is_exact(v) for v in vals):
-            return sum(vals, Fraction(0))
-        return math.fsum(float_sat(v) for v in vals)
+        if all(is_exact(t.coeff) and is_exact(t.beta) for t in terms):
+            # each value c p^(gamma beta) gamma^k is a ratio of integers:
+            # they are summed over one common denominator, normalized once
+            num, den = 0, 1
+            for t in terms:
+                a, b = ppow_ratio(self.p, gamma * t.beta.numerator, t.beta.denominator)
+                a, b = t.coeff.numerator * a * gamma ** t.logpow, t.coeff.denominator * b
+                if b == den:
+                    num += a
+                else:
+                    num, den = num * b + a * den, den * b
+            return Fraction(num, den)
+        vals = [t.value(self.p, gamma) for t in terms]
+        try:
+            return math.fsum(float_sat(v) for v in vals)
+        except ValueError:
+            # exact values off the float scale saturated to -inf and inf:
+            # their sum is taken as one rational before it saturates
+            exact = sum((v for v in vals if is_exact(v)), Fraction(0))
+            return math.fsum([float_sat(exact)] + [v for v in vals if not is_exact(v)])
 
     def __call__(self, gamma: int) -> Number:
         return self.value_on_shell(gamma)

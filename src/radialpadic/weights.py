@@ -14,14 +14,21 @@ number is then a windowed diagnostic and the untruncated constant is
 infinite.  This keeps in-range constants exactly window-stable while
 out-of-range constants grow without bound as the window widens.
 
-The windowed sups (Morrey, CMO, A_ell, reverse Holder) take the quantities
-of all balls B_g, |g| <= window, from one upward sweep instead of
-integrating every ball from -inf: ball integrals of |f|^q w reuse each piece
-below the ball (_ball_integrals), and plain ball totals step from one ball to
-the next where the closed form is exact (_ball_totals).  Each ball still gets
-exactly the value the direct call gives, because exact parts are equal as
-rationals and float parts go through the same math.fsum; a running float sum
-would round differently, so none is kept.
+A central Morrey sup of a compactly supported f, with 1/q + lam >= 0, is
+taken over the balls of f's support hull s..t alone, and needs no window and
+no growth probe: below s every ball quotient is 0, and above t the integral
+of |f|^q w keeps its value on B_t while omega(B_g) grows, so no ball beyond
+t exceeds B_t.  The other sups (Morrey of f with unbounded support, CMO,
+A_ell, reverse Holder) are windowed: they take the balls B_g, |g| <= window,
+and a Morrey or CMO sup probes for growth beyond the window.
+
+Either way the quantities of a run of balls come from one upward sweep
+instead of integrating every ball from -inf: ball integrals of |f|^q w reuse
+each piece below the ball (_ball_integrals), and plain ball totals step from
+one ball to the next where the closed form is exact (_ball_totals).  Each
+ball still gets exactly the value the direct call gives, because exact parts
+are equal as rationals and float parts go through the same math.fsum; a
+running float sum would round differently, so none is kept.
 """
 
 from __future__ import annotations
@@ -159,8 +166,8 @@ def _average(total: ExtendedValue, p: int, n: int, gamma: int) -> Number:
     return total.value / ball_measure(p, n, gamma)
 
 
-def _ball_totals(f: RadialFunction, window: int) -> list[ExtendedValue]:
-    """integrate_radial(f.restrict(None, g)) for g = -window..window, in one pass.
+def _ball_totals(f: RadialFunction, lo: int, hi: int) -> list[ExtendedValue]:
+    """integrate_radial(f.restrict(None, g)) for g = lo..hi, in one pass.
 
     Each ball's total equals its closed form as a rational wherever the
     closed form is exact:
@@ -171,15 +178,18 @@ def _ball_totals(f: RadialFunction, window: int) -> list[ExtendedValue]:
       * with exact coefficients and integral exponents, each ball is the one
         below it plus f(g)|S_g|.
 
-    Otherwise each ball keeps its own closed form: a running float sum would
-    round differently.
+    Where the first ball diverges, its deep tail lies in every ball above,
+    so every ball takes that same signed infinity.  Otherwise each ball keeps
+    its own closed form: a running float sum would round differently.
     """
-    totals = [integrate_radial(f.restrict(None, -window))]
+    totals = [integrate_radial(f.restrict(None, lo))]
+    if totals[0].divergent:
+        return totals * (hi - lo + 1)
     exact = totals[0].is_finite and all(is_exact(t.coeff) and is_exact(t.beta) for t in f.terms)
     ratio = ppow(f.p, f.terms[0].beta + f.n) if exact and f.is_single_power() else None
     running = exact and all(integral_part(t.beta) is not None for t in f.terms)
-    sphere, step = sphere_measure(f.p, f.n, -window), f.p ** f.n
-    for g in range(-window + 1, window + 1):
+    sphere, step = sphere_measure(f.p, f.n, lo), f.p ** f.n
+    for g in range(lo + 1, hi + 1):
         if ratio is not None:
             totals.append(ExtendedValue.finite(totals[-1].value * ratio))
         elif running:
@@ -388,24 +398,23 @@ def integral_abs_power(
                         for a, b in _interval_pieces(f, w.profile, lo, hi)])
 
 
-def _ball_integrals(f: RadialFunction, w: Weight, q: Number, window: int) -> list[ExtendedValue]:
-    """integral_abs_power(f, w, q, None, g) for g = -window..window, in one pass.
+def _ball_integrals(f: RadialFunction, w: Weight, q: Number, lo: int, hi: int) -> list[ExtendedValue]:
+    """integral_abs_power(f, w, q, None, g) for g = lo..hi, in one pass.
 
-    Ball g is cut into the pieces of the window below the piece holding g,
-    whole, and that piece clipped at g.  Each ball integrates only its
-    clipped piece, and the clip at a piece's top shell is the whole piece
-    that every ball above reuses.  The parts are summed as
-    integral_abs_power sums them, in the same order, so every value is the
-    same, bit for bit.
+    Ball g is cut into the pieces below the piece holding g, whole, and that
+    piece clipped at g.  Each ball integrates only its clipped piece, and the
+    clip at a piece's top shell is the whole piece that every ball above
+    reuses.  The parts are summed as integral_abs_power sums them, in the
+    same order, so every value is the same, bit for bit.
     """
     done: list[ExtendedValue | None] = []
     totals = []
-    for a, b in _interval_pieces(f, w.profile, None, window):
+    for a, b in _interval_pieces(f, w.profile, None, hi):
         part = None
-        for g in range(-window if a is None else max(a, -window), b + 1):
+        for g in range(lo if a is None else max(a, lo), b + 1):
             part = _piece_integral(f, w.profile, q, a, g)
             totals.append(_sum_pieces(done + [part]))
-        if b < -window:
+        if b < lo:
             part = _piece_integral(f, w.profile, q, a, b)
         done.append(part)
     return totals
@@ -426,22 +435,19 @@ def lebesgue_norm(
 # -- Morrey and oscillation norms -------------------------------------------
 
 
-def _sup_over_window(
-    values: Sequence[float], probe: Callable[[int], float], window: int
+def _sup_over_balls(
+    values: Sequence[float], lo: int, probe: Callable[[int], float] | None = None
 ) -> NormResult:
-    """The sup of the ball quotients values[i] at shell -window + i, with its
-    witness; infinite when it is, or when a growth probe beyond the window
-    exceeds it."""
+    """The sup of the ball quotients values[i] at shell lo + i, with the first
+    ball that attains it as witness; infinite when it is, or when a growth
+    probe beyond the window lo..-lo exceeds it."""
     best = -math.inf
     witness = None
-    for g, v in zip(range(-window, window + 1), values):
+    for g, v in enumerate(values, lo):
         if v > best:
             best, witness = v, g
-    grows = False
-    for off in _GROWTH_PROBES:
-        for g in (window + off, -window - off):
-            if probe(g) > best * (1 + 1e-9) + 1e-300:
-                grows = True
+    grows = probe is not None and any([probe(g) > best * (1 + 1e-9) + 1e-300
+                                       for off in _GROWTH_PROBES for g in (-lo + off, lo - off)])
     if grows or math.isinf(best):
         return NormResult(ExtendedValue.infinite(+1), witness)
     return NormResult(ExtendedValue.finite(best), witness)
@@ -457,12 +463,18 @@ def morrey_norm(
     it is shell-independent exactly when q beta + alpha + n = q (alpha + n)
     (1/q + lam), finite there, and infinite otherwise.
 
-    Otherwise the balls of the window are swept once, upward: each piece of
-    the |f|^q w integral is evaluated once and reused by every ball above it
+    Otherwise the balls are swept once, upward: each piece of the |f|^q w
+    integral is evaluated once and reused by every ball above it
     (_ball_integrals), and exact weight masses step from one ball to the
     next (_ball_totals).  Both give each ball exactly the value a direct
-    integral_abs_power / weight_ball_mass call would, so the sweep changes no
-    value and no witness.  Only the growth probes beyond the window are
+    integral_abs_power / weight_ball_mass call would.  When f has finite
+    support s..t and 1/q + lam >= 0, the sweep covers s..t alone and the
+    first ball attaining the largest quotient is the witness: every ball
+    below s has quotient 0, and a ball above t has the integral of B_t over
+    a larger mass, so no ball outside s..t exceeds the sup.  This value and
+    witness are exact for any window, so ``window`` serves only an f with
+    unbounded support (or a float q or lam with 1/q + lam < 0): its sup is
+    taken over |g| <= window, and growth probes beyond the window are
     integrated directly.
     """
     if q < 1:
@@ -506,13 +518,17 @@ def morrey_norm(
             return NormResult(ExtendedValue.finite(q_at(0)), None)
         return NormResult(ExtendedValue.infinite(+1))
 
-    masses = _ball_totals(w.profile, window)
+    # the sup of a compactly supported f lies on its support hull (docstring)
+    s, t = f.support_bounds()
+    hull = s is not None and t is not None and expo >= 0
+    lo, hi = (s, t) if hull else (-window, window)
+    masses = _ball_totals(w.profile, lo, hi)
     if masses[0].is_finite:
-        values = [quotient(m, part) for m, part in zip(masses, _ball_integrals(f, w, q, window))]
+        values = [quotient(m, part) for m, part in zip(masses, _ball_integrals(f, w, q, lo, hi))]
     else:
         # a weight that is not locally integrable has infinite mass on every ball
         values = [math.inf] * len(masses)
-    return _sup_over_window(values, q_at, window)
+    return _sup_over_balls(values, lo, None if hull else q_at)
 
 
 def cmo_norm(b: RadialFunction, w: Weight, r: Number, window: int = 48) -> NormResult:
@@ -540,7 +556,7 @@ def cmo_norm(b: RadialFunction, w: Weight, r: Number, window: int = 48) -> NormR
                              for t in b.terms if t.lo is None)
     # the balls B_g with g < reach share one quotient
     reach = min(b.breakpoints(), default=math.inf) if affine else -math.inf
-    totals = None if window < reach else _ball_totals(b, window)
+    totals = None if window < reach else _ball_totals(b, -window, window)
     shared: float | None = None
 
     def d_at(g: int) -> float:
@@ -571,7 +587,7 @@ def cmo_norm(b: RadialFunction, w: Weight, r: Number, window: int = 48) -> NormR
         # log-space quotient: exact masses can exceed the float range
         return exp_sat((log_exact(osc.value) - log_exact(mass.value)) / float(r))
 
-    return _sup_over_window([d_at(g) for g in range(-window, window + 1)], d_at, window)
+    return _sup_over_balls([d_at(g) for g in range(-window, window + 1)], -window, d_at)
 
 
 # -- Muckenhoupt machinery ---------------------------------------------------
@@ -630,7 +646,7 @@ def _power_masses(w: Weight, e: Number, window: int) -> list[tuple[float, bool]]
     ball sums the density w(g)^e over the window and is flagged truncated.
     """
     prof = _power_profile(w, e)
-    return _windowed_masses(None if prof is None else _ball_totals(prof, window),
+    return _windowed_masses(None if prof is None else _ball_totals(prof, -window, window),
                             lambda g: fpow(float_sat(w.value(g)), float(e)), w.p, w.n, window)
 
 

@@ -216,6 +216,60 @@ def test_exact_term_beside_float_term_saturates_out_of_range():
     assert f.value_on_shell(-9) == math.fsum([float(5 ** 9), 0.5])
 
 
+def test_opposite_out_of_range_exact_terms_beside_a_float_term_saturate():
+    # 5^500 and -500 * 5^500 each saturate, to inf and -inf; their sum is
+    # taken as one rational, -499 * 5^500, before it saturates
+    f = RadialFunction(5, 2, (RadialTerm(1, -1, 0), RadialTerm(1, -1, 1), RadialTerm(0.5, 0, 0)))
+    assert f.value_on_shell(-500) == -math.inf
+    assert (-f).value_on_shell(-500) == math.inf
+    # in range the sum is the plain fsum, bit for bit
+    assert f.value_on_shell(-9) == math.fsum([float(5 ** 9), float(-9 * 5 ** 9), 0.5])
+
+
+def term_sum(f, g):
+    """The exact shell value as a sum of the term values, one Fraction at a time."""
+    return sum((t.value(f.p, g) for t in f.terms if t.active(g)), Fraction(0))
+
+
+@st.composite
+def exact_functions(draw):
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    terms = []
+    for _ in range(draw(st.integers(1, 4))):
+        coeff = Fraction(draw(st.integers(-9, 9).filter(bool)), draw(st.integers(1, 12)))
+        beta = draw(st.one_of(st.integers(-3, 3), st.fractions(-4, 4, max_denominator=12)))
+        lo = draw(st.one_of(st.none(), st.integers(-30, 10)))
+        hi = draw(st.one_of(st.none(), st.integers(10, 40)))
+        terms.append(RadialTerm(coeff, beta, draw(st.integers(0, 3)), lo, hi))
+    return RadialFunction(p, draw(st.integers(1, 2)), tuple(terms))
+
+
+@settings(max_examples=150, deadline=None)
+@given(exact_functions(), st.one_of(st.integers(-40, 50), st.integers(-3000, 3000)))
+def test_exact_shell_value_is_the_sum_of_its_terms(f, g):
+    got = f.value_on_shell(g)
+    if not any(t.active(g) for t in f.terms):
+        assert got == 0 and type(got) is int
+        return
+    want = term_sum(f, g)
+    assert got == want and type(got) is type(want) is Fraction
+
+
+def test_exact_shell_value_far_out_and_off_support():
+    f = RadialFunction(3, 2, (
+        RadialTerm(Fraction(-2, 7), Fraction(5, 3), 2, None, 100),
+        RadialTerm(Fraction(1, 4), Fraction(-7, 12), 1, -50, None),
+        RadialTerm(3, 2, 0, -50, 100),
+    ))
+    for g in (-100_000, -51, -50, 0, 1, 100, 101, 77_777):
+        got = f.value_on_shell(g)
+        assert got == term_sum(f, g) and type(got) is Fraction
+    # no term is active on shell 5: the value is the int 0, as before
+    gap = RadialFunction(2, 1, (RadialTerm(Fraction(1, 3), Fraction(1, 2), 1, None, 4),
+                                RadialTerm(1, -1, 0, 6, None)))
+    assert gap.value_on_shell(5) == 0 and type(gap.value_on_shell(5)) is int
+
+
 def test_equality_is_canonical():
     a = RadialFunction(2, 1, (RadialTerm(1, 0, 0, 0, 4), RadialTerm(1, 0, 0, 5, 9)))
     b = RadialFunction(2, 1, (RadialTerm(1, 0, 0, 0, 9),))

@@ -636,22 +636,26 @@ SWEPT = [
     RadialFunction.power(2, 1, 0.1, 1) + LOG,  # float coefficient, integral exponents: per ball
     RadialFunction.power(2, 1, 1, -2),  # not locally integrable
     RadialFunction.log(3, 2) + RadialFunction.power(3, 2, Fraction(1, 2), 1, hi=4),  # running sum, n = 2
+    # a negative divergent deep tail, and a term entering inside the window:
+    # every ball reads -inf, as its own closed form does
+    RadialFunction.power(2, 1, Fraction(-1, 3), Fraction(-3, 2), hi=5) + RadialFunction.power(2, 1, 4, 1, lo=-2),
 ]
 
 
 @pytest.mark.parametrize("f", SWEPT)
 def test_ball_totals_equal_each_closed_form(f):
-    totals = weights._ball_totals(f, 12)
+    totals = weights._ball_totals(f, -12, 12)
     for g, total in zip(range(-12, 13), totals):
         want = integrate_radial(f.restrict(None, g))
-        assert (total.value, type(total.value), total.is_finite) == (want.value, type(want.value), want.is_finite)
+        assert ((total.value, type(total.value), total.is_finite, total.divergent)
+                == (want.value, type(want.value), want.is_finite, want.divergent))
 
 
 @pytest.mark.parametrize("q", [2, Fraction(5, 2), 1.5])
 @pytest.mark.parametrize("f", SWEPT[2:4] + [RadialFunction.power(2, 1, 1, Fraction(-1, 2), lo=-3, hi=5) + LOG])
 def test_ball_integrals_equal_each_direct_integral(f, q):
     w = Weight(RadialFunction.constant(2, 1, 1) + RadialFunction.power(2, 1, 1, Fraction(1, 2), lo=1))
-    got = weights._ball_integrals(f, w, q, 10)
+    got = weights._ball_integrals(f, w, q, -10, 10)
     for g, part in zip(range(-10, 11), got):
         want = integral_abs_power(f, w, q, None, g)
         assert (part.value, type(part.value), part.divergent) == (want.value, type(want.value), want.divergent)
@@ -704,6 +708,67 @@ def test_morrey_sweep_matches_per_ball_reference(monkeypatch, f, w, q, finite):
     assert len(calls) <= 2 * len(_GROWTH_PROBES)
     assert float(res.value) == want
     assert res.witness_shell == want_witness
+
+
+@pytest.mark.parametrize("s", [47, 49, 60, 100, 200, -60])
+def test_morrey_unit_plateau_has_its_sup_on_its_shell(s):
+    # 1 on shell s alone, with p = 2, n = 1, w = 1, q = 2 and lam = -1/4:
+    # the sup is omega(B_s)^(-1/4) |S_s|^(1/2) = 2^(s/4) / sqrt(2), on ball s,
+    # also for a shell beyond the default window of 48
+    f = RadialFunction.power(2, 1, 1, 0, lo=s, hi=s)
+    res = morrey_norm(f, power_weight(2, 1, 0), 2, Fraction(-1, 4))
+    assert res.value.is_finite
+    assert math.isclose(float(res.value), math.exp((s / 4 - 0.5) * math.log(2)), rel_tol=1e-12)
+    assert res.witness_shell == s
+
+
+@st.composite
+def compact_functions(draw):
+    """Sums of up to three power-log terms, each on shells inside -12..12."""
+    terms = []
+    for _ in range(draw(st.integers(1, 3))):
+        lo = draw(st.integers(-12, 12))
+        hi = min(12, lo + draw(st.integers(0, 6)))
+        coeff = draw(st.one_of(
+            st.fractions(-4, 4, max_denominator=6).filter(bool),
+            st.floats(0.1, 4.0) | st.floats(-4.0, -0.1)))
+        beta = draw(st.one_of(st.integers(-2, 2), st.fractions(-2, 2, max_denominator=4)))
+        terms.append(RadialTerm(coeff, beta, draw(st.integers(0, 1)), lo, hi))
+    return RadialFunction(2, 1, tuple(terms))
+
+
+HULL_WEIGHTS = [
+    power_weight(2, 1, Fraction(1, 2)),
+    # a broken power weight: |x|^(-1/2) up to shell 1, 2|x|^(1/2) above
+    Weight(RadialFunction.power(2, 1, 1, Fraction(-1, 2), hi=1) + RadialFunction.power(2, 1, 2, Fraction(1, 2), lo=2)),
+    # not a power on any ray of shells
+    Weight(RadialFunction.constant(2, 1, 1) + RadialFunction.power(2, 1, 1, Fraction(1, 2))),
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    f=compact_functions(),
+    w=st.sampled_from(HULL_WEIGHTS),
+    q=st.sampled_from([1, 2, Fraction(5, 2), 1.5]),
+    share=st.sampled_from([0, Fraction(1, 4), Fraction(1, 2), 1]),
+)
+def test_morrey_hull_matches_windowed_reference(f, w, q, share):
+    # lam = -share/q, so 1/q + lam = (1 - share)/q >= 0, zero for share = 1
+    lam = -share / q if is_exact(q) else -float(share) / q
+    s, t = f.support_bounds()
+    want, want_witness = morrey_reference(f, w, q, lam, 12)
+    with pytest.MonkeyPatch.context() as mp:
+        balls = count_calls(mp, "_sum_pieces")
+        integrals = count_calls(mp, "integral_abs_power")
+        masses = count_calls(mp, "weight_ball_mass")
+        res = morrey_norm(f, w, q, lam)
+    # one sum of pieces per ball of the hull, and no probe beyond it
+    assert len(balls) <= t - s + 1
+    assert integrals == masses == []
+    assert float(res.value) == want
+    if want > 0:  # a zero sup is attained on every ball
+        assert res.witness_shell == want_witness
 
 
 def windowed_mass_reference(closed, density, p, n, g, window):
