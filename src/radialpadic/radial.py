@@ -14,6 +14,14 @@ computable on it.
 Functions are kept in canonical form: for each exponent pair (beta, k) the
 shell line is split into maximal intervals with a single combined coefficient,
 zero coefficients dropped, adjacent equal-coefficient intervals merged.
+
+A shell value whose active terms are all exact is one integer ratio num/den
+(_shell_ratio).  Its integer data, one tuple per term holding the range, the
+numerator and denominator of the coefficient and of the exponent, and the log
+power, is built on first evaluation and kept on the function; equality,
+hashing, repr and pickling do not see it.  value_on_shell makes the ratio a
+Fraction, float_on_shell divides it once: int true division is correctly
+rounded, as float(Fraction) is, so the two agree bit for bit.
 """
 
 from __future__ import annotations
@@ -24,7 +32,9 @@ from fractions import Fraction
 from math import comb
 from typing import Iterable, Sequence
 
-from .numeric import ExtendedValue, Number, exp_sat, float_sat, is_exact, log_exact, ppow, ppow_ratio
+from .numeric import (
+    ExtendedValue, FloatRangeError, Number, exp_sat, float_sat, is_exact, log_exact, ppow, ppow_ratio,
+)
 from .padic import check_prime
 from .series import power_log_sum
 
@@ -68,6 +78,21 @@ class RadialTerm:
         if self.logpow:
             v = v * gamma ** self.logpow
         return v
+
+
+_INEXACT = object()  # _shell_ratio's marker for an active float term
+
+
+def _term_kernel(t: RadialTerm) -> tuple:
+    """(lo, hi, coeff num, coeff den, beta num, beta den, logpow) of one term,
+    unbounded ends as -inf and inf; the four integers are None for a term
+    with a float coefficient or exponent."""
+    lo = -math.inf if t.lo is None else t.lo
+    hi = math.inf if t.hi is None else t.hi
+    if is_exact(t.coeff) and is_exact(t.beta):
+        c, b = t.coeff, t.beta
+        return (lo, hi, c.numerator, c.denominator, b.numerator, b.denominator, t.logpow)
+    return (lo, hi, None, None, None, None, t.logpow)
 
 
 def _lo_key(lo: int | None) -> int:
@@ -216,29 +241,103 @@ class RadialFunction:
     # -- evaluation --------------------------------------------------------
 
     def value_on_shell(self, gamma: int) -> Number:
-        terms = [t for t in self.terms if t.active(gamma)]
-        if not terms:
+        """f(gamma): a Fraction where every active term is exact, the int 0
+        where no term is active, else a float (_float_value)."""
+        r = self._shell_ratio(gamma)
+        if r is None:
             return 0
-        if all(is_exact(t.coeff) and is_exact(t.beta) for t in terms):
-            # each value c p^(gamma beta) gamma^k is a ratio of integers:
-            # they are summed over one common denominator, normalized once
-            num, den = 0, 1
-            for t in terms:
-                a, b = ppow_ratio(self.p, gamma * t.beta.numerator, t.beta.denominator)
-                a, b = t.coeff.numerator * a * gamma ** t.logpow, t.coeff.denominator * b
-                if b == den:
-                    num += a
-                else:
-                    num, den = num * b + a * den, den * b
-            return Fraction(num, den)
+        if r is _INEXACT:
+            return self._float_value(gamma)
+        return Fraction(*r)
+
+    def float_on_shell(self, gamma: int, saturate: bool = False) -> float:
+        """float(f(gamma)), bit for bit, without building a Fraction.
+
+        An exact value is one integer division of its unreduced ratio, which
+        raises OverflowError where float(value_on_shell(gamma)) does; with
+        ``saturate`` such a value reads as +-inf instead, as float_sat gives.
+        """
+        r = self._shell_ratio(gamma)
+        if r is None:
+            return 0.0
+        if r is _INEXACT:
+            return self._float_value(gamma)
+        num, den = r
+        try:
+            return num / den
+        except OverflowError:
+            if not saturate:
+                raise
+            return math.inf if num > 0 else -math.inf
+
+    def _shell_ratio(self, gamma: int) -> tuple[int, int] | object | None:
+        """(num, den), den > 0 and not reduced, with f(gamma) = num / den when
+        every active term is exact; None when no term is active; _INEXACT
+        when a term with a float coefficient or exponent is active.
+
+        Each value c p^(gamma beta) gamma^k is a ratio of integers
+        (ppow_ratio); they are summed over one common denominator.
+        """
+        kernel = self.__dict__.get("_kernel")
+        if kernel is None:
+            kernel = self.__dict__["_kernel"] = tuple(_term_kernel(t) for t in self.terms)
+        p = self.p
+        num, den, hit = 0, 1, False
+        for lo, hi, cn, cd, bn, bd, k in kernel:
+            if gamma < lo or gamma > hi:
+                continue
+            if cn is None:
+                return _INEXACT
+            hit = True
+            e = gamma * bn
+            if bd != 1:
+                a, b = ppow_ratio(p, e, bd)
+                a, b = cn * a, cd * b
+            elif e >= 0:
+                a, b = cn * p ** e, cd
+            else:
+                a, b = cn, cd * p ** -e
+            if k:
+                a *= gamma ** k
+            if b == den:
+                num += a
+            else:
+                num, den = num * b + a * den, den * b
+        return (num, den) if hit else None
+
+    def _float_value(self, gamma: int) -> float:
+        """The shell value where an active term is inexact: the fsum of the
+        term values, each saturated to the float range.
+
+        Where that fsum raises (an intermediate overflow, or inf - inf from
+        terms saturated to opposite infinities), the terms are summed as one
+        rational and saturated once: a term with an exact exponent as
+        Fraction(coeff) times its exact power, a term with a float exponent
+        as its float value.  A float-exponent term that is itself off the
+        float range has no such value, and raises FloatRangeError.
+        """
+        terms = [t for t in self.terms if t.active(gamma)]
         vals = [t.value(self.p, gamma) for t in terms]
         try:
             return math.fsum(float_sat(v) for v in vals)
-        except ValueError:
-            # exact values off the float scale saturated to -inf and inf:
-            # their sum is taken as one rational before it saturates
-            exact = sum((v for v in vals if is_exact(v)), Fraction(0))
-            return math.fsum([float_sat(exact)] + [v for v in vals if not is_exact(v)])
+        except (OverflowError, ValueError):
+            pass
+        total = Fraction(0)
+        for t, v in zip(terms, vals):
+            if is_exact(t.beta) and (is_exact(t.coeff) or math.isfinite(t.coeff)):
+                total += Fraction(t.coeff) * ppow(self.p, gamma * t.beta) * gamma ** t.logpow
+            elif isinstance(v, float) and math.isfinite(v):
+                total += Fraction(v)
+            else:
+                raise FloatRangeError(f"term {t} on shell {gamma} lies outside the float range; "
+                                      "the shell value has no float sum")
+        return float_sat(total)
+
+    def __getstate__(self) -> dict:
+        # the lazy shell data is rebuilt on first use, never pickled
+        state = dict(self.__dict__)
+        state.pop("_kernel", None)
+        return state
 
     def __call__(self, gamma: int) -> Number:
         return self.value_on_shell(gamma)

@@ -121,9 +121,6 @@ class Weight:
     def power(p: int, n: int, alpha: Number, coeff: Number = 1) -> "Weight":
         return Weight(RadialFunction.power(p, n, coeff, alpha))
 
-    def value(self, gamma: int) -> Number:
-        return self.profile.value_on_shell(gamma)
-
     def power_exponent(self) -> Number | None:
         """alpha when the weight is exactly c|x|^alpha, else None."""
         if self.profile.is_single_power():
@@ -234,28 +231,42 @@ def _rescaled_eval(fsub: RadialFunction, wsub: RadialFunction, q: Number, n: int
 
     Rescaling by the dominant exponents keeps every factor inside float range
     even when |f(g)| alone would overflow; the product is mathematically
-    unchanged.
+    unchanged.  A dominant exponent that is an exact 0 shifts nothing, so
+    that function is read as it is.  Each factor is read with
+    float_on_shell, one integer division per exact shell value, and equals
+    float(value_on_shell(g)) bit for bit; like it, it raises OverflowError
+    off the float range.
     """
     p = fsub.p
     df = _dominant_term(fsub, end)
     dw = _dominant_term(wsub, end)
     bf = df[0] if df else 0
     bw = dw[0] if dw else 0
-    f_shift = fsub * RadialFunction.power(p, n, 1, -bf)
-    w_shift = wsub * RadialFunction.power(p, n, 1, -bw)
-    e_tot = float(q) * float(bf) + float(bw) + n
-    unit = 1.0 - float(p) ** (-n)
+    f_at = _shifted(fsub, bf).float_on_shell
+    w_at = _shifted(wsub, bw).float_on_shell
+    qf, pf = float(q), float(p)
+    e_tot = qf * float(bf) + float(bw) + n
+    unit = 1.0 - pf ** (-n)
 
     def h(g: int) -> float:
-        base = abs(float(f_shift.value_on_shell(g))) ** float(q)
-        return base * float(w_shift.value_on_shell(g)) * fpow(float(p), e_tot * g) * unit
+        return abs(f_at(g)) ** qf * w_at(g) * fpow(pf, e_tot * g) * unit
 
     return h
 
 
+def _shifted(fn: RadialFunction, beta: Number) -> RadialFunction:
+    """fn * |x|^(-beta); fn itself when beta is an exact 0, where the product
+    has the same value, exact or float, on every shell."""
+    if beta == 0 and is_exact(beta):
+        return fn
+    return fn * RadialFunction.power(fn.p, fn.n, 1, -beta)
+
+
 def _log_eval(fsub: RadialFunction, wsub: RadialFunction, q: Number, n: int) -> Callable[[int], float]:
     """Per-shell log h(g) = log(|f|^q w |S_g|), -inf where f or w vanishes;
-    every factor is taken as a logarithm, so no shell overflows."""
+    every factor is taken as a logarithm, so no shell overflows.  The shell
+    values stay value_on_shell Fractions: log_exact reads the numerator and
+    denominator of the reduced ratio, which float_on_shell never forms."""
     log_p = math.log(fsub.p)
     log_unit = math.log1p(-float(fsub.p) ** (-n))
 
@@ -646,8 +657,9 @@ def _power_masses(w: Weight, e: Number, window: int) -> list[tuple[float, bool]]
     ball sums the density w(g)^e over the window and is flagged truncated.
     """
     prof = _power_profile(w, e)
+    w_at, fe = w.profile.float_on_shell, float(e)
     return _windowed_masses(None if prof is None else _ball_totals(prof, -window, window),
-                            lambda g: fpow(float_sat(w.value(g)), float(e)), w.p, w.n, window)
+                            lambda g: fpow(w_at(g, saturate=True), fe), w.p, w.n, window)
 
 
 def ap_constant(w: Weight, ell: Number, window: int = 40) -> ExtendedValue:
@@ -678,7 +690,7 @@ def ap_constant(w: Weight, ell: Number, window: int = 40) -> ExtendedValue:
         low = math.inf  # min of w over the shells -window..g
         for g, (mass, tflag) in zip(range(-window, window + 1), masses):
             truncated |= tflag
-            low = min(low, float_sat(w.value(g)))
+            low = min(low, w.profile.float_on_shell(g, saturate=True))
             essinf = min(low, float(dom[2])) if flat_deep else low
             truncated |= vanishes_deep
             avg = mass / fpow(float(p), n * g)

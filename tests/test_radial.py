@@ -1,12 +1,16 @@
 """Radial power-log algebra: canonical form, evaluation, calculus."""
 
+import copy
 import math
+import pickle
+import struct
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from radialpadic.numeric import FloatRangeError, float_sat, is_exact
 from radialpadic.radial import (
     RadialFunction,
     RadialTerm,
@@ -226,6 +230,35 @@ def test_opposite_out_of_range_exact_terms_beside_a_float_term_saturate():
     assert f.value_on_shell(-9) == math.fsum([float(5 ** 9), float(-9 * 5 ** 9), 0.5])
 
 
+def test_float_terms_off_the_float_range_saturate_where_fsum_raises():
+    # 1e308 + 1e308: fsum overflows in an intermediate sum; the true value
+    # 2e308 lies off the float range, so it reads inf
+    f = RadialFunction(2, 1, (RadialTerm(1e308, 0, 0), RadialTerm(1e308, 1, 0, 0, 0)))
+    assert f.value_on_shell(0) == f.float_on_shell(0) == math.inf
+    assert (-f).value_on_shell(0) == (-f).float_on_shell(0) == -math.inf
+    # 1.0 * 5^500 saturates to inf and -500 * 5^500 to -inf, which fsum
+    # cannot add; the true value -499 * 5^500 reads -inf
+    g = RadialFunction(5, 2, (RadialTerm(1.0, -1, 0), RadialTerm(1.0, -1, 1)))
+    assert g.value_on_shell(-500) == g.float_on_shell(-500) == -math.inf
+    assert (-g).value_on_shell(-500) == math.inf
+    # in range the sums are the plain fsums, bit for bit
+    assert f.value_on_shell(1) == 1e308
+    assert g.value_on_shell(-9) == math.fsum([5.0 ** 9, -9 * 5.0 ** 9])
+
+
+def test_float_exponent_term_in_the_rational_fallback():
+    # a float-exponent term in range joins the rational sum as its float value
+    exact = (RadialTerm(1, -1, 0), RadialTerm(1, -1, 1))
+    f = RadialFunction(5, 2, exact + (RadialTerm(0.5, 0.0, 0),))
+    assert f.value_on_shell(-500) == f.float_on_shell(-500) == -math.inf
+    # one off the float range has no value to join it: named, not inf - inf
+    g = RadialFunction(5, 2, exact + (RadialTerm(1.0, -1.5, 0),))
+    with pytest.raises(FloatRangeError):
+        g.value_on_shell(-500)
+    with pytest.raises(FloatRangeError):
+        g.float_on_shell(-500)
+
+
 def term_sum(f, g):
     """The exact shell value as a sum of the term values, one Fraction at a time."""
     return sum((t.value(f.p, g) for t in f.terms if t.active(g)), Fraction(0))
@@ -268,6 +301,83 @@ def test_exact_shell_value_far_out_and_off_support():
     gap = RadialFunction(2, 1, (RadialTerm(Fraction(1, 3), Fraction(1, 2), 1, None, 4),
                                 RadialTerm(1, -1, 0, 6, None)))
     assert gap.value_on_shell(5) == 0 and type(gap.value_on_shell(5)) is int
+
+
+@st.composite
+def shell_cases(draw):
+    """(f, g): integral and fractional exponents, float and exact
+    coefficients, log powers 0..3, and a shell in [-600, 600]; some f are
+    cut so that no term is active at g, some cancel to 0 at g."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    terms = []
+    for _ in range(draw(st.integers(1, 4))):
+        coeff = draw(st.one_of(
+            st.fractions(-9, 9, max_denominator=12).filter(bool),
+            st.floats(-1e300, 1e300, allow_nan=False).filter(bool),
+        ))
+        beta = draw(st.one_of(st.integers(-4, 4), st.fractions(-4, 4, max_denominator=12)))
+        lo = draw(st.one_of(st.none(), st.integers(-600, 600)))
+        hi = draw(st.one_of(st.none(), st.integers(-600 if lo is None else lo, 600)))
+        terms.append(RadialTerm(coeff, beta, draw(st.integers(0, 3)), lo, hi))
+    f = RadialFunction(p, draw(st.integers(1, 2)), tuple(terms))
+    g = draw(st.integers(-600, 600))
+    if draw(st.booleans()):
+        v = f.value_on_shell(g)
+        if v != 0 and (not isinstance(v, float) or math.isfinite(v)):
+            # a term on shell g alone that cancels the others there
+            f = f + RadialFunction.power(p, f.n, -v, 0, lo=g, hi=g)
+    return f, g
+
+
+def bits(x):
+    return struct.pack("<d", x)
+
+
+def outcome(read):
+    try:
+        return bits(read())
+    except OverflowError as exc:
+        return type(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(shell_cases())
+def test_float_on_shell_is_float_of_value_on_shell(case):
+    f, g = case
+    v = f.value_on_shell(g)
+    active = [t for t in f.terms if t.active(g)]
+    if not active:
+        assert v == 0 and type(v) is int
+    elif all(is_exact(t.coeff) and is_exact(t.beta) for t in active):
+        assert type(v) is Fraction
+    else:
+        assert type(v) is float
+    # bit identical, raising the same OverflowError together
+    assert outcome(lambda: f.float_on_shell(g)) == outcome(lambda: float(v))
+    assert bits(f.float_on_shell(g, saturate=True)) == bits(float_sat(v))
+
+
+def test_float_on_shell_saturates_exact_values_off_the_float_range():
+    # -1/3 * 7^1200 and 7^-1200 / 3: exact, off the float range either way
+    f = RadialFunction.power(7, 1, Fraction(-1, 3), 3)
+    with pytest.raises(OverflowError):
+        f.float_on_shell(400)
+    assert f.float_on_shell(400, saturate=True) == -math.inf
+    assert (-f).float_on_shell(400, saturate=True) == math.inf
+    assert f.float_on_shell(-400) == f.float_on_shell(-400, saturate=True) == -0.0
+    assert math.copysign(1, f.float_on_shell(-400)) == -1
+
+
+def test_lazy_shell_data_is_invisible():
+    f = RadialFunction(3, 2, (RadialTerm(Fraction(1, 2), Fraction(-1, 3), 2, None, 4),
+                              RadialTerm(0.25, 1, 0, 2, None)))
+    twin = RadialFunction(3, 2, f.terms)
+    before, text, h = pickle.dumps(f), repr(f), hash(f)
+    values = [(f.value_on_shell(g), f.float_on_shell(g)) for g in (-7, 3, 9)]
+    assert pickle.dumps(f) == before and repr(f) == text and hash(f) == h and f == twin
+    for clone in (pickle.loads(before), pickle.loads(pickle.dumps(f)), copy.deepcopy(f)):
+        assert clone == f
+        assert [(clone.value_on_shell(g), clone.float_on_shell(g)) for g in (-7, 3, 9)] == values
 
 
 def test_equality_is_canonical():

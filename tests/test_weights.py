@@ -1,6 +1,7 @@
 """Weighted norms, oscillation norms, and Muckenhoupt diagnostics."""
 
 import math
+import struct
 from decimal import Decimal
 from fractions import Fraction
 
@@ -122,7 +123,7 @@ def test_lnorm_matches_brute_on_region():
     w = power_weight(2, 1, Fraction(1, 2))
     got = float(lebesgue_norm(f, w, Fraction(7, 3), lo=-5, hi=9).value)
     want = brute_weighted_lq(
-        2, 1, f.value_on_shell, w.value, 7 / 3, -5, 9
+        2, 1, f.value_on_shell, w.profile.value_on_shell, 7 / 3, -5, 9
     )
     assert math.isclose(got, want, rel_tol=1e-11)
 
@@ -131,7 +132,7 @@ def test_lnorm_infinite_tail_matches_deep_brute():
     f = RadialFunction.power(3, 1, 2, Fraction(-3, 2), lo=-4)
     w = power_weight(3, 1, Fraction(1, 4))
     got = float(lebesgue_norm(f, w, 2).value)
-    want = brute_weighted_lq(3, 1, f.value_on_shell, w.value, 2, -4, 400)
+    want = brute_weighted_lq(3, 1, f.value_on_shell, w.profile.value_on_shell, 2, -4, 400)
     assert math.isclose(got, want, rel_tol=1e-12)
 
 
@@ -143,7 +144,7 @@ def test_odd_log_power_on_negative_shells_is_taken_in_absolute_value():
     w = power_weight(3, 2, 1)
     got = integral_abs_power(g, w, 1)
     assert got.value > 0
-    want = brute_weighted_lq(3, 2, g.value_on_shell, w.value, 1, -400, -1)
+    want = brute_weighted_lq(3, 2, g.value_on_shell, w.profile.value_on_shell, 1, -400, -1)
     assert math.isclose(float(got.value), want, rel_tol=1e-12)
 
 
@@ -481,7 +482,7 @@ def a1_reference(w, window):
     for g in range(-window, window + 1):
         mass = weight_ball_mass(w, g)
         assert mass.is_finite
-        lowvals = [float_sat(w.value(k)) for k in range(-window, g + 1)]
+        lowvals = [float_sat(w.profile.value_on_shell(k)) for k in range(-window, g + 1)]
         if dom is not None and dom[0] == 0 and dom[1] == 0:
             lowvals.append(float(dom[2]))
         best = max(best, float_sat(mass.value) / fpow(float(p), n * g) / min(lowvals))
@@ -625,6 +626,83 @@ def test_cmo_builds_one_deviation_below_the_first_breakpoint(monkeypatch, b, win
     cmo_norm(b, power_weight(2, 1, Fraction(1, 2)), 2, window=window)
     assert len(dilates) == dilations
     assert len(totals) == sweeps
+
+
+def test_cmo_tail_reads_shell_floats_without_fractions(monkeypatch):
+    # the numeric tail of a log symbol under |x|^(-1/2) reads every shell
+    # with float_on_shell: no Fraction is built per shell
+    in_tail, shells, fractions = [False], [], []
+    tail, value = weights._numeric_tail, RadialFunction.value_on_shell
+
+    def counted_tail(h, edge, step):
+        def counted_h(g):
+            shells.append(g)
+            return h(g)
+        in_tail[0] = True
+        try:
+            return tail(counted_h, edge, step)
+        finally:
+            in_tail[0] = False
+
+    def counted_value(self, g):
+        if in_tail[0]:
+            fractions.append(g)
+        return value(self, g)
+
+    monkeypatch.setattr(weights, "_numeric_tail", counted_tail)
+    monkeypatch.setattr(RadialFunction, "value_on_shell", counted_value)
+    res = cmo_norm(RadialFunction.log(3, 2, Fraction(1, 2)), Weight.power(3, 2, Fraction(-1, 2)), 8)
+    assert res.value.is_finite
+    assert len(shells) > 8 and fractions == []
+
+
+def rescaled_reference(fsub, wsub, q, n, end):
+    """h(g) of weights._rescaled_eval as first written: both factors shifted
+    by a product, and each shell value read as float(value_on_shell(g))."""
+    df, dw = _dominant_term(fsub, end), _dominant_term(wsub, end)
+    bf = df[0] if df else 0
+    bw = dw[0] if dw else 0
+    f_shift = fsub * RadialFunction.power(fsub.p, n, 1, -bf)
+    w_shift = wsub * RadialFunction.power(fsub.p, n, 1, -bw)
+    e_tot = float(q) * float(bf) + float(bw) + n
+    unit = 1.0 - float(fsub.p) ** (-n)
+
+    def h(g):
+        base = abs(float(f_shift.value_on_shell(g))) ** float(q)
+        return base * float(w_shift.value_on_shell(g)) * fpow(float(fsub.p), e_tot * g) * unit
+
+    return h
+
+
+@pytest.mark.parametrize(
+    "fsub, wsub, q",
+    [
+        # dominant exponents exact 0 on both: neither is shifted
+        (RadialFunction.log(3, 2, Fraction(1, 2)) + RadialFunction.constant(3, 2, Fraction(-2, 3)),
+         RadialFunction.constant(3, 2, 1), Fraction(3, 2)),
+        # Fraction(0) and int exponents in one function
+        (RadialFunction(2, 1, (RadialTerm(Fraction(1, 3), Fraction(0), 1), RadialTerm(2, -3, 0, 2, 9))),
+         RadialFunction.power(2, 1, 1, Fraction(-1, 2)), 2),
+        # float exponent 0.0 beside exact exponents: the shift is kept
+        (RadialFunction(2, 1, (RadialTerm(1.5, 0.0, 1), RadialTerm(Fraction(1, 2), Fraction(-1, 3), 0))),
+         RadialFunction.power(2, 1, 1, Fraction(1, 4)), Fraction(5, 2)),
+        # fractional dominant exponents, float coefficient, huge shells
+        (RadialFunction(5, 1, (RadialTerm(0.75, Fraction(7, 4), 2), RadialTerm(3, 1, 0, None, 4))),
+         RadialFunction(5, 1, (RadialTerm(1, Fraction(-1, 2), 0, None, 0), RadialTerm(2, Fraction(1, 2), 0, 1, None))),
+         3),
+    ],
+    ids=["zero-exponents", "fraction-zero", "float-zero", "fractional"],
+)
+def test_rescaled_eval_matches_reference(fsub, wsub, q):
+    def outcome(h, g):
+        try:
+            return struct.pack("<d", h(g))  # bits: nan and -0.0 included
+        except OverflowError as exc:
+            return type(exc)
+
+    for end in (-1, +1):
+        got, want = weights._rescaled_eval(fsub, wsub, q, fsub.n, end), rescaled_reference(fsub, wsub, q, fsub.n, end)
+        assert [outcome(got, g) for g in range(-400, 401, 7)] == [outcome(want, g) for g in range(-400, 401, 7)]
 
 
 SWEPT = [
@@ -798,8 +876,8 @@ def ap_reference(w, ell, window):
     )
     best, truncated = -math.inf, False
     for g in range(-window, window + 1):
-        mass, t1 = windowed_mass_reference(lambda k: weight_ball_mass(w, k), lambda k: float_sat(w.value(k)), p, n, g, window)
-        smass, t2 = windowed_mass_reference(sigma, lambda k: fpow(float_sat(w.value(k)), -1 / (float(ell) - 1)), p, n, g, window)
+        mass, t1 = windowed_mass_reference(lambda k: weight_ball_mass(w, k), lambda k: float_sat(w.profile.value_on_shell(k)), p, n, g, window)
+        smass, t2 = windowed_mass_reference(sigma, lambda k: fpow(float_sat(w.profile.value_on_shell(k)), -1 / (float(ell) - 1)), p, n, g, window)
         truncated |= t1 or t2
         vol = fpow(float(p), n * g)
         best = max(best, (mass / vol) * fpow(smass / vol, float(ell) - 1))
@@ -812,8 +890,8 @@ def rh_reference(w, r, window):
     wr = power_closed_form(w, lambda c: abs_pow(c, r), lambda a: Fraction(a) * Fraction(r))
     best, truncated = -math.inf, False
     for g in range(-window, window + 1):
-        mass, t1 = windowed_mass_reference(lambda k: weight_ball_mass(w, k), lambda k: float_sat(w.value(k)), p, n, g, window)
-        rmass, t2 = windowed_mass_reference(wr, lambda k: fpow(float_sat(w.value(k)), float(r)), p, n, g, window)
+        mass, t1 = windowed_mass_reference(lambda k: weight_ball_mass(w, k), lambda k: float_sat(w.profile.value_on_shell(k)), p, n, g, window)
+        rmass, t2 = windowed_mass_reference(wr, lambda k: fpow(float_sat(w.profile.value_on_shell(k)), float(r)), p, n, g, window)
         truncated |= t1 or t2
         vol = fpow(float(p), n * g)
         best = max(best, fpow(rmass / vol, 1 / float(r)) / (mass / vol))
