@@ -10,9 +10,14 @@ A vector computes its shell log_p |x|_p once and keeps it.  A sampled point
 scale, and builds its Fraction coordinates on first read.  A scalar matrix
 s I built by `PAdicMatrix.scalar` carries s and builds its rows on first
 read: it is singular iff s = 0, its determinant is s^n, and
-shell(s x) = shell(x) - valuation(s) without forming s x.  Values built
-on first read are the ones an eager build gives, so equality, hashing,
-repr, pickling and copying do not see the difference.
+shell(s x) = shell(x) - valuation(s) without forming s x, read from the
+numerator and denominator of s.  Values built on first read are the ones an
+eager build gives, so equality, hashing, repr, pickling and copying do not
+see the difference.
+
+check_prime admits a plain int it has accepted before without testing it
+again; anything else (True, 2.0, an int subclass, a new int) takes the full
+check, so every rejection is as before.
 """
 
 from __future__ import annotations
@@ -37,9 +42,17 @@ def is_prime(p: int) -> bool:
     return True
 
 
+#: plain ints check_prime has accepted: only primes, so it changes no result
+_ACCEPTED_PRIMES: set[int] = set()
+
+
 def check_prime(p: int) -> int:
+    if type(p) is int and p in _ACCEPTED_PRIMES:
+        return p
     if not isinstance(p, int) or isinstance(p, bool) or not is_prime(p):
         raise ValueError(f"p must be a prime integer, got {p!r}")
+    if type(p) is int:
+        _ACCEPTED_PRIMES.add(p)
     return p
 
 
@@ -113,12 +126,16 @@ class PAdicVector:
         self.__dict__["_n"] = len(self.coords)
 
     def __getattr__(self, name: str):
-        # only a sampled point lacks `coords`: u * num / den per integer unit u
+        # only a sampled point lacks `coords`: u * num / den per integer unit u,
+        # an integer when den == 1 (shell <= 0), so it needs no gcd
         d = self.__dict__
         if name != "coords" or "_units" not in d:
             raise AttributeError(name)
         num, den = d["_scale"]
-        coords = d["coords"] = tuple(Fraction(u * num, den) for u in d["_units"])
+        units = d["_units"]
+        coords = d["coords"] = tuple(
+            [Fraction(u * num) for u in units] if den == 1 else [Fraction(u * num, den) for u in units]
+        )
         return coords
 
     @property
@@ -191,7 +208,7 @@ class PAdicMatrix:
     def is_singular(self) -> bool:
         """det A == 0; for A = s I, s == 0 without forming s^n."""
         s = self.__dict__.get("_scalar")
-        return not s if s is not None else self.det() == 0
+        return s.numerator == 0 if s is not None else self.det() == 0
 
     def det(self) -> Fraction:
         """exact determinant: the product of the elimination pivots, s^n for s I."""
@@ -243,12 +260,18 @@ class PAdicMatrix:
 
     def image_shell(self, x: PAdicVector) -> int | float:
         """shell(A x); for A = s I it is shell(x) - valuation(s), -inf when s = 0."""
-        s = self.__dict__.get("_scalar")
+        d = self.__dict__
+        s = d.get("_scalar")
         if s is None:
             return self.matvec(x).shell()
-        if x.p != self.p or x.n != self.n:
+        p = d["p"]
+        if x.p != p or x._n != d["_n"]:
             raise ValueError("mismatched matrix and vector")
-        return x.shell() - _valuation(s, self.p) if s else -math.inf
+        num, den = s.numerator, s.denominator
+        if not num:
+            return -math.inf
+        # lowest terms: p divides at most one of num and den
+        return x.shell() + _int_valuation(den, p) if den % p == 0 else x.shell() - _int_valuation(num, p)
 
     @staticmethod
     def identity(p: int, n: int) -> "PAdicMatrix":

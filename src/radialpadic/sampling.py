@@ -12,6 +12,12 @@ exactly Haar conditioned on the sphere.  A sphere point knows its shell: some
 unit is prime to p, so the shell is gamma, and it is never recomputed.
 Estimates over a set of shells are stratified: shell masses |S_gamma| are
 exact, so only the within-shell means are estimated.
+
+integrate_mc checks (p, n, depth) and builds the unit range p^D once per
+call, before its first draw, and each shell's scale once per shell; its points
+come from the same draw rule as sample_sphere's (_sphere_points), so both
+read the rng stream alike: a unit is the rng.randrange(p^D) of a
+random.Random.
 """
 
 from __future__ import annotations
@@ -19,8 +25,8 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Callable, Sequence
+from itertools import islice
+from typing import Callable, Iterator, Sequence
 
 from .padic import PAdicVector, _sampled_vector, check_prime
 from .radial import sphere_measure
@@ -30,8 +36,8 @@ from .radial import sphere_measure
 DIGIT_DEPTH = 32
 
 
-def _checked_scale(p: int, n: int, gamma: int, depth: int) -> tuple[int, int]:
-    """Check the sampler's arguments; return (num, den) with num/den = p^(-gamma).
+def _checked_top(p: int, n: int, depth: int) -> int:
+    """Check the sampler's arguments; return p^depth, the range of one unit.
 
     With n < 1 there is no coordinate to draw, and with depth < 1 every
     draw is 0, so the sphere's rejection loop would never accept.
@@ -41,7 +47,28 @@ def _checked_scale(p: int, n: int, gamma: int, depth: int) -> tuple[int, int]:
         raise ValueError(f"dimension n must be at least 1, got {n!r}")
     if depth < 1:
         raise ValueError(f"digit depth must be at least 1, got {depth!r}")
-    return (p ** -gamma, 1) if gamma <= 0 else (1, p ** gamma)
+    return p ** depth
+
+
+def _sphere_points(rng: random.Random, p: int, n: int, gamma: int, top: int) -> Iterator[PAdicVector]:
+    """Endless Haar-uniform points of S_gamma drawn from rng, for arguments
+    already checked by _checked_top.
+
+    Each unit is the rng.randrange(top) of a random.Random, read the way its
+    _randbelow reads it: getrandbits of top's bit length, redrawn while it
+    is at least top.  A point is rejected while every unit is divisible by p.
+    """
+    num, den = (p ** -gamma, 1) if gamma <= 0 else (1, p ** gamma)
+    getrandbits, bits, coords = rng.getrandbits, top.bit_length(), range(n)
+    while True:
+        units = []
+        for _ in coords:
+            u = getrandbits(bits)
+            while u >= top:
+                u = getrandbits(bits)
+            units.append(u)
+        if any(u % p for u in units):
+            yield _sampled_vector(p, units, num, den, gamma)
 
 
 def sample_sphere(rng: random.Random, p: int, n: int, gamma: int, depth: int = DIGIT_DEPTH) -> PAdicVector:
@@ -52,12 +79,7 @@ def sample_sphere(rng: random.Random, p: int, n: int, gamma: int, depth: int = D
     p^-n, so the loop accepts quickly.  The point's coordinates are
     built on first read.
     """
-    num, den = _checked_scale(p, n, gamma, depth)
-    top = p ** depth
-    while True:
-        units = [rng.randrange(top) for _ in range(n)]
-        if any(u % p for u in units):
-            return _sampled_vector(p, units, num, den, gamma)
+    return next(_sphere_points(rng, p, n, gamma, _checked_top(p, n, depth)))
 
 
 @dataclass(frozen=True)
@@ -99,6 +121,7 @@ def integrate_mc(
     shells = sorted(set(shells))
     if not shells:
         return MCEstimate(0.0, 0.0, 0, seed, {})
+    top = _checked_top(p, n, depth)
     rng = random.Random(seed)
     per = max(2, n_samples // len(shells))
     total = 0.0
@@ -106,10 +129,7 @@ def integrate_mc(
     detail = {}
     for gamma in shells:
         mass = float(sphere_measure(p, n, gamma))
-        vals = []
-        for _ in range(per):
-            x = sample_sphere(rng, p, n, gamma, depth)
-            vals.append(float(integrand(x)))
+        vals = [float(integrand(x)) for x in islice(_sphere_points(rng, p, n, gamma, top), per)]
         mean = math.fsum(vals) / per
         centered = math.fsum((v - mean) ** 2 for v in vals)
         sample_var = centered / (per - 1) if per > 1 else 0.0

@@ -175,6 +175,11 @@ def _ball_totals(f: RadialFunction, lo: int, hi: int) -> list[ExtendedValue]:
       * with exact coefficients and integral exponents, each ball is the one
         below it plus f(g)|S_g|.
 
+    A float c with an exact beta gives each ball as the float
+    (c (1 - p^-n)) float(S_g), where the geometric sum S_g is exact and is
+    the one below it times r; S_g is kept as an unreduced integer ratio,
+    whose true division rounds as float(S_g) does.
+
     Where the first ball diverges, its deep tail lies in every ball above,
     so every ball takes that same signed infinity.  Otherwise each ball keeps
     its own closed form: a running float sum would round differently.
@@ -182,8 +187,18 @@ def _ball_totals(f: RadialFunction, lo: int, hi: int) -> list[ExtendedValue]:
     totals = [integrate_radial(f.restrict(None, lo))]
     if totals[0].divergent:
         return totals * (hi - lo + 1)
+    single = totals[0].is_finite and f.is_single_power() and is_exact(f.terms[0].beta)
+    ratio = ppow(f.p, f.terms[0].beta + f.n) if single else None
+    if single and not is_exact(f.terms[0].coeff):
+        coeff = f.terms[0].coeff * (1 - Fraction(f.p) ** -f.n)  # integrate_radial's factor, a float
+        s = power_log_sum(ratio, 0, None, lo).value
+        num, den = s.numerator, s.denominator
+        for _ in range(lo + 1, hi + 1):
+            num, den = num * ratio.numerator, den * ratio.denominator
+            # + 0.0: integrate_radial's fsum with its exact part 0 turns -0.0 into 0.0
+            totals.append(ExtendedValue.finite(coeff * (num / den) + 0.0))
+        return totals
     exact = totals[0].is_finite and all(is_exact(t.coeff) and is_exact(t.beta) for t in f.terms)
-    ratio = ppow(f.p, f.terms[0].beta + f.n) if exact and f.is_single_power() else None
     running = exact and all(integral_part(t.beta) is not None for t in f.terms)
     sphere, step = sphere_measure(f.p, f.n, lo), f.p ** f.n
     for g in range(lo + 1, hi + 1):

@@ -39,6 +39,37 @@ def test_prime_validation():
         PAdicMatrix(2.0, ((Fraction(1),),))
 
 
+def test_accepted_prime_admits_no_lookalike():
+    class LookAlike(int):
+        """An int equal to `like` by == and hash, whatever its value."""
+
+        like = 0
+
+        def __eq__(self, other):
+            return other == self.like
+
+        def __hash__(self):
+            return hash(self.like)
+
+    class LikeTwo(LookAlike):
+        like = 2
+
+    class LikeFour(LookAlike):
+        like = 4
+
+    assert check_prime(2) == 2 and check_prime(2) == 2
+    for bad in (True, 2.0, 4, -2, LikeTwo(4)):
+        with pytest.raises(ValueError, match="prime"):
+            check_prime(bad)
+    with pytest.raises(ValueError, match="prime"):
+        PAdicMatrix.scalar(2.0, 2, 1)
+    # a prime subclass instance is accepted, but admits no int after it
+    three = LikeFour(3)
+    assert check_prime(three) is three
+    with pytest.raises(ValueError, match="prime"):
+        check_prime(4)
+
+
 @settings(max_examples=120, deadline=None)
 @given(
     p=st.sampled_from(PRIMES),

@@ -102,6 +102,34 @@ def test_estimate_record_fields():
     assert 0 in est.per_shell and est.per_shell[0]["n"] >= 100
 
 
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("depth", [1, 3, 32])
+def test_integrate_mc_draws_the_points_of_repeated_sample_sphere(p, n, depth):
+    # depth 1 rejects often: a unit below p redrawn from p's bit length, and
+    # a point whose units are all 0 redrawn whole
+    shells, seed, per = [3, -2, 0], 1000 * p + 10 * n + depth, 20
+    seen = []
+
+    def record(x):
+        seen.append((x.shell(), x.coords))
+        return 0.0
+
+    integrate_mc(record, p, n, shells, per * len(shells), seed=seed, depth=depth)
+    rng = random.Random(seed)
+    drawn = [sample_sphere(rng, p, n, g, depth) for g in sorted(shells) for _ in range(per)]
+    assert seen == [(x.shell(), x.coords) for x in drawn]
+    # the stream is read as randrange reads it
+    rng, top, ref = random.Random(seed), p ** depth, []
+    for g in sorted(shells):
+        for _ in range(per):
+            units = [0] * n
+            while not any(u % p for u in units):
+                units = [rng.randrange(top) for _ in range(n)]
+            ref.append((g, tuple(Fraction(u) * Fraction(p) ** -g for u in units)))
+    assert seen == ref
+
+
 @contextmanager
 def _deadline(seconds):
     """Fail the test, instead of hanging the suite, if the call never returns."""

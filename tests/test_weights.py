@@ -717,6 +717,12 @@ SWEPT = [
     # a negative divergent deep tail, and a term entering inside the window:
     # every ball reads -inf, as its own closed form does
     RadialFunction.power(2, 1, Fraction(-1, 3), Fraction(-3, 2), hi=5) + RadialFunction.power(2, 1, 4, 1, lo=-2),
+    # float coefficient, exact exponent: the geometric sum steps by r
+    RadialFunction.power(2, 1, 1.0, Fraction(1, 2)),  # _power_profile's abs_pow(1, 1/2)
+    RadialFunction.power(2, 1, 1.0, Fraction(-1, 2)),
+    RadialFunction.power(3, 2, -0.7, 1),
+    RadialFunction.power(5, 1, 2.5, Fraction(-2, 3)),
+    RadialFunction(2, 1, ()),  # no term at all
 ]
 
 
@@ -727,6 +733,26 @@ def test_ball_totals_equal_each_closed_form(f):
         want = integrate_radial(f.restrict(None, g))
         assert ((total.value, type(total.value), total.is_finite, total.divergent)
                 == (want.value, type(want.value), want.is_finite, want.divergent))
+
+
+@pytest.mark.parametrize(
+    "f, lo, hi, edge",
+    [
+        (RadialFunction.power(5, 3, -1.5, 40), -12, 3, "0.0"),  # deep balls underflow: no -0.0
+        (RadialFunction.power(2, 1, 0.5, 90), -12, 12, OverflowError),  # top balls overflow
+        (RadialFunction.power(3, 1, 1.0, Fraction(1301, 2)), -2, 3, OverflowError),
+    ],
+)
+def test_float_power_ball_totals_at_the_float_limits(f, lo, hi, edge):
+    def outcome(totals):
+        try:
+            return [repr(t.value) for t in totals()]
+        except OverflowError as exc:
+            return type(exc)
+
+    got = outcome(lambda: weights._ball_totals(f, lo, hi))
+    assert got == outcome(lambda: [integrate_radial(f.restrict(None, g)) for g in range(lo, hi + 1)])
+    assert got is edge or edge in got
 
 
 @pytest.mark.parametrize("q", [2, Fraction(5, 2), 1.5])
