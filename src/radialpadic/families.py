@@ -5,7 +5,8 @@ Three kinds, in decreasing order of exact computability:
   * ScalarRadial: A(y) = s(y) I with log_p ||A(y)|| = slope * shell(y) + offset.
     Acting on radial functions this is a pure shell dilation, so operators
     built from these families stay inside the radial algebra and every norm
-    is exactly computable.  ||A|| ||A^-1|| = 1 identically.
+    is exactly computable.  ||A|| ||A^-1|| = 1 identically.  Its matrix on a
+    shell, s = p^(-k), is scalar_matrix(p, n, k), built once per (p, n, k).
   * ConstantMatrix: A(y) = A fixed and invertible.  Operator values at a
     point remain exact; outputs are no longer radial.
   * Pointwise: an opaque evaluator y -> A(y).  Only Monte Carlo estimates
@@ -23,10 +24,17 @@ from typing import Callable, Sequence
 from .padic import PAdicMatrix, PAdicVector
 
 
-@lru_cache(maxsize=1024)
-def _p_power(p: int, e: int) -> Fraction:
-    """p^e as a Fraction, kept per (p, e): both decide the value."""
-    return Fraction(p) ** e
+@lru_cache(maxsize=1024, typed=True)
+def scalar_matrix(p: int, n: int, k: int) -> PAdicMatrix:
+    """p^(-k) I on Q_p^n, whose norm is p^k: the matrix of a scalar-radial
+    family on a shell where log_p ||A(y)|| = k.
+
+    Built once per (p, n, k) and kept in a bounded cache for the life of the
+    process; the matrix is immutable, so every caller may share it.  The key
+    is typed, so p = 2.0 or True never reaches the entry for 2: check_prime
+    rejects it.
+    """
+    return PAdicMatrix.scalar(p, n, Fraction(p) ** -k)
 
 
 @dataclass(frozen=True)
@@ -40,18 +48,13 @@ class ScalarRadial:
         """log_p ||A(y)||_p for y on shell gamma."""
         return self.slope * gamma + self.offset
 
-    def scalar_on_shell(self, p: int, gamma: int) -> Fraction:
-        """A concrete scalar with the required norm: s = p^(-k).
-
-        The power is built once per (p, -k) and then taken from a bounded cache.
-        """
-        return _p_power(p, -self.k_on_shell(gamma))
-
     def matrix_at(self, p: int, n: int, y: PAdicVector) -> PAdicMatrix:
+        """scalar_matrix(p, n, k) with k = k_on_shell(shell(y)): one shared
+        object for every y on a shell."""
         shell = y.shell()
         if shell == -math.inf:
             raise ValueError("family is undefined at the origin")
-        return PAdicMatrix.scalar(p, n, self.scalar_on_shell(p, int(shell)))
+        return scalar_matrix(p, n, self.k_on_shell(int(shell)))
 
 
 @dataclass(frozen=True)

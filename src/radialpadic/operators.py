@@ -238,9 +238,17 @@ def hausdorff_apply(
         v = int(vshell)
         # the kernel weight depends only on shell(y), and a slot's factor only
         # on (slot, shell(A(y) x)) once x is fixed: each is computed once per
-        # call, by the same float operations, so every sample is unchanged
+        # call, by the same float operations, so every sample is unchanged.
+        # Each slot also keeps the matrix object its family returned last,
+        # with that matrix's factor or None when it is singular: a family that
+        # returns the same object again (a scalar-radial family on one shell,
+        # a constant matrix) skips is_singular, image_shell and the lookup.
+        # The kept reference holds the object alive, so its identity cannot
+        # pass to another matrix; all of this lives for one call.
         weights: dict[int, float] = {}
         factors: dict[tuple[int, int], float] = {}
+        unseen = object()  # no family returns it
+        last: list[tuple[object, float | None]] = [(unseen, None)] * len(families)
 
         def integrand(y: PAdicVector) -> float:
             g = int(y.shell())
@@ -252,16 +260,22 @@ def hausdorff_apply(
             acc = w
             for i, fam in enumerate(families):
                 mat = fam.matrix_at(p, n, y)
-                if mat.is_singular():
-                    return 0.0
-                sz = int(mat.image_shell(x))
-                fv = factors.get((i, sz))
+                seen, fv = last[i]
+                if seen is not mat:
+                    if mat.is_singular():
+                        fv = None
+                    else:
+                        sz = int(mat.image_shell(x))
+                        fv = factors.get((i, sz))
+                        if fv is None:
+                            fv = float(inputs[i].value_on_shell(sz))
+                            if symbols is not None:
+                                b = symbols[i]
+                                fv *= float(b.value_on_shell(v)) - float(b.value_on_shell(sz))
+                            factors[i, sz] = fv
+                    last[i] = (mat, fv)
                 if fv is None:
-                    fv = float(inputs[i].value_on_shell(sz))
-                    if symbols is not None:
-                        b = symbols[i]
-                        fv *= float(b.value_on_shell(v)) - float(b.value_on_shell(sz))
-                    factors[i, sz] = fv
+                    return 0.0
                 acc *= fv
             return acc
 

@@ -109,8 +109,11 @@ def _canonicalize(terms: Iterable[RadialTerm]) -> tuple[RadialTerm, ...]:
     Terms with a zero coefficient are dropped and the rest grouped on
     (beta, logpow) as a dict key, so exponents that compare equal share a
     group (0 and 0.0, Fraction(1, 2) and 0.5; Fraction(1, 3) and 1/3 do
-    not).  A group is named after the beta and logpow objects of its first
-    term, so which spelling survives depends on the input order.  Each
+    not).  A group is named after the beta of its first term with an exact
+    beta, or of its first term when no beta is exact, and the logpow of its
+    first term: an exact spelling wins over a float one in any input order,
+    so the group's values take the exact path.  (Of two exact spellings, 1
+    and Fraction(1), the first still names the group; both give one value.)  Each
     group's shell line is cut at every range end; a piece's coefficient is
     _sum_coeffs of the coefficients covering it, in input order: a Fraction
     when all are int or Fraction, else a float (a bool counts as inexact).
@@ -130,6 +133,8 @@ def _canonicalize(terms: Iterable[RadialTerm]) -> tuple[RadialTerm, ...]:
         groups.setdefault((t.beta, t.logpow), []).append(t)
     out: list[RadialTerm] = []
     for (beta, k), ts in groups.items():
+        if len(ts) > 1 and not is_exact(beta):
+            beta = next((t.beta for t in ts if is_exact(t.beta)), beta)
         if len(ts) == 1:
             t = ts[0]
             out.append(t if _keeps_coeff(t.coeff) else

@@ -8,16 +8,20 @@ A sphere point keeps its integer units and builds these coordinates on
 first read, so an integrand that reads only the shell builds none.
 The sphere S_gamma = B_gamma minus the interior is sampled by
 rejection (resample while every coordinate has positive valuation), which is
-exactly Haar conditioned on the sphere.  A sphere point knows its shell: some
+exactly Haar conditioned on the sphere; whether a draw is accepted is one
+flag, set while its units are drawn.  A sphere point knows its shell: some
 unit is prime to p, so the shell is gamma, and it is never recomputed.
 Estimates over a set of shells are stratified: shell masses |S_gamma| are
-exact, so only the within-shell means are estimated.
+exact, so only the within-shell means are estimated.  The shells are sampled
+one after another, all of a shell's points in a row, so an integrand that
+keeps what it computed for the previous point (as the sampled Hausdorff
+integrand keeps each slot's last matrix) sees runs of one shell.
 
 integrate_mc checks (p, n, depth) and builds the unit range p^D once per
 call, before its first draw, and each shell's scale once per shell; its points
 come from the same draw rule as sample_sphere's (_sphere_points), so both
 read the rng stream alike: a unit is the rng.randrange(p^D) of a
-random.Random.
+random.Random.  Nothing is kept from one call to the next.
 """
 
 from __future__ import annotations
@@ -56,18 +60,22 @@ def _sphere_points(rng: random.Random, p: int, n: int, gamma: int, top: int) -> 
 
     Each unit is the rng.randrange(top) of a random.Random, read the way its
     _randbelow reads it: getrandbits of top's bit length, redrawn while it
-    is at least top.  A point is rejected while every unit is divisible by p.
+    is at least top.  A point is rejected while every unit is divisible by p;
+    one flag, set as the units are drawn, records whether some unit is not.
     """
     num, den = (p ** -gamma, 1) if gamma <= 0 else (1, p ** gamma)
     getrandbits, bits, coords = rng.getrandbits, top.bit_length(), range(n)
     while True:
         units = []
+        on_sphere = False
         for _ in coords:
             u = getrandbits(bits)
             while u >= top:
                 u = getrandbits(bits)
             units.append(u)
-        if any(u % p for u in units):
+            if u % p:
+                on_sphere = True
+        if on_sphere:
             yield _sampled_vector(p, units, num, den, gamma)
 
 

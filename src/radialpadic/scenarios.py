@@ -30,8 +30,8 @@ from fractions import Fraction
 from functools import partial
 from typing import Callable, Sequence
 
-from .families import Pointwise, ScalarRadial
-from .padic import PAdicMatrix, PAdicVector
+from .families import Pointwise, ScalarRadial, scalar_matrix
+from .padic import PAdicVector
 from .radial import RadialFunction, RadialTerm
 
 __all__ = [
@@ -449,8 +449,13 @@ def suite_rows(name: str, seed: int = SUITE_SEED) -> list[dict]:
 
 
 def _pointwise_of(fam: ScalarRadial, p: int, n: int) -> Pointwise:
-    """The same scalar dilation action exposed only through an evaluator."""
-    return Pointwise(lambda y: PAdicMatrix.scalar(p, n, fam.scalar_on_shell(p, int(y.shell()))))
+    """The same scalar dilation action exposed only through an evaluator.
+
+    It returns the shared scalar_matrix of y's shell, as fam.matrix_at does,
+    without calling fam.matrix_at, so a wrapper that counts matrix_at calls
+    counts each sample once.
+    """
+    return Pointwise(lambda y: scalar_matrix(p, n, fam.k_on_shell(int(y.shell()))))
 
 
 def mc_cases(seed: int = SUITE_SEED, count: int = 20) -> list[dict]:

@@ -362,7 +362,8 @@ def canonicalize_reference(terms):
     """The canonical form by the per-piece rescan, as (coeff, beta, logpow, lo, hi).
 
     For each (beta, logpow) group, in order of first appearance and named
-    after its first term's beta, the line is split at every range end, each
+    after the beta of its first term whose beta is an int or a Fraction (of
+    its first term when there is none), the line is split at every range end, each
     piece sums the coefficients of every term active on it, adjacent equal
     pieces merge keeping the first coefficient, and zero pieces are dropped.
     The result is sorted stably on (float(beta), logpow, lo, hi).
@@ -379,6 +380,8 @@ def canonicalize_reference(terms):
 
     out = []
     for (beta, k), ts in groups.items():
+        exact = [t.beta for t in ts if type(t.beta) in (int, Fraction)]
+        beta = exact[0] if exact else beta
         edges = sorted({e for t in ts for e in
                         ([t.lo] if t.lo is not None else []) + ([t.hi + 1] if t.hi is not None else [])})
         if not edges:

@@ -12,8 +12,14 @@ from radialpadic.families import (
     ScalarRadial,
     nu_of_family,
     nu_of_scenario,
+    scalar_matrix,
 )
 from radialpadic.padic import PAdicMatrix, PAdicVector, log_norm, valuation
+
+
+def _on_shell(p, n, gamma):
+    """The point (p^-gamma, 0, ..., 0) of Q_p^n, on shell gamma."""
+    return PAdicVector(p, (Fraction(p) ** -gamma,) + (Fraction(0),) * (n - 1))
 
 
 # -- scalar-radial families ----------------------------------------------------
@@ -30,18 +36,49 @@ def test_scalar_radial_norm_on_shell(p, slope, offset, gamma):
     fam = ScalarRadial(slope, offset)
     k = fam.k_on_shell(gamma)
     assert k == slope * gamma + offset
-    s = fam.scalar_on_shell(p, gamma)
+    s = fam.matrix_at(p, 1, _on_shell(p, 1, gamma)).rows[0][0]
     # |s|_p = p^k by construction
     assert log_norm(s, p) == k
 
 
 def test_scalar_radial_matrix_is_scalar_multiple_of_identity():
     fam = ScalarRadial(1, -2)
-    y = PAdicVector(3, (Fraction(9), Fraction(27)))  # shell 2 in Q_3^2 (max norm 9)
+    y = PAdicVector(3, (Fraction(9), Fraction(27)))  # shell -2 in Q_3^2 (max norm 1/9)
     a = fam.matrix_at(3, 2, y)
-    s = fam.scalar_on_shell(3, -2)
+    s = Fraction(3) ** -fam.k_on_shell(-2)
     assert a.rows == PAdicMatrix.scalar(3, 2, s).rows
     assert a.log_norm() == fam.k_on_shell(-2)
+
+
+def test_scalar_radial_matrix_is_one_object_per_p_n_k():
+    # the matrix is cached on (p, n, k): equal keys give the identical object,
+    # alternating p and n never cross keys, and families meeting on one k share it
+    fam = ScalarRadial(1, -1)
+    seen = {}
+    for _ in range(2):
+        for p in (2, 3):
+            for n in (1, 2):
+                for gamma in (-1, 0, 2):
+                    k = fam.k_on_shell(gamma)
+                    a = fam.matrix_at(p, n, _on_shell(p, n, gamma))
+                    assert (a.p, a.n) == (p, n)
+                    assert a == PAdicMatrix.scalar(p, n, Fraction(p) ** -k)
+                    assert a is seen.setdefault((p, n, k), a)
+                    assert a is scalar_matrix(p, n, k)
+                    assert a is ScalarRadial(0, k).matrix_at(p, n, _on_shell(p, n, 5))
+    assert len({id(a) for a in seen.values()}) == len(seen) == 12
+
+
+def test_scalar_matrix_cache_admits_no_lookalike_prime():
+    # the key is typed: after p = 2 is cached, 2.0 and True still meet check_prime
+    fam = ScalarRadial(0, 1)
+    y = _on_shell(2, 1, 0)
+    assert fam.matrix_at(2, 1, y) is scalar_matrix(2, 1, 1)
+    for bad in (2.0, True):
+        with pytest.raises(ValueError, match="prime"):
+            fam.matrix_at(bad, 1, y)
+        with pytest.raises(ValueError, match="prime"):
+            scalar_matrix(bad, 1, 1)
 
 
 def test_scalar_radial_rejects_origin():

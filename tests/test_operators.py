@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from radialpadic.families import ConstantMatrix, Pointwise, ScalarRadial
+from radialpadic.families import ConstantMatrix, Pointwise, ScalarRadial, scalar_matrix
 from radialpadic.harness import extremal_family
 from radialpadic.operators import KernelSpec, hausdorff_apply
 from radialpadic.padic import PAdicMatrix, PAdicVector, log_norm
@@ -522,6 +522,99 @@ def test_sampled_estimate_matches_reference_bit_for_bit(case):
         assert est.per_shell == per_shell
 
 
+def _memo_slot(kind, p):
+    """A fresh Pointwise family on Q_p^2 whose evaluator returns matrix
+    objects in the given pattern across samples."""
+
+    def shear(g):  # invertible and not scalar; its image shell depends on g
+        return PAdicMatrix(p, ((Fraction(p) ** -g, Fraction(1)), (Fraction(0), Fraction(p))))
+
+    kept = {}
+    if kind == "one-per-shell":
+        def ev(y):
+            g = int(y.shell())
+            if g not in kept:
+                kept[g] = shear(g)
+            return kept[g]
+    elif kind == "same-object":
+        const = ConstantMatrix(shear(1))
+        return Pointwise(lambda y: const.matrix)
+    elif kind == "singular-on-some-shells":
+        def ev(y):
+            g = int(y.shell())
+            if g not in kept:
+                kept[g] = PAdicMatrix(p, ((1, 2), (2, 4))) if g == 0 else shear(g)
+            return kept[g]
+    elif kind == "alternating":
+        pair, calls = (shear(-1), shear(2)), [0]
+
+        def ev(y):
+            calls[0] += 1
+            return pair[calls[0] % 2]
+    else:  # "fresh-equal": a new object on every sample, so the memo never hits
+        def ev(y):
+            return shear(int(y.shell()))
+    return Pointwise(ev)
+
+
+@pytest.mark.parametrize("second", ["dilation", "same-family"])
+@pytest.mark.parametrize(
+    "kind", ["one-per-shell", "same-object", "singular-on-some-shells", "alternating", "fresh-equal"],
+)
+def test_matrix_memo_matches_reference_bit_for_bit(kind, second):
+    # the per-slot memo of the last matrix object gives every sample the
+    # float it would get afresh, whatever objects the evaluator returns.
+    # Slot 1 is a scalar dilation, or slot 0's family itself under another
+    # input and symbol, so that a memo crossing slots would show.
+    p, n = 3, 2
+    phi = RadialFunction(p, n, (RadialTerm(Fraction(1), 0, 0, -1, 0), RadialTerm(Fraction(1, 2), 1, 0, 1, 2)))
+    inputs = (RadialFunction.power(p, n, 2, Fraction(-1, 2), lo=-4, hi=6),
+              RadialFunction.power(p, n, 1, 1, lo=-3, hi=5))
+    symbols = (RadialFunction.log(p, n), RadialFunction.log(p, n, 2)) if second == "same-family" else None
+
+    def families():
+        fam = _memo_slot(kind, p)
+        if second == "same-family":
+            return (fam, fam)
+        return (fam, Pointwise(lambda y: scalar_matrix(p, n, 1 - int(y.shell()))))
+
+    res = hausdorff_apply(KernelSpec(phi), families(), inputs, symbols=symbols)
+    # the reference gets families of its own that return the same sequence
+    ref_families = families()
+    x = PAdicVector(p, (Fraction(1, 3), Fraction(5)))
+    # the second point, on another shell, fails if a memo outlives its call
+    for point in (x, x.scale(Fraction(1, 9))):
+        est = res.estimate(point, n_samples=400, seed=13)
+        value, stderr, per_shell = reference_mc_estimate(
+            phi, ref_families, inputs, point, [-1, 0, 1, 2], 400, 13, symbols=symbols,
+        )
+        assert (est.value, est.stderr, est.per_shell) == (value, stderr, per_shell)
+        assert est.value != 0.0
+        if kind == "singular-on-some-shells":
+            assert (est.per_shell[0]["mean"], est.per_shell[0]["stderr"]) == (0.0, 0.0)
+
+
+def test_image_shell_runs_once_per_slot_and_shell(monkeypatch):
+    # a scalar-radial family returns one matrix object on each shell and the
+    # sampler draws the shells in turn, so the integrand reads A(y) x once per
+    # (slot, shell) run, not once per sample
+    calls = [0]
+    image_shell = PAdicMatrix.image_shell
+
+    def counted(self, x):
+        calls[0] += 1
+        return image_shell(self, x)
+
+    monkeypatch.setattr(PAdicMatrix, "image_shell", counted)
+    for case in mc_cases(SUITE_SEED):
+        kernel = KernelSpec(case["kernel_phi"])
+        res = hausdorff_apply(kernel, case["pointwise_families"], case["inputs"])
+        calls[0] = 0
+        est = res.estimate(case["x"], n_samples=1500, seed=3)
+        runs = len(case["pointwise_families"]) * len(kernel.support_shells())
+        assert 0 < calls[0] <= runs < est.n_samples, case["label"]
+
+
 def _estimate_matches_reference_and_exact(case, n_samples, seed):
     """The sampled estimate equals the reference bit for bit and, its integrand
     being constant on each shell, the exact value of the ScalarRadial path."""
@@ -553,7 +646,7 @@ def test_deep_pass_estimate_matches_reference_bit_for_bit(offset, index, n_sampl
 
 
 def test_shared_scalar_family_alternating_primes_matches_reference():
-    # one ScalarRadial serves p = 2 and p = 3 in turn: its cached powers
+    # one ScalarRadial serves p = 2 and p = 3 in turn: its cached matrices
     # depend on p as well as on the exponent
     fam = ScalarRadial(1, -1)
     for p in (2, 3, 2, 3):
@@ -561,8 +654,7 @@ def test_shared_scalar_family_alternating_primes_matches_reference():
         case = {
             "kernel_phi": RadialFunction.power(p, n, 1, 0, lo=-2, hi=1),
             "scalar_families": (fam,),
-            "pointwise_families": (Pointwise(
-                lambda y, p=p: PAdicMatrix.scalar(p, n, fam.scalar_on_shell(p, int(y.shell())))),),
+            "pointwise_families": (Pointwise(lambda y, p=p: fam.matrix_at(p, n, y)),),
             "inputs": (RadialFunction.power(p, n, 2, Fraction(-1, 2), lo=-3, hi=3),),
             "x": PAdicVector(p, (Fraction(1, p), Fraction(0))),
         }

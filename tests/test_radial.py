@@ -420,6 +420,42 @@ def test_canonical_form_matches_reference(terms):
     assert typed(as_tuples(RadialFunction(2, 1, terms))) == typed(canonicalize_reference(terms))
 
 
+SPELLINGS = [(0, 0.0), (Fraction(1, 2), 0.5), (Fraction(-3, 2), -1.5)]  # each pair compares equal
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_exponent_spelling_does_not_depend_on_term_order(data):
+    # a group whose exponent is written both exactly and as a float is named
+    # by the exact spelling in every order, so its values take the exact path
+    terms = []
+    for _ in range(data.draw(st.integers(1, 6))):
+        lo = data.draw(st.one_of(st.none(), st.integers(-4, 4)))
+        hi = None if lo is None else lo + data.draw(st.integers(0, 4))
+        spelling = data.draw(st.sampled_from(SPELLINGS))[data.draw(st.integers(0, 1))]
+        coeff = data.draw(st.sampled_from([Fraction(1), Fraction(-2, 3), 0.5, -1.0]))
+        terms.append(RadialTerm(coeff, spelling, data.draw(st.integers(0, 1)), lo, hi))
+    shuffled = data.draw(st.permutations(terms))
+    f, g = RadialFunction(2, 1, tuple(terms)), RadialFunction(2, 1, tuple(shuffled))
+    assert typed(as_tuples(f)) == typed(as_tuples(g))
+    for t in f.terms:
+        assert is_exact(t.beta) == any(is_exact(u.beta) for u in terms
+                                       if u.beta == t.beta and u.logpow == t.logpow)
+    assert [f.value_on_shell(v) for v in range(-6, 10)] == [g.value_on_shell(v) for v in range(-6, 10)]
+
+
+def test_exact_spelling_survives_a_cut_after_dilation():
+    # b = |x|^0.5 on shells >= 3 plus |x|^(1/2) log|x|: dilating b - 1/3 puts
+    # the float-spelled term first in its group; cutting to shells <= 0 then
+    # leaves only the exact term there, which must keep its exact exponent
+    p, n = 2, 1
+    b = RadialFunction(p, n, (RadialTerm(1, 0.5, 0, 3, None), RadialTerm(1, Fraction(1, 2), 1)))
+    cut = (b - RadialFunction.constant(p, n, Fraction(1, 3))).dilate(-2).restrict(None, 0)
+    assert all(is_exact(t.beta) for t in cut.terms)
+    assert type(cut.value_on_shell(-3)) is Fraction
+    assert cut == (b.dilate(-2).restrict(None, 0) - RadialFunction.power(p, n, Fraction(1, 3), hi=0))
+
+
 def test_canonical_form_keeps_canonical_terms():
     exact = RadialTerm(Fraction(1, 2), 0, 0, 1, 3)
     inexact = RadialTerm(0.25, Fraction(1, 2), 1, None, 0)
