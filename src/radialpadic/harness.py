@@ -31,7 +31,7 @@ import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 from types import SimpleNamespace
 from typing import Callable, Sequence
 
@@ -41,6 +41,7 @@ from .operators import KernelSpec, hausdorff_apply, maximal_mod
 from .padic import valuation
 from .radial import RadialFunction, RadialTerm, shell_sum
 from .weights import (
+    NormResult,
     Weight,
     ap_constant,
     cmo_norm,
@@ -502,15 +503,15 @@ def _k_factor(p: int, n: int, es: Sequence[Number]) -> RadialFunction:
     for the delta split (e_le, e_gt) |x|^e_le on shells <= 0 plus |x|^e_gt on
     shells >= 1."""
     if len(es) == 1:
-        return RadialFunction(p, n, (RadialTerm(1, _fr(es[0]), 0),))
-    return RadialFunction(p, n, (RadialTerm(1, _fr(es[0]), 0, None, 0),
-                                 RadialTerm(1, _fr(es[1]), 0, 1, None)))
+        return RadialFunction(p, n, (RadialTerm(Fraction(1), es[0], 0),))
+    return RadialFunction(p, n, (RadialTerm(Fraction(1), es[0], 0, None, 0),
+                                 RadialTerm(Fraction(1), es[1], 0, 1, None)))
 
 
 # The oscillation factors as functions of k: |k| of a log symbol, and 4 + |k|,
 # where for scalar dilations the four bookkeeping summands of the commutator
 # factor collapse to the constant 4, leaving only the |log_p ||A|| | term.
-_ABS_K = (RadialTerm(-1, 0, 1, None, 0), RadialTerm(1, 0, 1, 1, None))
+_ABS_K = (RadialTerm(Fraction(-1), 0, 1, None, 0), RadialTerm(Fraction(1), 0, 1, 1, None))
 
 
 def _abs_k(p: int, n: int) -> RadialFunction:
@@ -518,7 +519,7 @@ def _abs_k(p: int, n: int) -> RadialFunction:
 
 
 def _abs_k_plus_four(p: int, n: int) -> RadialFunction:
-    return RadialFunction(p, n, (RadialTerm(4, 0, 0),) + _ABS_K)
+    return RadialFunction(p, n, (RadialTerm(Fraction(4), 0, 0),) + _ABS_K)
 
 
 def _slot(s: Scenario, rec: dict[str, object], i: int, **extra) -> SimpleNamespace:
@@ -598,20 +599,40 @@ def _c10_matrix(v: SimpleNamespace) -> Number:
     return _psi_mu(v) * branch
 
 
+@lru_cache(maxsize=256, typed=True)
+def _slot_factor(p: int, n: int, oscillation: Callable | None, slope: int, offset: int,
+                 *es: Number) -> RadialFunction:
+    """A scalar slot's factor on the kernel line: the power factor of the
+    exponents es (_k_factor) pulled back along k(g) = slope*g + offset, times
+    the oscillation pulled back alike when there is one.  With no exponents
+    it is the pulled-back oscillation alone.
+
+    Built once per key (p, n, oscillation, slope, offset, es) and kept for the
+    process in a bounded cache of immutable functions.  The key is typed and
+    es are its last arguments, so an exponent Fraction(1, 2) and an exponent
+    0.5, which compare equal, keep factors of their own.  Fresh exponents
+    miss, but their oscillation, keyed without them, is found again.
+    """
+    if not es:
+        return oscillation(p, n).pullback(slope, offset)
+    factor = _k_factor(p, n, es).pullback(slope, offset)
+    if oscillation is not None:
+        factor = _slot_factor(p, n, oscillation, slope, offset) * factor
+    return factor
+
+
 def _constant(spec: BoundSpec, s: Scenario, rec: dict[str, object]) -> ExtendedValue:
     """compute_constant on a validated record: the kernel line times each scalar
-    slot's factor, summed, times each constant-matrix slot's factor.  The power
-    factor and the oscillation are pulled back apart, then multiplied."""
+    slot's factor (_slot_factor, cached on (p, n, spec.oscillation, slope,
+    offset, the slot's exponents)), summed, times each constant-matrix slot's
+    factor."""
     p, n = s.p, s.n
     line = s.kernel.phi
     pre: Number = Fraction(1)
     for i, fam in enumerate(s.families):
         if isinstance(fam, ScalarRadial):
-            sl, off = fam.slope, fam.offset
-            factor = _k_factor(p, n, spec.exponents(_slot(s, rec, i))).pullback(sl, off)
-            if spec.oscillation is not None:
-                factor = spec.oscillation(p, n).pullback(sl, off) * factor
-            line = line * factor
+            es = (_fr(e) for e in spec.exponents(_slot(s, rec, i)))
+            line = line * _slot_factor(p, n, spec.oscillation, fam.slope, fam.offset, *es)
         else:
             kp = fam.k_norm
             pre = pre * spec.matrix(_slot(s, rec, i, kp=kp, km=fam.k_inverse,
@@ -744,6 +765,16 @@ def _weights(spec: BoundSpec, s: Scenario, rec: dict[str, object]) -> tuple[Weig
     return Weight.power(s.p, s.n, rec["alpha"]), [Weight.power(s.p, s.n, a) for a in rec["alpha_i"]]
 
 
+def _typed(x: object) -> tuple:
+    """x with the number types it holds, as part of a dict key: Fraction(1, 2)
+    and 0.5 compare and hash alike, so a key of values alone would hand one
+    of them the other's result."""
+    f = x.profile if isinstance(x, Weight) else x
+    if isinstance(f, RadialFunction):
+        return x, tuple((type(t.coeff), type(t.beta)) for t in f.terms)
+    return x, type(x)
+
+
 def _sides(spec: BoundSpec, s: Scenario, rec: dict[str, object], F: RadialFunction,
            fs: Sequence[RadialFunction], window: int, weights: tuple[Weight, list[Weight]]
            ) -> tuple[ExtendedValue, list[Number], list[ExtendedValue]]:
@@ -761,17 +792,26 @@ def _sides(spec: BoundSpec, s: Scenario, rec: dict[str, object], F: RadialFuncti
     if spec.local:
         hi = _req(s.params.gamma, "gamma")
         pre = [ppow(p, sum((_fr(a) + n) / ri for a, ri in zip(rec["alpha_i"], rec["r_i"])) * hi)]
+    seen: dict[tuple, ExtendedValue] = {}
+
+    def once(norm: Callable[..., NormResult], *args: object, **kw: object) -> ExtendedValue:
+        # slots with equal (input or symbol, weight, exponents) share one norm
+        key = (norm, *map(_typed, args))
+        if key not in seen:
+            seen[key] = norm(*args, **kw).value
+        return seen[key]
+
     if spec.morrey:
         lhs = morrey_norm(F, w, rec[spec.out_q], rec["lam"], window=window).value
-        ins = [morrey_norm(f, wi, qi, li, window=window).value
+        ins = [once(morrey_norm, f, wi, qi, li, window=window)
                for f, wi, qi, li in zip(fs, wis, in_qs, rec["lam_i"])]
     else:
         lhs = lebesgue_norm(F, w, rec[spec.out_q], hi=hi).value
-        ins = [lebesgue_norm(f, wi, qi).value for f, wi, qi in zip(fs, wis, in_qs)]
+        ins = [once(lebesgue_norm, f, wi, qi) for f, wi, qi in zip(fs, wis, in_qs)]
     cmos = []
     if spec.cmo_r is not None:
         cws = [Weight.power(p, n, 0)] * s.m if spec.maximal else wis
-        cmos = [cmo_norm(b, cw, ri, window=window).value
+        cmos = [once(cmo_norm, b, cw, ri, window=window)
                 for b, cw, ri in zip(s.symbols, cws, rec[spec.cmo_r])]
     return lhs, pre, cmos + ins
 

@@ -46,7 +46,7 @@ from typing import Callable, Sequence
 from .families import Family, Pointwise, ScalarRadial
 from .numeric import ExtendedValue, Number, fpow, ppow
 from .padic import PAdicVector
-from .radial import RadialFunction, RadialTerm, _end_signs, _eventual_sign, shell_sum
+from .radial import RadialFunction, RadialTerm, _end_signs, _eventual_sign, shell_sum, sum_of_products
 from .sampling import MCEstimate, integrate_mc
 from .series import antidifference, antidifference_at
 
@@ -170,19 +170,20 @@ def hausdorff_apply(
     supp = kernel.support_shells()
 
     if scalar and supp is not None:
-        out = RadialFunction.zero(p, n)
+        # each kernel shell g adds phi(g) (1 - p^-n) times the product of its
+        # slot factors; every shell's product terms are collected and the
+        # output is canonicalized once
+        rows = []
         for g in supp:
-            w = kernel.phi.value_on_shell(g)
-            prod = RadialFunction.constant(p, n, 1)
+            factors = []
             for i, (fam, f) in enumerate(zip(families, inputs)):
                 k = fam.k_on_shell(g)
-                factor = f.dilate(k)
                 if symbols is not None:
                     b = symbols[i]
-                    factor = (b - b.dilate(k)) * factor
-                prod = prod * factor
-            out = out + prod.scale(w * unit)
-        return OperatorResult("radial", p, n, radial=out, exact=True)
+                    factors.append(b - b.dilate(k))
+                factors.append(f.dilate(k))
+            rows.append((kernel.phi.value_on_shell(g) * unit, factors))
+        return OperatorResult("radial", p, n, radial=sum_of_products(p, n, rows), exact=True)
 
     def at_shell(v: int, x: PAdicVector | None = None) -> ExtendedValue:
         """The exact output on shell v; x is read only by matrix slots."""

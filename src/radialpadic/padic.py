@@ -27,18 +27,47 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 
+#: Miller-Rabin with the first thirteen primes as bases decides every n below
+#: this bound (Sorenson and Webster, "Strong pseudoprimes to twelve prime
+#: bases", 2017); above it is_prime falls back to trial division
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
+
+
 def is_prime(p: int) -> bool:
     if p < 2:
         return False
-    if p < 4:
+    for a in _MR_BASES:
+        if p % a == 0:
+            return p <= a  # p == a, asked without the __eq__ an int subclass may override
+    if p < 43 * 43:  # no prime factor up to 41, so none at all
         return True
-    if p % 2 == 0:
-        return False
-    d = 3
+    if p < _MR_LIMIT:
+        return _strong_probable_prime(p)
+    d = 43
     while d * d <= p:
         if p % d == 0:
             return False
         d += 2
+    return True
+
+
+def _strong_probable_prime(p: int) -> bool:
+    """Whether p, prime to every base in _MR_BASES, passes the strong test to each."""
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
+            return False
     return True
 
 

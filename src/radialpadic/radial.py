@@ -13,7 +13,15 @@ computable on it.
 
 Functions are kept in canonical form: for each exponent pair (beta, k) the
 shell line is split into maximal intervals with a single combined coefficient,
-zero coefficients dropped, adjacent equal-coefficient intervals merged.
+zero coefficients dropped, adjacent equal-coefficient intervals merged.  Every
+RadialFunction holds its terms in that form.  Building one from terms that are
+canonical already costs one linear check (_is_canonical), which hands the
+tuple back unchanged; only other term lists take the full grouping pass
+(_regroup).  On a function with exact coefficients, restrict, negation, scale
+by a nonzero exact number and dilate (of a function without log terms, or by
+0) give canonical terms, so they take no grouping pass.  A sum of products of
+functions is formed term by term and canonicalized once (sum_of_products), so
+a chain of products and sums takes one grouping pass, not one per step.
 
 A shell value whose active terms are all exact is one integer ratio num/den
 (_shell_ratio).  Its integer data, one tuple per term holding the range, the
@@ -103,8 +111,54 @@ def _hi_key(hi: int | None) -> int:
     return _POS if hi is None else hi
 
 
+def _sort_key(t: RadialTerm) -> tuple:
+    """The order of canonical terms: (float(beta), logpow, lo, hi), unbounded
+    ends outermost."""
+    return (float(t.beta), t.logpow, _lo_key(t.lo), _hi_key(t.hi))
+
+
 def _canonicalize(terms: Iterable[RadialTerm]) -> tuple[RadialTerm, ...]:
-    """The canonical terms of the sum of ``terms``.
+    """The canonical terms of the sum of ``terms``: the tuple of ``terms``
+    itself when it is canonical already, else _regroup's."""
+    terms = tuple(terms)
+    return terms if _is_canonical(terms) else _regroup(terms)
+
+
+def _is_canonical(terms: tuple[RadialTerm, ...]) -> bool:
+    """Whether _regroup(terms) is ``terms`` again, decided in one pass.
+
+    It holds when every coefficient is a nonzero Fraction or float; the terms
+    are in _regroup's sort order; each run of terms with one (float(beta),
+    logpow) shares one beta object and has disjoint, increasing ranges; and
+    no two adjacent pieces of a run (hi + 1 == lo) have equal coefficients.
+    Two beta objects with one float and one logpow (Fraction(1, 3) beside
+    1/3, or 0.5 beside the equal Fraction(1, 2)) fail it, so _regroup's
+    naming and stable sort decide them.
+    """
+    prev = None
+    fb = 0.0  # float(prev.beta)
+    for t in terms:
+        c = t.coeff
+        if (type(c) is not Fraction and type(c) is not float) or c == 0:
+            return False
+        if prev is None:
+            fb = float(t.beta)
+        elif t.beta is prev.beta and t.logpow == prev.logpow:
+            if prev.hi is None or t.lo is None or t.lo <= prev.hi:
+                return False
+            if t.lo == prev.hi + 1 and c == prev.coeff:
+                return False
+        else:
+            f = fb if t.beta is prev.beta else float(t.beta)
+            if not (f > fb or (f == fb and t.logpow > prev.logpow)):
+                return False
+            fb = f
+        prev = t
+    return True
+
+
+def _regroup(terms: tuple[RadialTerm, ...]) -> tuple[RadialTerm, ...]:
+    """The canonical terms of the sum of ``terms``, by the full grouping pass.
 
     Terms with a zero coefficient are dropped and the rest grouped on
     (beta, logpow) as a dict key, so exponents that compare equal share a
@@ -142,7 +196,7 @@ def _canonicalize(terms: Iterable[RadialTerm]) -> tuple[RadialTerm, ...]:
         else:
             out += _sweep(ts, beta, k)
     if len(out) > 1:
-        out.sort(key=lambda t: (float(t.beta), t.logpow, _lo_key(t.lo), _hi_key(t.hi)))
+        out.sort(key=_sort_key)
     return tuple(out)
 
 
@@ -229,7 +283,9 @@ class RadialFunction:
         p: int, n: int, coeff: Number = 1, beta: Number = 0,
         lo: int | None = None, hi: int | None = None, logpow: int = 0,
     ) -> "RadialFunction":
-        return RadialFunction(p, n, (RadialTerm(coeff, beta, logpow, lo, hi),))
+        # the coefficient as _regroup would normalize it, so the term is canonical
+        c = coeff if _keeps_coeff(coeff) else _sum_coeffs((coeff,))
+        return RadialFunction(p, n, (RadialTerm(c, beta, logpow, lo, hi),))
 
     @staticmethod
     def constant(p: int, n: int, c: Number) -> "RadialFunction":
@@ -393,16 +449,7 @@ class RadialFunction:
         )
 
     def __mul__(self, other: "RadialFunction") -> "RadialFunction":
-        self._check_like(other)
-        prods = []
-        for a in self.terms:
-            for b in other.terms:
-                lo = _max_lo(a.lo, b.lo)
-                hi = _min_hi(a.hi, b.hi)
-                if lo is not None and hi is not None and lo > hi:
-                    continue
-                prods.append(RadialTerm(a.coeff * b.coeff, a.beta + b.beta, a.logpow + b.logpow, lo, hi))
-        return RadialFunction(self.p, self.n, tuple(prods))
+        return sum_of_products(self.p, self.n, ((1, (self, other)),))
 
     def restrict(self, lo: int | None, hi: int | None) -> "RadialFunction":
         """Pointwise multiplication by the indicator of shells lo..hi."""
@@ -437,13 +484,57 @@ class RadialFunction:
             hi = None if b is None else (b - c) // m
             if lo is not None and hi is not None and lo > hi:
                 continue
-            base = t.coeff * ppow(self.p, c * t.beta)
-            beta = m * t.beta
-            for j in range(t.logpow + 1):
+            # a factor that is the exact 1 is skipped: it leaves the
+            # coefficient as it is.  p^(0*beta) is that 1 only for an exact
+            # beta; for a float beta it is 1.0, which makes a Fraction a float.
+            # With m = 1 each term keeps its beta object, so the pullback of
+            # a canonical f without log terms is canonical as it is built.
+            base = t.coeff if c == 0 and is_exact(t.beta) else t.coeff * ppow(self.p, c * t.beta)
+            beta = t.beta if m == 1 else m * t.beta
+            k = t.logpow
+            for j in range(k + 1):
                 # the integer factor first: one Fraction product per term fewer
-                out.append(RadialTerm(base * (comb(t.logpow, j) * m ** j) * c ** (t.logpow - j),
-                                      beta, j, lo, hi))
+                coeff = base
+                f = comb(k, j) * m ** j
+                if f != 1:
+                    coeff = coeff * f
+                if j < k and c != 1:
+                    coeff = coeff * c ** (k - j)
+                if coeff != 0:  # c = 0 zeroes every j < k; _regroup drops those too
+                    out.append(RadialTerm(coeff, beta, j, lo, hi))
         return RadialFunction(self.p, self.n, tuple(out))
+
+
+def sum_of_products(p: int, n: int,
+                    rows: Iterable[tuple[Number, Sequence[RadialFunction]]]) -> RadialFunction:
+    """sum_j c_j * prod_i f_ij, canonicalized once.
+
+    Each row (c, fs), with one or more factors fs, gives every product of one
+    term from each factor whose ranges meet: the coefficients multiplied left
+    to right and then by c (skipped when c is the exact 1), the exponents and
+    log powers added.  The terms of every row go through one canonicalization,
+    so a chain of products and sums takes one grouping pass, not one per
+    step.  On exact data the result equals the left fold of * and + (and
+    scale by c); with float coefficients a fold rounds each partial sum, this
+    only the final one, so the two can differ in the last place.
+    """
+    out: list[RadialTerm] = []
+    for c, fs in rows:
+        for f in fs:
+            if f.p != p or f.n != n:
+                raise ValueError("mismatched (p, n) contexts")
+        acc = [(t.coeff, t.beta, t.logpow, t.lo, t.hi) for t in fs[0].terms]
+        for f in fs[1:]:
+            nxt = []
+            for ac, ab, ak, alo, ahi in acc:
+                for t in f.terms:
+                    lo, hi = _max_lo(alo, t.lo), _min_hi(ahi, t.hi)
+                    if lo is None or hi is None or lo <= hi:
+                        nxt.append((ac * t.coeff, ab + t.beta, ak + t.logpow, lo, hi))
+            acc = nxt
+        unit = c == 1 and is_exact(c)
+        out += [RadialTerm(ac if unit else ac * c, ab, ak, lo, hi) for ac, ab, ak, lo, hi in acc]
+    return RadialFunction(p, n, tuple(out))
 
 
 # -- sign certification for power-log expressions ----------------------------

@@ -756,6 +756,37 @@ def test_verify_c1_random_inputs_slack_at_least_one():
         assert rep.slack >= 1.0 - 1e-12
 
 
+def test_slot_factor_is_built_once_per_typed_key():
+    exact = harness._slot_factor(2, 1, None, 1, 0, Fr(1, 2))
+    assert harness._slot_factor(2, 1, None, 1, 0, Fr(1, 2)) is exact
+    # 0.5 == Fraction(1, 2), but the float exponent keeps a factor of its own
+    inexact = harness._slot_factor(2, 1, None, 1, 0, 0.5)
+    assert type(exact.terms[0].beta) is Fr and type(inexact.terms[0].beta) is float
+    osc = harness._slot_factor(3, 1, harness._abs_k_plus_four, -1, 2, Fr(1, 3))
+    power = RadialFunction.power(3, 1, 1, Fr(1, 3))
+    assert osc == harness._abs_k_plus_four(3, 1).pullback(-1, 2) * power.pullback(-1, 2)
+
+
+@pytest.mark.parametrize("cid, norm", [(C.C1, "lebesgue_norm"), (C.C3, "morrey_norm")])
+def test_equal_slots_share_one_norm(monkeypatch, cid, norm):
+    s = _c3_symmetric(m=3)
+    f = RadialFunction.power(2, 1, 1, Fr(-1, 4), lo=-2, hi=3)
+    f_float = RadialFunction.power(2, 1, 1.0, Fr(-1, 4), lo=-2, hi=3)  # f == f_float
+    real = getattr(harness, norm)
+    calls = []
+    monkeypatch.setattr(harness, norm, lambda *a, **kw: calls.append((a, kw)) or real(*a, **kw))
+    rep = verify_bound(cid, s, (f, f, f))
+    # one call for the output, one for the three equal slots
+    assert len(calls) == 2
+    (args, kw), = [c for c in calls if c[0][0] is f]
+    value = real(*args, **kw).value
+    assert repr(rep.rhs) == repr(harness._prod_ev([rep.constant, value, value, value]))
+    # a float coefficient is another input, though it compares equal
+    calls.clear()
+    verify_bound(cid, s, (f, f_float, f))
+    assert len(calls) == 3
+
+
 def test_verify_zero_inputs_hold_trivially():
     s = _c3_symmetric()
     zero = RadialFunction.zero(s.p, s.n)

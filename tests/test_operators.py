@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from radialpadic import radial
 from radialpadic.families import ConstantMatrix, Pointwise, ScalarRadial, scalar_matrix
 from radialpadic.harness import extremal_family
 from radialpadic.operators import KernelSpec, hausdorff_apply
@@ -185,6 +186,62 @@ def test_commutator_matches_brute_sum(scen, v):
             term *= (b.value_on_shell(v) - b.value_on_shell(v + k)) * f.value_on_shell(v + k)
         want += term
     assert got == want
+
+
+def fold_apply(ker, fams, fs, symbols=None):
+    """The finite-support exact output as a fold: each shell's slot factors
+    multiplied one at a time, and the shells summed one at a time."""
+    p, n = ker.p, ker.n
+    unit = 1 - Fraction(p) ** (-n)
+    out = RadialFunction.zero(p, n)
+    for g in ker.support_shells():
+        prod = RadialFunction.constant(p, n, 1)
+        for i, (fam, f) in enumerate(zip(fams, fs)):
+            k = fam.k_on_shell(g)
+            factor = f.dilate(k)
+            if symbols is not None:
+                factor = (symbols[i] - symbols[i].dilate(k)) * factor
+            prod = prod * factor
+        out = out + prod.scale(ker.phi.value_on_shell(g) * unit)
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(scen=scalar_scenarios(), commutator=st.booleans())
+def test_exact_output_is_the_fold_over_shells(scen, commutator):
+    p, n, weights, fams, fs = scen
+    ker = sphere_kernel(p, n, weights)
+    bs = None
+    if commutator:
+        bs = [RadialFunction.log(p, n, Fraction(i + 1, 2)) + RadialFunction.constant(p, n, i)
+              for i in range(len(fams))]
+    got = hausdorff_apply(ker, fams, fs, symbols=bs).as_radial()
+    want = fold_apply(ker, fams, fs, bs)
+    assert [(type(t.coeff), t) for t in got.terms] == [(type(t.coeff), t) for t in want.terms]
+    assert [got.float_on_shell(v, saturate=True) for v in range(-60, 61)] == \
+        [want.float_on_shell(v, saturate=True) for v in range(-60, 61)]
+
+
+def test_exact_apply_groups_its_output_once(monkeypatch):
+    # power inputs keep their form under dilation, so the operator takes one
+    # full grouping pass, for its output; each commutator slot and shell adds
+    # one for b - b.dilate(k) of a log symbol
+    p, n = 3, 1
+    ker = sphere_kernel(p, n, {-1: Fraction(1), 0: Fraction(2, 3), 2: Fraction(1, 2)})
+    fams = (ScalarRadial(1, 0), ScalarRadial(-1, 2), ScalarRadial(0, 1))
+    fs = (RadialFunction(p, n, (RadialTerm(Fraction(1, 2), Fraction(-1, 2), 0, None, 0),
+                                RadialTerm(Fraction(2), -1, 0, 1, None))),
+          RadialFunction.power(p, n, 1, 0, lo=-2, hi=3),
+          RadialFunction.power(p, n, Fraction(3), 1, hi=2))
+    logs = tuple(RadialFunction.log(p, n, Fraction(i + 1)) for i in range(3))
+    calls = []
+    full = radial._regroup
+    monkeypatch.setattr(radial, "_regroup", lambda terms: calls.append(terms) or full(terms))
+    hausdorff_apply(ker, fams, fs)
+    assert len(calls) == 1
+    calls.clear()
+    hausdorff_apply(ker, fams, fs, symbols=logs)
+    assert len(calls) <= len(fams) * len(ker.support_shells()) + 1
 
 
 @settings(max_examples=40, deadline=None)

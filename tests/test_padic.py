@@ -39,6 +39,25 @@ def test_prime_validation():
         PAdicMatrix(2.0, ((Fraction(1),),))
 
 
+def trial_division_is_prime(n):
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+def test_is_prime_agrees_with_trial_division_below_20000():
+    assert [n for n in range(20000) if is_prime(n)] == [n for n in range(20000) if trial_division_is_prime(n)]
+
+
+def test_is_prime_decides_large_numbers_by_strong_tests():
+    assert is_prime(2 ** 61 - 1)
+    assert not is_prime((2 ** 19 - 1) * (2 ** 61 - 1))  # about 1.2e24, below the bound
+    # strong pseudoprimes to the bases 2; 2, 3; 2, 3, 5, 7; and 2 through 37
+    for n in (2047, 1373653, 3215031751, 3825123056546413051, 318665857834031151167461):
+        assert not is_prime(n)
+    check_prime(2 ** 61 - 1)
+    with pytest.raises(ValueError):
+        check_prime(3825123056546413051)
+
+
 def test_accepted_prime_admits_no_lookalike():
     class LookAlike(int):
         """An int equal to `like` by == and hash, whatever its value."""

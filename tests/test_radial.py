@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from radialpadic import radial
 from radialpadic.numeric import FloatRangeError, float_sat, is_exact
 from radialpadic.radial import (
     RadialFunction,
@@ -18,6 +19,7 @@ from radialpadic.radial import (
     integrate_radial,
     shell_sum,
     sphere_measure,
+    sum_of_products,
 )
 
 from oracles import brute_haar_integral, canonicalize_reference, shell_value
@@ -468,3 +470,172 @@ def test_canonical_form_keeps_canonical_terms():
     h = RadialFunction(2, 1, (exact, RadialTerm(Fraction(1, 2), 0, 0, 2, 5)))
     assert as_tuples(h) == [(Fraction(1, 2), 0, 0, 1, 1), (1, 0, 0, 2, 3), (Fraction(1, 2), 0, 0, 4, 5)]
     assert all(t is not exact for t in h.terms)
+
+
+# -- canonical terms pass through ----------------------------------------------
+
+RUN_COEFFS = [1, Fraction(1), 1.0, True, 0, 2, Fraction(1, 2), 0.5, -1.0, Fraction(-1, 2), 1e-300]
+RUN_BETAS = [0, Fraction(0), 0.0, 1, Fraction(1), 1.0, Fraction(1, 3), 1 / 3, Fraction(1, 2), 0.5]
+
+
+@st.composite
+def near_canonical_terms(draw):
+    """Term lists in or near canonical form: runs of disjoint increasing
+    ranges, some adjacent, sorted as canonical terms are sorted.  The
+    coefficients are int, bool, Fraction or float, often the last one again,
+    among them the spellings 1, Fraction(1), 1.0 and True.  A run repeats
+    its beta object, or each of its terms spells it as that object, as an
+    equal new Fraction or as its float, which for Fraction(1, 3) is 1/3, a
+    distinct exponent with the same float.  Some lists are shuffled."""
+    terms = []
+    for _ in range(draw(st.integers(0, 4))):
+        beta, k = draw(st.sampled_from(RUN_BETAS)), draw(st.integers(0, 1))
+        lo, c = draw(st.one_of(st.none(), st.integers(-6, 0))), None
+        respell = draw(st.booleans())
+        for _ in range(draw(st.integers(1, 4))):
+            hi = draw(st.one_of(st.none(), st.integers(0, 3)))
+            if hi is not None and lo is not None:
+                hi += lo
+            b = draw(st.sampled_from([beta, Fraction(beta), float(beta)])) if respell else beta
+            if c is None or draw(st.booleans()):  # else the last coefficient again
+                c = draw(st.sampled_from(RUN_COEFFS))
+            terms.append(RadialTerm(c, b, k, lo, hi))
+            if hi is None:
+                break
+            lo = hi + 1 + draw(st.sampled_from([0, 0, 1, 3]))
+    terms.sort(key=radial._sort_key)
+    if draw(st.integers(0, 4)) == 0:
+        terms = draw(st.permutations(terms))
+    return tuple(terms)
+
+
+def typed_terms(terms):
+    return typed([(t.coeff, t.beta, t.logpow, t.lo, t.hi) for t in terms])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(near_canonical_terms(), term_lists()))
+def test_canonical_check_agrees_with_the_full_pass(terms):
+    full = radial._regroup(terms)
+    got = radial._canonicalize(terms)
+    assert typed_terms(got) == typed_terms(full)
+    if radial._is_canonical(terms):
+        assert got is terms
+    # the full pass gives terms the check accepts, unless two groups have
+    # distinct exponents with one float (Fraction(1, 3) and 1/3)
+    shared = len({t.beta for t in full}) > len({float(t.beta) for t in full})
+    assert radial._is_canonical(full) or shared
+
+
+THIRD, HALF, OTHER_HALF = Fraction(1, 3), Fraction(1, 2), Fraction(1, 2)
+
+
+@pytest.mark.parametrize("terms, kept", [
+    (((Fraction(1), 0, 0, 0, 2), (Fraction(1), 0, 0, 3, 5)), False),   # adjacent equal pieces
+    (((Fraction(1), 0, 0, 0, 2), (1.0, 0, 0, 3, 5)), False),            # ... spelled apart
+    (((Fraction(1), 0, 0, 0, 2), (Fraction(2), 0, 0, 3, 5)), True),    # adjacent, different
+    (((Fraction(1), HALF, 0, 0, 2), (Fraction(2), OTHER_HALF, 0, 4, 5)), False),  # equal objects
+    (((Fraction(1), THIRD, 0, 0, 2), (Fraction(2), 1 / 3, 0, 4, 5)), False),      # one float
+    (((Fraction(1), 1, 0, 0, 2), (Fraction(2), 1.0, 0, 4, 5)), False),  # 1 and 1.0
+    (((1, 0, 0, 0, 2),), False),
+    (((True, 0, 0, 0, 2),), False),
+    (((1.0, 0, 0, 0, 2),), True),
+    (((Fraction(0), 0, 0, 0, 2),), False),
+    (((Fraction(1), 0, 1, None, 0), (Fraction(1), 0, 0, None, None)), False),  # out of order
+    (((Fraction(1), 0, 0, 0, 4), (Fraction(2), 0, 0, 3, 5)), False),   # overlapping
+])
+def test_canonical_check_agrees_with_the_full_pass_on_hand_cases(terms, kept):
+    assert HALF is not OTHER_HALF
+    terms = tuple(RadialTerm(*t) for t in terms)
+    got = radial._canonicalize(terms)
+    assert typed_terms(got) == typed_terms(radial._regroup(terms))
+    assert (got is terms) == kept
+
+
+@settings(max_examples=60, deadline=None)
+@given(f=radial_functions())
+def test_canonical_terms_are_kept_as_they_are(f):
+    assert RadialFunction(f.p, f.n, f.terms).terms is f.terms
+
+
+def count_full_passes(monkeypatch):
+    """A list that gains one entry per full grouping pass (radial._regroup)."""
+    calls = []
+    full = radial._regroup
+    monkeypatch.setattr(radial, "_regroup", lambda terms: calls.append(terms) or full(terms))
+    return calls
+
+
+@st.composite
+def power_functions(draw):
+    """Canonical exact functions without log terms; exponents int or Fraction."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    terms = []
+    for _ in range(draw(st.integers(0, 4))):
+        coeff = Fraction(draw(st.integers(-6, 6)), draw(st.integers(1, 4)))
+        beta = draw(st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=4)))
+        lo = draw(st.one_of(st.none(), st.integers(-8, 4)))
+        hi = draw(st.one_of(st.none(), st.integers(4, 12)))
+        terms.append(RadialTerm(coeff, beta, 0, lo, hi))
+    return RadialFunction(p, draw(st.integers(1, 2)), tuple(terms))
+
+
+@settings(max_examples=80, deadline=None)
+@given(f=power_functions(), g=radial_functions(), d=st.integers(-5, 5),
+       lo=st.one_of(st.none(), st.integers(-6, 6)), width=st.integers(0, 8))
+def test_structure_preserving_operations_skip_the_full_pass(f, g, d, lo, width):
+    # restrict and negation of any canonical exact function, dilate of one
+    # without log terms, and dilate by 0 of any, build no group afresh
+    hi = None if lo is None else lo + width
+    with pytest.MonkeyPatch.context() as mp:
+        calls = count_full_passes(mp)
+        for h in (f, g):
+            h.restrict(lo, hi), h.restrict(lo, None), h.scale(-1), -h, h.dilate(0)
+        f.dilate(d)
+    assert calls == []
+
+
+@st.composite
+def product_rows(draw):
+    """(p, n, rows) for sum_of_products: exact coefficients and exponents,
+    log powers, and factors that overlap and cancel."""
+    p, n = draw(st.sampled_from([2, 3])), draw(st.integers(1, 2))
+    rows = []
+    for _ in range(draw(st.integers(1, 4))):
+        c = Fraction(draw(st.integers(-4, 4)), draw(st.integers(1, 3)))
+        fs = [draw(radial_functions(p=p, n=n)) for _ in range(draw(st.integers(1, 3)))]
+        rows.append((c, fs))
+    return p, n, rows
+
+
+@settings(max_examples=100, deadline=None)
+@given(product_rows())
+def test_sum_of_products_is_the_fold_of_products_and_sums(case):
+    p, n, rows = case
+    fold = RadialFunction.zero(p, n)
+    for c, fs in rows:
+        prod = fs[0]
+        for f in fs[1:]:
+            prod = prod * f
+        fold = fold + prod.scale(c)
+    got = sum_of_products(p, n, rows)
+    assert typed(as_tuples(got)) == typed(as_tuples(fold))
+    assert [bits(got.float_on_shell(v, saturate=True)) for v in range(-60, 61)] == \
+        [bits(fold.float_on_shell(v, saturate=True)) for v in range(-60, 61)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(f=radial_functions())
+def test_sum_of_products_scales_by_every_spelling_of_one(f):
+    # only the exact 1 is skipped: the float 1.0 makes each coefficient a float
+    for c in (1, Fraction(1), 1.0):
+        got = sum_of_products(f.p, f.n, [(c, (f,))])
+        assert typed(as_tuples(got)) == typed(as_tuples(f.scale(c)))
+
+
+def test_sum_of_products_checks_contexts():
+    f, g = RadialFunction.constant(2, 1, 1), RadialFunction.constant(3, 1, 1)
+    with pytest.raises(ValueError, match="mismatched"):
+        sum_of_products(2, 1, [(1, (f, g))])
+    with pytest.raises(ValueError, match="mismatched"):
+        f * g
