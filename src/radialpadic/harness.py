@@ -48,7 +48,6 @@ from .weights import (
     critical_index,
     lebesgue_norm,
     morrey_norm,
-    weight_ball_mass,
 )
 
 __all__ = [
@@ -179,14 +178,11 @@ class BoundSpec:
 # -- small numeric helpers ---------------------------------------------------------
 
 
-def _fr(x: Number) -> Number:
-    return Fraction(x) if is_exact(x) else float(x)
-
-
-def _eq(x: Number, y: Number) -> bool:
-    if is_exact(x) and is_exact(y):
-        return Fraction(x) == Fraction(y)
-    return math.isclose(float(x), float(y), rel_tol=1e-12, abs_tol=1e-12)
+def _fr(x: Number) -> Fraction:
+    """x as a Fraction; a float or a bool raises ScenarioError('param-inexact')."""
+    if not is_exact(x):
+        _fail("param-inexact", f"parameter value {x!r} must be an int or a Fraction")
+    return Fraction(x)
 
 
 def _inv_sum(values: Sequence[Number]) -> Number:
@@ -218,7 +214,7 @@ def _req_list(values, name: str, m: int) -> tuple[Number, ...]:
 
 
 def _read(s: Scenario, *names: str) -> list:
-    """The named parameters in order, each exact or float; a name ending in
+    """The named parameters in order, each a Fraction (_fr); a name ending in
     ``_i`` is a per-slot list with one value per factor."""
     return [[_fr(v) for v in _req_list(getattr(s.params, k), k, s.m)] if k.endswith("_i")
             else _fr(_req(getattr(s.params, k), k)) for k in names]
@@ -260,7 +256,7 @@ def _check_muckenhoupt(w: Weight, zeta: Number, n: int, window: int) -> None:
     prof = w.profile
     if prof.is_single_power():
         a = _fr(prof.terms[0].beta)
-        upper_ok = (a <= 0) if _eq(zeta, 1) else (a < n * (_fr(zeta) - 1))
+        upper_ok = (a <= 0) if zeta == 1 else (a < n * (zeta - 1))
         if not (-n < a and upper_ok):
             _fail(
                 "muckenhoupt-class",
@@ -332,7 +328,7 @@ def _named(label: str, values: Sequence[Number]) -> list[tuple[str, Number]]:
 
 def _positive_exponents(pairs: Sequence[tuple[str, Number]], strict: bool = False) -> None:
     for name, v in pairs:
-        bad = (float(v) <= 1.0) if strict else (float(v) < 1.0)
+        bad = v <= 1 if strict else v < 1
         if bad:
             kind = "exceed 1" if strict else "be at least 1"
             _fail("exponent-range", f"exponent {name} = {v} must {kind}")
@@ -346,9 +342,9 @@ def _validate_power_lebesgue(s: Scenario, rec: dict[str, object], *_) -> None:
     for i, a in enumerate(als):
         if not a > -n:
             _fail("alpha-range", f"alpha_{i + 1} = {a} must exceed -n = {-n}")
-    if not _eq(_inv_sum(qs), Fraction(1, 1) / q):
+    if _inv_sum(qs) != 1 / q:
         _fail("holder-balance-q", "sum of 1/q_i must equal 1/q")
-    if not _eq(sum(a / qi for a, qi in zip(als, qs)), al / q):
+    if sum(a / qi for a, qi in zip(als, qs)) != al / q:
         _fail("holder-balance-alpha", "sum of alpha_i/q_i must equal alpha/q")
     rec.update({"q": q, "q_i": qs, "alpha": al, "alpha_i": als})
 
@@ -366,7 +362,7 @@ def _validate_lambda_morrey(s: Scenario, rec: dict[str, object], *_) -> None:
     n = s.n
     lam, lams = _lambda_range(s, rec["q_i"], "q")
     target = (rec["alpha"] + n) * lam
-    if not _eq(target, sum((a + n) * li for a, li in zip(rec["alpha_i"], lams))):
+    if target != sum((a + n) * li for a, li in zip(rec["alpha_i"], lams)):
         _fail("lambda-morrey-balance", "(alpha + n) lam must equal the sum of (alpha_i + n) lam_i")
     rec["lam"] = lam
     rec["lam_i"] = lams
@@ -375,7 +371,7 @@ def _validate_lambda_morrey(s: Scenario, rec: dict[str, object], *_) -> None:
 def _validate_lambda_sum(s: Scenario, rec: dict[str, object], *_, key: str, label: str) -> None:
     """One-weight Morrey hypotheses on lam, against the exponents rec[key]."""
     lam, lams = _lambda_range(s, rec[key], label)
-    if not _eq(lam, sum(lams)):
+    if lam != sum(lams):
         _fail("lambda-sum", "lam must equal the sum of the lam_i")
     rec["lam"] = lam
     rec["lam_i"] = lams
@@ -390,17 +386,14 @@ def _validate_section4_balances(s: Scenario, rec: dict[str, object], *_) -> None
     for i, (a, ri) in enumerate(zip(als, rs)):
         if not (-n < a < n * (ri - 1)):
             _fail("alpha-range", f"alpha_{i + 1} = {a} must lie in (-n, n(r_{i + 1} - 1))")
-    if not _eq(_inv_sum(qs) + _inv_sum(rs), Fraction(1, 1) / q):
+    if _inv_sum(qs) + _inv_sum(rs) != 1 / q:
         _fail("holder-balance-q", "sum of 1/q_i plus sum of 1/r_i must equal 1/q")
-    if not _eq(
-        sum(a / qi for a, qi in zip(als, qs)) + sum(a / ri for a, ri in zip(als, rs)),
-        al / q,
-    ):
+    if sum(a / qi for a, qi in zip(als, qs)) + sum(a / ri for a, ri in zip(als, rs)) != al / q:
         _fail("holder-balance-alpha", "sum of alpha_i/q_i plus sum of alpha_i/r_i must equal alpha/q")
     rec.update({"q": q, "q_i": qs, "r_i": rs, "alpha": al, "alpha_i": als})
 
 
-def _validate_shared_weight(s: Scenario, zeta: Number, window: int, need_bounded_mass: bool) -> dict[str, object]:
+def _validate_shared_weight(s: Scenario, zeta: Number, window: int) -> dict[str, object]:
     """Muckenhoupt-weight checks shared by the single-weight bounds."""
     w = s.weight
     r_om = critical_index(w)
@@ -414,23 +407,16 @@ def _validate_shared_weight(s: Scenario, zeta: Number, window: int, need_bounded
     if not (1 < delta and upper_ok):
         _fail("delta-range", f"delta = {delta} must lie strictly between 1 and the critical index {r_om}")
     _check_muckenhoupt(w, zeta, s.n, window)
-    rec: dict[str, object] = {"r_omega": r_om, "delta": delta}
-    if need_bounded_mass:
-        mass = weight_ball_mass(w, window)
-        if not mass.is_finite:
-            _fail("bounded-ball-mass", "the weight's ball masses must stay finite")
-        rec["sup_ball_mass"] = float_sat(mass.value)
-    return rec
+    return {"r_omega": r_om, "delta": delta}
 
 
-def _validate_weighted_holder(s: Scenario, rec: dict[str, object], window: int, *,
-                              bounded_mass: bool) -> None:
+def _validate_weighted_holder(s: Scenario, rec: dict[str, object], window: int) -> None:
     """One-weight hypotheses of the Hausdorff operator (C2, C4)."""
     q_star, zeta, qs = _read(s, "q_star", "zeta", "q_i")
     _positive_exponents([("q_star", q_star), ("zeta", zeta)] + _named("q", qs))
     q = Fraction(1, 1) / _inv_sum(qs)
     rec.update({"q": q, "q_i": qs, "zeta": zeta, "q_star": q_star})
-    rec.update(_validate_shared_weight(s, zeta, window, bounded_mass))
+    rec.update(_validate_shared_weight(s, zeta, window))
     if not q > q_star * zeta * _rh_ratio(rec["r_omega"]):
         _fail(
             "q-exponent-gap",
@@ -438,8 +424,7 @@ def _validate_weighted_holder(s: Scenario, rec: dict[str, object], window: int, 
         )
 
 
-def _validate_weighted_commutator(s: Scenario, rec: dict[str, object], window: int, *,
-                                  bounded_mass: bool) -> None:
+def _validate_weighted_commutator(s: Scenario, rec: dict[str, object], window: int) -> None:
     """One-weight hypotheses of the commutator (C6, C10)."""
     q_star, zeta, q_stars, r_stars = _read(s, "q_star", "zeta", "q_star_i", "r_star_i")
     _positive_exponents([("q_star", q_star), ("zeta", zeta)] + _named("q*", q_stars) + _named("r*", r_stars))
@@ -447,7 +432,7 @@ def _validate_weighted_commutator(s: Scenario, rec: dict[str, object], window: i
         if not zeta <= ri:
             _fail("zeta-r-compat", f"zeta = {zeta} must not exceed r*_{i + 1} = {ri}")
     rec.update({"zeta": zeta, "q_star": q_star, "q_star_i": q_stars, "r_star_i": r_stars})
-    rec.update(_validate_shared_weight(s, zeta, window, bounded_mass))
+    rec.update(_validate_shared_weight(s, zeta, window))
     gap = (_inv_sum(r_stars) + _inv_sum(q_stars)) * zeta * _rh_ratio(rec["r_omega"])
     if not Fraction(1, 1) / q_star > gap:
         _fail(
@@ -465,11 +450,11 @@ def _validate_composite(s: Scenario, rec: dict[str, object], *_) -> None:
     for i, a in enumerate(als):
         if not (-n < a < n * (zeta - 1)):
             _fail("alpha-range", f"alpha_{i + 1} = {a} must lie in (-n, n(zeta - 1))")
-    if not _eq(_inv_sum(qs), zeta / q_star):
+    if _inv_sum(qs) != zeta / q_star:
         _fail("holder-balance-q", "sum of 1/q_i must equal zeta/q_star")
-    if not _eq(sum(a / qi for a, qi in zip(als, qs)), zeta * al / q_star):
+    if sum(a / qi for a, qi in zip(als, qs)) != zeta * al / q_star:
         _fail("holder-balance-alpha", "sum of alpha_i/q_i must equal zeta * alpha / q_star")
-    if not _eq(_inv_sum(qs) + _inv_sum(r_stars), 1):
+    if _inv_sum(qs) + _inv_sum(r_stars) != 1:
         _fail("composite-balance", "sum of 1/q_i plus sum of 1/r*_i must equal 1")
     rec.update(
         {"zeta": zeta, "q_star": q_star, "q_i": qs, "r_star_i": r_stars, "alpha": al, "alpha_i": als}
@@ -484,7 +469,7 @@ def validate_scenario(cid: ConstantId, s: Scenario, *, window: int = 48) -> dict
     """Check every hypothesis of the target inequality.
 
     Returns recorded diagnostics (derived exponents, the oscillation bound
-    nu, the reverse-Holder index, the chosen delta, window ball-mass sups).
+    nu, the reverse-Holder index, the chosen delta).
     Raises :class:`ScenarioError` naming the first violated condition.
     """
     spec = _SPECS[cid]
@@ -599,7 +584,7 @@ def _c10_matrix(v: SimpleNamespace) -> Number:
     return _psi_mu(v) * branch
 
 
-@lru_cache(maxsize=256, typed=True)
+@lru_cache(maxsize=256)
 def _slot_factor(p: int, n: int, oscillation: Callable | None, slope: int, offset: int,
                  *es: Number) -> RadialFunction:
     """A scalar slot's factor on the kernel line: the power factor of the
@@ -608,10 +593,10 @@ def _slot_factor(p: int, n: int, oscillation: Callable | None, slope: int, offse
     it is the pulled-back oscillation alone.
 
     Built once per key (p, n, oscillation, slope, offset, es) and kept for the
-    process in a bounded cache of immutable functions.  The key is typed and
-    es are its last arguments, so an exponent Fraction(1, 2) and an exponent
-    0.5, which compare equal, keep factors of their own.  Fresh exponents
-    miss, but their oscillation, keyed without them, is found again.
+    process in a bounded cache of immutable functions.  The exponents are
+    exact, each an int or a Fraction, so exponents that compare equal give
+    one factor and share its entry.  Fresh exponents miss, but their
+    oscillation, keyed without them, is found again.
     """
     if not es:
         return oscillation(p, n).pullback(slope, offset)
@@ -705,21 +690,20 @@ _SPECS: dict[ConstantId, BoundSpec] = {
         steps=(_validate_power_lebesgue, _record_nu), exponents=_lebesgue_exponent,
         matrix=lambda v: v.pw(v.km * (v.alpha_i + v.n) / v.q_i), envelope=1.0, extremal=_truncated_powers),
     ConstantId.C2: BoundSpec(
-        steps=(partial(_validate_weighted_holder, bounded_mass=True),), exponents=_c2_exponents,
+        steps=(_validate_weighted_holder,), exponents=_c2_exponents,
         matrix=_c2_matrix, envelope=1.25, shared_weight=True, out_q="q_star"),
     ConstantId.C3: BoundSpec(
         steps=(_validate_power_lebesgue, _validate_lambda_morrey, _record_nu), exponents=_morrey_exponent,
         matrix=_morrey_matrix, envelope=1.0, morrey=True, extremal=_power_eigenfunctions),
     ConstantId.C4: BoundSpec(
-        steps=(partial(_validate_weighted_holder, bounded_mass=False),
-               partial(_validate_lambda_sum, key="q_i", label="q")),
+        steps=(_validate_weighted_holder, partial(_validate_lambda_sum, key="q_i", label="q")),
         exponents=_c4_exponents, matrix=_c4_matrix, envelope=1.25, morrey=True, shared_weight=True,
         out_q="q_star"),
     ConstantId.C5: BoundSpec(
         steps=(_validate_section4_balances,), exponents=_lebesgue_exponent, oscillation=_abs_k_plus_four,
         matrix=_c5_matrix, envelope=1.25, cmo_r="r_i", local=True),
     ConstantId.C6: BoundSpec(
-        steps=(partial(_validate_weighted_commutator, bounded_mass=True),),
+        steps=(_validate_weighted_commutator,),
         exponents=lambda v: (-v.n * (v.zeta / v.q_star_i), -v.n * (v.delta - 1) / (v.q_star_i * v.delta)),
         oscillation=_abs_k_plus_four, matrix=_c6_matrix, envelope=1.25, shared_weight=True,
         out_q="q_star", in_q="q_star_i", cmo_r="r_star_i"),
@@ -732,8 +716,7 @@ _SPECS: dict[ConstantId, BoundSpec] = {
         exponents=_morrey_exponent, oscillation=_abs_k, matrix=lambda v: _morrey_matrix(v) * v.logf,
         envelope=1.25, morrey=True, cmo_r="r_i", extremal=_power_eigenfunctions),
     ConstantId.C10: BoundSpec(
-        steps=(partial(_validate_weighted_commutator, bounded_mass=False),
-               partial(_validate_lambda_sum, key="q_star_i", label="q*")),
+        steps=(_validate_weighted_commutator, partial(_validate_lambda_sum, key="q_star_i", label="q*")),
         exponents=lambda v: (v.n * v.zeta * v.lam_i, v.n * v.lam_i * (v.delta - 1) / v.delta),
         oscillation=_abs_k_plus_four, matrix=_c10_matrix, envelope=1.25, morrey=True, shared_weight=True,
         out_q="q_star", in_q="q_star_i", cmo_r="r_star_i"),
@@ -765,16 +748,6 @@ def _weights(spec: BoundSpec, s: Scenario, rec: dict[str, object]) -> tuple[Weig
     return Weight.power(s.p, s.n, rec["alpha"]), [Weight.power(s.p, s.n, a) for a in rec["alpha_i"]]
 
 
-def _typed(x: object) -> tuple:
-    """x with the number types it holds, as part of a dict key: Fraction(1, 2)
-    and 0.5 compare and hash alike, so a key of values alone would hand one
-    of them the other's result."""
-    f = x.profile if isinstance(x, Weight) else x
-    if isinstance(f, RadialFunction):
-        return x, tuple((type(t.coeff), type(t.beta)) for t in f.terms)
-    return x, type(x)
-
-
 def _sides(spec: BoundSpec, s: Scenario, rec: dict[str, object], F: RadialFunction,
            fs: Sequence[RadialFunction], window: int, weights: tuple[Weight, list[Weight]]
            ) -> tuple[ExtendedValue, list[Number], list[ExtendedValue]]:
@@ -796,7 +769,7 @@ def _sides(spec: BoundSpec, s: Scenario, rec: dict[str, object], F: RadialFuncti
 
     def once(norm: Callable[..., NormResult], *args: object, **kw: object) -> ExtendedValue:
         # slots with equal (input or symbol, weight, exponents) share one norm
-        key = (norm, *map(_typed, args))
+        key = (norm, *args)
         if key not in seen:
             seen[key] = norm(*args, **kw).value
         return seen[key]

@@ -1,8 +1,13 @@
-"""Two-layer numeric tower: exact rationals where possible, float64 elsewhere.
+"""Exact numbers in, floats out.
 
-Every quantity in this package is either an ``int``/``Fraction`` (exact) or a
-``float`` (inexact, accumulated with compensated summation).  Mixed arithmetic
-degrades to float.  Infinite and divergent results are carried explicitly by
+Every datum of this package, a coefficient, an exponent or a norm exponent,
+is an ``int`` or a ``Fraction``; a float or a bool is refused with a
+``ValueError`` that names the field (require_exact).  Closed forms stay
+exact.  Floats appear only as outputs: norm values, numeric-tail sums,
+windowed masses and Monte Carlo estimates, and those are accumulated with
+compensated summation.  A fractional power of p is the one exception inside
+the algebra: ppow carries its fractional part as a float-precision
+correction.  Infinite and divergent results are carried explicitly by
 ``ExtendedValue`` rather than raised, so that divergence propagates into norms
 and reports as data.
 """
@@ -25,6 +30,14 @@ def is_exact(x: Number) -> bool:
     return isinstance(x, (int, Fraction)) and not isinstance(x, bool)
 
 
+def require_exact(x: Number, name: str) -> Number:
+    """x itself when it is an int or a Fraction; a ValueError naming ``name``
+    for anything else, a float or a bool included."""
+    if not is_exact(x):
+        raise ValueError(f"{name} must be an int or a Fraction, got {type(x).__name__} {x!r}")
+    return x
+
+
 def integral_part(x: Number) -> int | None:
     """Return x as an int when x is an exact integer, else None."""
     if isinstance(x, bool):
@@ -37,18 +50,16 @@ def integral_part(x: Number) -> int | None:
 
 
 def ppow(p: int, e: Number) -> Number:
-    """p**e: exact for integral exponents; for other rational exponents a
+    """p**e for an exact e: exact for an integral exponent; for any other a
     Fraction carrying the exact integral-part power times a float-precision
     correction in [1, p), so deep-shell magnitudes survive far outside the
-    float64 range; plain float for float exponents."""
+    float64 range."""
     ei = integral_part(e)
     if ei is not None:
         if ei >= 0:
             return p ** ei
         return Fraction(1, p ** (-ei))
-    if is_exact(e):
-        return Fraction(*ppow_ratio(p, e.numerator, e.denominator))
-    return fpow(float(p), float(e))
+    return Fraction(*ppow_ratio(p, e.numerator, e.denominator))
 
 
 def ppow_ratio(p: int, num: int, den: int) -> tuple[int, int]:
@@ -106,17 +117,40 @@ def exp_sat(x: float) -> float:
 
 
 def abs_pow(c: Number, q: Number) -> Number:
-    """|c|**q, exact when c is rational and q a nonnegative integer."""
+    """|c|**q for exact c and q: exact for an integer q (but 0 to a negative
+    power, which is inf), else a float."""
+    c = abs(Fraction(c))
     qi = integral_part(q)
-    if qi is not None and qi >= 0 and is_exact(c):
-        return abs(Fraction(c)) ** qi
-    if is_exact(c) and c != 0:
-        fc = float_sat(abs(Fraction(c)))
-        if math.isinf(fc) or fc == 0.0:
-            # the base is off the float scale; take the power in log space
-            return exp_sat(float(q) * log_exact(abs(Fraction(c))))
-        return fpow(fc, float(q))
-    return fpow(abs(float(c)), float(q))
+    if qi is not None and (qi >= 0 or c):
+        return c ** qi
+    if c == 0:
+        return fpow(0.0, float(q))
+    fc = float_sat(c)
+    if math.isinf(fc) or fc == 0.0:
+        # the base is off the float scale; take the power in log space
+        return exp_sat(float(q) * log_exact(c))
+    return fpow(fc, float(q))
+
+
+def exact_root(x: Number, k: int) -> Fraction | None:
+    """The k-th root of a rational x >= 0 when it is rational, else None: the
+    integer roots of the numerator and the denominator (Newton's method on
+    integers), each checked by its k-th power."""
+    x = Fraction(x)
+    roots = [_int_root(m, k) for m in (x.numerator, x.denominator)]
+    return None if None in roots else Fraction(*roots)
+
+
+def _int_root(m: int, k: int) -> int | None:
+    """The integer r with r**k == m >= 0, or None when there is none."""
+    if m < 2:
+        return m
+    r = 1 << -(-m.bit_length() // k)  # at least the root
+    while True:
+        s = ((k - 1) * r + m // r ** (k - 1)) // k
+        if s >= r:
+            return r if r ** k == m else None
+        r = s
 
 
 def nth_root(x: Number, q: Number) -> Number:

@@ -46,7 +46,7 @@ from typing import Callable, Sequence
 from .families import Family, Pointwise, ScalarRadial
 from .numeric import ExtendedValue, Number, fpow, ppow
 from .padic import PAdicVector
-from .radial import RadialFunction, RadialTerm, _end_signs, _eventual_sign, shell_sum, sum_of_products
+from .radial import RadialFunction, RadialTerm, _eventual_sign, _sign_fault, shell_sum, sum_of_products
 from .sampling import MCEstimate, integrate_mc
 from .series import antidifference, antidifference_at
 
@@ -61,13 +61,11 @@ class KernelSpec:
     phi: RadialFunction
 
     def __post_init__(self) -> None:
-        phi = self.phi
-        (s_lo, e_lo), (s_hi, e_hi) = _end_signs(phi)
-        if s_lo < 0 or s_hi < 0:
-            raise ValueError("kernel must be nonnegative toward infinity")
-        for g in range(1 - e_lo, e_hi):
-            if phi.value_on_shell(g) < 0:
-                raise ValueError(f"kernel must be nonnegative; fails on shell {g}")
+        fault = _sign_fault(self.phi, strict=False)
+        if fault is not None:
+            if math.isinf(fault):
+                raise ValueError("kernel must be nonnegative toward infinity")
+            raise ValueError(f"kernel must be nonnegative; fails on shell {fault}")
 
     @property
     def p(self) -> int:

@@ -17,7 +17,9 @@ see the difference.
 
 check_prime admits a plain int it has accepted before without testing it
 again; anything else (True, 2.0, an int subclass, a new int) takes the full
-check, so every rejection is as before.
+check, so every rejection is as before.  Primality is decided below
+_MR_LIMIT (about 3.3e24); a larger number with no factor among the first
+thirteen primes raises ValueError naming the bound.
 """
 
 from __future__ import annotations
@@ -29,7 +31,8 @@ from fractions import Fraction
 
 #: Miller-Rabin with the first thirteen primes as bases decides every n below
 #: this bound (Sorenson and Webster, "Strong pseudoprimes to twelve prime
-#: bases", 2017); above it is_prime falls back to trial division
+#: bases", 2017); above it is_prime decides only a number with one of those
+#: bases as a factor, and raises ValueError for any other
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_LIMIT = 3317044064679887385961981
 
@@ -44,12 +47,8 @@ def is_prime(p: int) -> bool:
         return True
     if p < _MR_LIMIT:
         return _strong_probable_prime(p)
-    d = 43
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 2
-    return True
+    raise ValueError(f"primality of {p} is not decided: odd p with no factor up to 41 "
+                     f"must lie below {_MR_LIMIT}")
 
 
 def _strong_probable_prime(p: int) -> bool:

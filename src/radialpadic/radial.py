@@ -23,13 +23,15 @@ by a nonzero exact number and dilate (of a function without log terms, or by
 functions is formed term by term and canonicalized once (sum_of_products), so
 a chain of products and sums takes one grouping pass, not one per step.
 
-A shell value whose active terms are all exact is one integer ratio num/den
-(_shell_ratio).  Its integer data, one tuple per term holding the range, the
-numerator and denominator of the coefficient and of the exponent, and the log
-power, is built on first evaluation and kept on the function; equality,
-hashing, repr and pickling do not see it.  value_on_shell makes the ratio a
-Fraction, float_on_shell divides it once: int true division is correctly
-rounded, as float(Fraction) is, so the two agree bit for bit.
+Every coefficient and exponent is exact, an int or a Fraction: RadialTerm
+refuses a float or a bool with a ValueError naming the field, so the algebra
+has one number type and no float path.  A shell value is one integer ratio
+num/den (_shell_ratio).  Its integer data, one tuple per term holding the
+range, the numerator and denominator of the coefficient and of the exponent,
+and the log power, is built on first evaluation and kept on the function;
+equality, hashing, repr and pickling do not see it.  value_on_shell makes the
+ratio a Fraction, float_on_shell divides it once: int true division is
+correctly rounded, as float(Fraction) is, so the two agree bit for bit.
 """
 
 from __future__ import annotations
@@ -40,20 +42,20 @@ from fractions import Fraction
 from math import comb
 from typing import Iterable, Sequence
 
-from .numeric import (
-    ExtendedValue, FloatRangeError, Number, exp_sat, float_sat, is_exact, log_exact, ppow, ppow_ratio,
-)
+from .numeric import ExtendedValue, Number, ppow, ppow_ratio, require_exact
 from .padic import check_prime
 from .series import power_log_sum
 
 _NEG = -(10 ** 9)  # sentinel ordering keys for unbounded interval ends
 _POS = 10 ** 9
 _MAX_EDGE = 10 ** 6  # farthest shell an eventual-sign certificate may need
+_EXACT_TYPES = (Fraction, int)  # RadialTerm's fast check; subclasses go to require_exact
 
 
 @dataclass(frozen=True)
 class RadialTerm:
-    """One term c * |x|^beta * (log_p|x|)^k supported on shells lo..hi."""
+    """One term c * |x|^beta * (log_p|x|)^k supported on shells lo..hi; c and
+    beta are each an int or a Fraction."""
 
     coeff: Number
     beta: Number
@@ -62,45 +64,22 @@ class RadialTerm:
     hi: int | None = None
 
     def __post_init__(self) -> None:
+        if type(self.coeff) not in _EXACT_TYPES or type(self.beta) not in _EXACT_TYPES:
+            require_exact(self.coeff, "coeff")
+            require_exact(self.beta, "beta")
         if self.logpow < 0:
             raise ValueError("log power must be nonnegative")
         if self.lo is not None and self.hi is not None and self.lo > self.hi:
             raise ValueError("empty shell range")
 
-    def active(self, gamma: int) -> bool:
-        return (self.lo is None or gamma >= self.lo) and (self.hi is None or gamma <= self.hi)
-
-    def value(self, p: int, gamma: int) -> Number:
-        pw = ppow(p, gamma * self.beta)
-        try:
-            v = self.coeff * pw
-        except OverflowError:
-            # one factor lies outside the float range (a float coefficient
-            # times a huge exact power): take the product in log space, so it
-            # saturates only when the product itself is out of range
-            if self.coeff == 0 or pw == 0:
-                v = 0.0
-            else:
-                mag = exp_sat(log_exact(abs(self.coeff)) + log_exact(pw))
-                v = -mag if self.coeff < 0 else mag
-        if self.logpow:
-            v = v * gamma ** self.logpow
-        return v
-
-
-_INEXACT = object()  # _shell_ratio's marker for an active float term
-
 
 def _term_kernel(t: RadialTerm) -> tuple:
     """(lo, hi, coeff num, coeff den, beta num, beta den, logpow) of one term,
-    unbounded ends as -inf and inf; the four integers are None for a term
-    with a float coefficient or exponent."""
+    unbounded ends as -inf and inf."""
     lo = -math.inf if t.lo is None else t.lo
     hi = math.inf if t.hi is None else t.hi
-    if is_exact(t.coeff) and is_exact(t.beta):
-        c, b = t.coeff, t.beta
-        return (lo, hi, c.numerator, c.denominator, b.numerator, b.denominator, t.logpow)
-    return (lo, hi, None, None, None, None, t.logpow)
+    c, b = t.coeff, t.beta
+    return (lo, hi, c.numerator, c.denominator, b.numerator, b.denominator, t.logpow)
 
 
 def _lo_key(lo: int | None) -> int:
@@ -127,19 +106,19 @@ def _canonicalize(terms: Iterable[RadialTerm]) -> tuple[RadialTerm, ...]:
 def _is_canonical(terms: tuple[RadialTerm, ...]) -> bool:
     """Whether _regroup(terms) is ``terms`` again, decided in one pass.
 
-    It holds when every coefficient is a nonzero Fraction or float; the terms
-    are in _regroup's sort order; each run of terms with one (float(beta),
-    logpow) shares one beta object and has disjoint, increasing ranges; and
-    no two adjacent pieces of a run (hi + 1 == lo) have equal coefficients.
-    Two beta objects with one float and one logpow (Fraction(1, 3) beside
-    1/3, or 0.5 beside the equal Fraction(1, 2)) fail it, so _regroup's
+    It holds when every coefficient is a nonzero Fraction; the terms are in
+    _regroup's sort order; each run of terms with one (float(beta), logpow)
+    shares one beta object and has disjoint, increasing ranges; and no two
+    adjacent pieces of a run (hi + 1 == lo) have equal coefficients.  Two
+    beta objects with one float and one logpow (1 beside Fraction(1), or two
+    distinct exponents that round to one float) fail it, so _regroup's
     naming and stable sort decide them.
     """
     prev = None
     fb = 0.0  # float(prev.beta)
     for t in terms:
         c = t.coeff
-        if (type(c) is not Fraction and type(c) is not float) or c == 0:
+        if type(c) is not Fraction or c == 0:
             return False
         if prev is None:
             fb = float(t.beta)
@@ -162,23 +141,18 @@ def _regroup(terms: tuple[RadialTerm, ...]) -> tuple[RadialTerm, ...]:
 
     Terms with a zero coefficient are dropped and the rest grouped on
     (beta, logpow) as a dict key, so exponents that compare equal share a
-    group (0 and 0.0, Fraction(1, 2) and 0.5; Fraction(1, 3) and 1/3 do
-    not).  A group is named after the beta of its first term with an exact
-    beta, or of its first term when no beta is exact, and the logpow of its
-    first term: an exact spelling wins over a float one in any input order,
-    so the group's values take the exact path.  (Of two exact spellings, 1
-    and Fraction(1), the first still names the group; both give one value.)  Each
+    group (1 and Fraction(1)).  A group is named after the beta and the
+    logpow of its first term; its spellings all give one value.  Each
     group's shell line is cut at every range end; a piece's coefficient is
-    _sum_coeffs of the coefficients covering it, in input order: a Fraction
-    when all are int or Fraction, else a float (a bool counts as inexact).
+    the Fraction sum of the coefficients covering it.
     Adjacent pieces with equal coefficients merge and keep the first one's
     coefficient; zero pieces are dropped.  The terms come out sorted on
     (float(beta), logpow, lo, hi), unbounded ends outermost; the sort is
     stable, so groups whose betas share a float keep the input order.
 
     A piece that one term covers over exactly that term's range, with a
-    Fraction or float coefficient and the group's beta and logpow objects,
-    is that term object itself.
+    Fraction coefficient and the group's beta and logpow objects, is that
+    term object itself.
     """
     groups: dict[tuple, list[RadialTerm]] = {}
     for t in terms:
@@ -187,22 +161,15 @@ def _regroup(terms: tuple[RadialTerm, ...]) -> tuple[RadialTerm, ...]:
         groups.setdefault((t.beta, t.logpow), []).append(t)
     out: list[RadialTerm] = []
     for (beta, k), ts in groups.items():
-        if len(ts) > 1 and not is_exact(beta):
-            beta = next((t.beta for t in ts if is_exact(t.beta)), beta)
         if len(ts) == 1:
             t = ts[0]
-            out.append(t if _keeps_coeff(t.coeff) else
-                       RadialTerm(_sum_coeffs((t.coeff,)), beta, k, t.lo, t.hi))
+            out.append(t if type(t.coeff) is Fraction else
+                       RadialTerm(Fraction(t.coeff), beta, k, t.lo, t.hi))
         else:
             out += _sweep(ts, beta, k)
     if len(out) > 1:
         out.sort(key=_sort_key)
     return tuple(out)
-
-
-def _keeps_coeff(c: Number) -> bool:
-    """Whether _sum_coeffs((c,)) is c itself, in value and type."""
-    return type(c) is Fraction or type(c) is float
 
 
 def _sweep(ts: list[RadialTerm], beta: Number, k: int) -> list[RadialTerm]:
@@ -223,13 +190,13 @@ def _sweep(ts: list[RadialTerm], beta: Number, k: int) -> list[RadialTerm]:
                 active.append(opening[nxt][1])
                 nxt += 1
         src = None
-        if len(active) == 1 and _keeps_coeff(ts[active[0]].coeff):
+        if len(active) == 1 and type(ts[active[0]].coeff) is Fraction:
             t = ts[active[0]]
             c = t.coeff
             if t.lo == lo and t.hi == hi and t.beta is beta and t.logpow is k:
                 src = t
         else:
-            c = _sum_coeffs([ts[i].coeff for i in sorted(active)])
+            c = sum((ts[i].coeff for i in sorted(active)), Fraction(0))
         if c == 0:
             prev = None
         elif prev is not None and prev[2] == c:
@@ -248,14 +215,6 @@ def _edges(t: RadialTerm) -> list[int]:
     if t.hi is not None:
         es.append(t.hi + 1)
     return es
-
-
-def _sum_coeffs(cs: Sequence[Number]) -> Number:
-    if not cs:
-        return 0
-    if all(is_exact(c) for c in cs):
-        return sum(cs, Fraction(0))
-    return math.fsum(float(c) for c in cs)
 
 
 @dataclass(frozen=True)
@@ -284,7 +243,8 @@ class RadialFunction:
         lo: int | None = None, hi: int | None = None, logpow: int = 0,
     ) -> "RadialFunction":
         # the coefficient as _regroup would normalize it, so the term is canonical
-        c = coeff if _keeps_coeff(coeff) else _sum_coeffs((coeff,))
+        c = require_exact(coeff, "coeff")
+        c = c if type(c) is Fraction else Fraction(c)
         return RadialFunction(p, n, (RadialTerm(c, beta, logpow, lo, hi),))
 
     @staticmethod
@@ -302,13 +262,10 @@ class RadialFunction:
     # -- evaluation --------------------------------------------------------
 
     def value_on_shell(self, gamma: int) -> Number:
-        """f(gamma): a Fraction where every active term is exact, the int 0
-        where no term is active, else a float (_float_value)."""
+        """f(gamma): a Fraction, or the int 0 where no term is active."""
         r = self._shell_ratio(gamma)
         if r is None:
             return 0
-        if r is _INEXACT:
-            return self._float_value(gamma)
         return Fraction(*r)
 
     def float_on_shell(self, gamma: int, saturate: bool = False) -> float:
@@ -321,8 +278,6 @@ class RadialFunction:
         r = self._shell_ratio(gamma)
         if r is None:
             return 0.0
-        if r is _INEXACT:
-            return self._float_value(gamma)
         num, den = r
         try:
             return num / den
@@ -331,10 +286,9 @@ class RadialFunction:
                 raise
             return math.inf if num > 0 else -math.inf
 
-    def _shell_ratio(self, gamma: int) -> tuple[int, int] | object | None:
-        """(num, den), den > 0 and not reduced, with f(gamma) = num / den when
-        every active term is exact; None when no term is active; _INEXACT
-        when a term with a float coefficient or exponent is active.
+    def _shell_ratio(self, gamma: int) -> tuple[int, int] | None:
+        """(num, den), den > 0 and not reduced, with f(gamma) = num / den;
+        None when no term is active.
 
         Each value c p^(gamma beta) gamma^k is a ratio of integers
         (ppow_ratio); they are summed over one common denominator.
@@ -347,8 +301,6 @@ class RadialFunction:
         for lo, hi, cn, cd, bn, bd, k in kernel:
             if gamma < lo or gamma > hi:
                 continue
-            if cn is None:
-                return _INEXACT
             hit = True
             e = gamma * bn
             if bd != 1:
@@ -365,34 +317,6 @@ class RadialFunction:
             else:
                 num, den = num * b + a * den, den * b
         return (num, den) if hit else None
-
-    def _float_value(self, gamma: int) -> float:
-        """The shell value where an active term is inexact: the fsum of the
-        term values, each saturated to the float range.
-
-        Where that fsum raises (an intermediate overflow, or inf - inf from
-        terms saturated to opposite infinities), the terms are summed as one
-        rational and saturated once: a term with an exact exponent as
-        Fraction(coeff) times its exact power, a term with a float exponent
-        as its float value.  A float-exponent term that is itself off the
-        float range has no such value, and raises FloatRangeError.
-        """
-        terms = [t for t in self.terms if t.active(gamma)]
-        vals = [t.value(self.p, gamma) for t in terms]
-        try:
-            return math.fsum(float_sat(v) for v in vals)
-        except (OverflowError, ValueError):
-            pass
-        total = Fraction(0)
-        for t, v in zip(terms, vals):
-            if is_exact(t.beta) and (is_exact(t.coeff) or math.isfinite(t.coeff)):
-                total += Fraction(t.coeff) * ppow(self.p, gamma * t.beta) * gamma ** t.logpow
-            elif isinstance(v, float) and math.isfinite(v):
-                total += Fraction(v)
-            else:
-                raise FloatRangeError(f"term {t} on shell {gamma} lies outside the float range; "
-                                      "the shell value has no float sum")
-        return float_sat(total)
 
     def __getstate__(self) -> dict:
         # the lazy shell data is rebuilt on first use, never pickled
@@ -484,12 +408,10 @@ class RadialFunction:
             hi = None if b is None else (b - c) // m
             if lo is not None and hi is not None and lo > hi:
                 continue
-            # a factor that is the exact 1 is skipped: it leaves the
-            # coefficient as it is.  p^(0*beta) is that 1 only for an exact
-            # beta; for a float beta it is 1.0, which makes a Fraction a float.
+            # a factor of 1 is skipped: it leaves the coefficient as it is.
             # With m = 1 each term keeps its beta object, so the pullback of
             # a canonical f without log terms is canonical as it is built.
-            base = t.coeff if c == 0 and is_exact(t.beta) else t.coeff * ppow(self.p, c * t.beta)
+            base = t.coeff if c == 0 else t.coeff * ppow(self.p, c * t.beta)
             beta = t.beta if m == 1 else m * t.beta
             k = t.logpow
             for j in range(k + 1):
@@ -511,12 +433,10 @@ def sum_of_products(p: int, n: int,
 
     Each row (c, fs), with one or more factors fs, gives every product of one
     term from each factor whose ranges meet: the coefficients multiplied left
-    to right and then by c (skipped when c is the exact 1), the exponents and
+    to right and then by c (skipped when c is 1), the exponents and
     log powers added.  The terms of every row go through one canonicalization,
     so a chain of products and sums takes one grouping pass, not one per
-    step.  On exact data the result equals the left fold of * and + (and
-    scale by c); with float coefficients a fold rounds each partial sum, this
-    only the final one, so the two can differ in the last place.
+    step.  The result equals the left fold of * and + (and scale by c).
     """
     out: list[RadialTerm] = []
     for c, fs in rows:
@@ -532,7 +452,7 @@ def sum_of_products(p: int, n: int,
                     if lo is None or hi is None or lo <= hi:
                         nxt.append((ac * t.coeff, ab + t.beta, ak + t.logpow, lo, hi))
             acc = nxt
-        unit = c == 1 and is_exact(c)
+        unit = require_exact(c, "coeff") == 1
         out += [RadialTerm(ac if unit else ac * c, ab, ak, lo, hi) for ac, ab, ak, lo, hi in acc]
     return RadialFunction(p, n, tuple(out))
 
@@ -547,8 +467,9 @@ def _eventual_sign(fn: RadialFunction, end: int, start_edge: int) -> tuple[int, 
     beyond its root bound; every subordinate group is bounded above and decays
     geometrically relative to it, so the first margin-2 win in the scan
     certifies the sign from that shell outward.  Every caller visits the
-    shells up to the edge, so an edge beyond _MAX_EDGE (a lead that is a float
-    cancellation residue, say) raises ValueError instead of running on.
+    shells up to the edge, so an edge beyond _MAX_EDGE (a lead far smaller
+    than the terms it must outgrow, say) raises ValueError instead of running
+    on.
     """
     if not fn.terms:
         return 0, max(1, start_edge)
@@ -623,6 +544,31 @@ def _end_signs(f: RadialFunction) -> tuple[tuple[int, int], tuple[int, int]]:
     return _eventual_sign(_end_part(f, -1), -1, lo), _eventual_sign(_end_part(f, +1), +1, hi)
 
 
+def _sign_fault(f: RadialFunction, strict: bool) -> int | float | None:
+    """Where f fails to be >= 0 (> 0 when ``strict``), certified on every
+    shell: -inf or inf when it fails toward that end, else the first shell
+    where it fails, else None.
+
+    The ends come first (_end_signs; a strict check fails an end no term
+    reaches), then every shell between the two certified edges.  An exact
+    single power c|x|^beta with c > 0 is positive everywhere and is not
+    scanned.
+    """
+    if f.is_single_power() and f.terms[0].coeff > 0:
+        return None
+    (s_lo, e_lo), (s_hi, e_hi) = _end_signs(f)
+    least = 1 if strict else 0
+    if s_lo < least:
+        return -math.inf
+    if s_hi < least:
+        return math.inf
+    for g in range(1 - e_lo, e_hi):
+        v = f.value_on_shell(g)
+        if v < 0 or (strict and v == 0):
+            return g
+    return None
+
+
 def _max_lo(a: int | None, b: int | None) -> int | None:
     if a is None:
         return b
@@ -660,18 +606,9 @@ def _sum_weighted_shells(f: RadialFunction, extra_exp: int, unit: Number) -> Ext
     never flip a divergent partial sum).  Opposite ends diverging to opposite
     signs have no signed limit and raise ArithmeticError.
     """
-    finite_exact = Fraction(0)
-    finite_float: list[float] = []
+    finite = Fraction(0)
     down: list[tuple[Number, int, Number]] = []  # (ratio, logpow, coeff) at -inf
     up: list[tuple[Number, int, Number]] = []
-
-    def add_finite(v: Number) -> None:
-        nonlocal finite_exact
-        if is_exact(v):
-            finite_exact += v
-        else:
-            finite_float.append(float(v))
-
     for t in f.terms:
         ratio = ppow(f.p, t.beta + extra_exp)
         coeff = t.coeff * unit
@@ -683,16 +620,16 @@ def _sum_weighted_shells(f: RadialFunction, extra_exp: int, unit: Number) -> Ext
         for a, b in lo_parts:
             if a is None:
                 if ratio > 1:
-                    add_finite(coeff * power_log_sum(ratio, t.logpow, None, b).value)
+                    finite += coeff * power_log_sum(ratio, t.logpow, None, b).value
                 else:
                     down.append((ratio, t.logpow, coeff))
             elif b is None:
                 if ratio < 1:
-                    add_finite(coeff * power_log_sum(ratio, t.logpow, a, None).value)
+                    finite += coeff * power_log_sum(ratio, t.logpow, a, None).value
                 else:
                     up.append((ratio, t.logpow, coeff))
             else:
-                add_finite(coeff * power_log_sum(ratio, t.logpow, a, b).value)
+                finite += coeff * power_log_sum(ratio, t.logpow, a, b).value
 
     signs = set()
     if down:
@@ -706,9 +643,7 @@ def _sum_weighted_shells(f: RadialFunction, extra_exp: int, unit: Number) -> Ext
         raise ArithmeticError("tails diverge to opposite infinities; no signed value")
     if signs:
         return ExtendedValue.infinite(signs.pop())
-    if finite_float:
-        return ExtendedValue.finite(math.fsum(finite_float + [float(finite_exact)]))
-    return ExtendedValue.finite(finite_exact)
+    return ExtendedValue.finite(finite)
 
 
 def integrate_radial(f: RadialFunction) -> ExtendedValue:

@@ -223,7 +223,11 @@ def build_scenario(model: ScenarioModel) -> BuiltScenario:
     conditions surface per operation.
     """
     p, n = model.prime, model.dim
-    if not is_prime(p):
+    try:
+        prime = is_prime(p)
+    except ValueError as exc:
+        raise SchemaError(f"field 'prime': {exc}") from exc
+    if not prime:
         raise SchemaError(f"field 'prime': {p} is not prime")
     rs = tuple(model.rs) if model.rs else tuple(range(1, 9))
     if any(r < 1 for r in rs):

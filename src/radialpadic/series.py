@@ -11,8 +11,8 @@ satisfies r^g P(g) - r^(g-1) P(g-1) = g^t r^g for every integer g, so
     sum_{g=a}^{b} g^t r^g = r^b P(b) - r^(a-1) P(a-1).
 
 r^g P(g) vanishes toward -inf when r > 1 and toward +inf when r < 1, which
-gives both infinite tails.  Short finite ranges are summed directly.
-Exactness is preserved whenever r is rational.
+gives both infinite tails.  Short finite ranges are summed directly.  The
+ratio r is exact (an int or a Fraction), and so is every closed form.
 
 A tail toward -inf converges iff r > 1; toward +inf iff r < 1.  r == 1 with a
 nonzero coefficient always diverges.  Divergent results are returned as
@@ -21,21 +21,13 @@ signed-infinite ExtendedValues, never raised.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from math import comb
 
-from .numeric import ExtendedValue, Number, fpow, is_exact
+from .numeric import ExtendedValue, Number, require_exact
 
 #: ranges longer than this are summed by telescoping the antidifference
 _DIRECT_SUM_LIMIT = 4096
-
-
-def _rpow(r: Number, e: int) -> Number:
-    """r**e for integer e, exact for Fractions, saturating for floats."""
-    if is_exact(r):
-        return Fraction(r) ** e
-    return fpow(float(r), float(e))
 
 
 def antidifference(r: Number, t: int) -> list[Number]:
@@ -43,14 +35,12 @@ def antidifference(r: Number, t: int) -> list[Number]:
     r^g P(g) - r^(g-1) P(g-1) = g^t r^g on the whole shell line.
 
     Comparing coefficients of g^i in P(g) - P(g-1)/r = g^t gives a triangular
-    system, solved from the top degree down.  Exact when r is exact, and
-    always exact when r == 1 (every power of the ratio is then 1).
+    system, solved from the top degree down.
     """
-    if r <= 0:
+    if require_exact(r, "ratio") <= 0:
         raise ValueError("ratio must be positive")
     shift = 1 if r == 1 else 0
-    if shift or is_exact(r):
-        r = Fraction(r)
+    r = Fraction(r)
     a = [r * 0] * (t + 1 + shift)
     for i in range(t, -1, -1):
         acc = r if i == t else r * 0
@@ -66,14 +56,12 @@ def antidifference_at(r: Number, poly: list[Number], g: int) -> Number:
     acc = poly[-1]
     for c in reversed(poly[:-1]):
         acc = acc * g + c
-    return _rpow(r, g) * acc
+    return Fraction(r) ** g * acc
 
 
 def _direct(r: Number, k: int, lo: int, hi: int) -> Number:
-    vals = [(g ** k if k else 1) * _rpow(r, g) for g in range(lo, hi + 1)]
-    if any(isinstance(v, float) for v in vals):
-        return math.fsum(float(v) for v in vals)
-    return sum(vals)
+    r = Fraction(r)
+    return sum((g ** k if k else 1) * r ** g for g in range(lo, hi + 1))
 
 
 def power_log_sum(r: Number, k: int, lo: int | None, hi: int | None) -> ExtendedValue:
@@ -84,7 +72,7 @@ def power_log_sum(r: Number, k: int, lo: int | None, hi: int | None) -> Extended
     toward -inf).  A doubly-infinite divergent sum with k odd has no single
     sign and raises ArithmeticError.
     """
-    if r <= 0:
+    if require_exact(r, "ratio") <= 0:
         raise ValueError("ratio must be positive")
     if lo is not None and hi is not None:
         if lo > hi:

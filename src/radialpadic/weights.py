@@ -25,10 +25,15 @@ and a Morrey or CMO sup probes for growth beyond the window.
 Either way the quantities of a run of balls come from one upward sweep
 instead of integrating every ball from -inf: ball integrals of |f|^q w reuse
 each piece below the ball (_ball_integrals), and plain ball totals step from
-one ball to the next where the closed form is exact (_ball_totals).  Each
-ball still gets exactly the value the direct call gives, because exact parts
-are equal as rationals and float parts go through the same math.fsum; a
-running float sum would round differently, so none is kept.
+one ball to the next (_ball_totals).  Each ball still gets exactly the value
+the direct call gives, because exact parts are equal as rationals and float
+parts go through the same math.fsum; a running float sum would round
+differently, so none is kept.
+
+Data are exact: the profiles hold int and Fraction numbers only, and the
+norm exponents q, lam, r and ell must be an int or a Fraction, or the entry
+point raises a ValueError naming the exponent.  Floats are outputs only: a
+norm value, a numeric-tail sum, a windowed mass.
 """
 
 from __future__ import annotations
@@ -36,7 +41,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 from typing import Callable, Sequence
 
 from .numeric import (
@@ -44,6 +48,7 @@ from .numeric import (
     FloatRangeError,
     Number,
     abs_pow,
+    exact_root,
     exp_sat,
     float_sat,
     fpow,
@@ -52,11 +57,12 @@ from .numeric import (
     is_exact,
     nth_root,
     ppow,
+    require_exact,
 )
 from .radial import (
     RadialFunction,
     RadialTerm,
-    _end_signs,
+    _sign_fault,
     ball_measure,
     integrate_radial,
     sphere_measure,
@@ -69,8 +75,6 @@ _GROWTH_PROBES = (8, 16, 32, 64)
 _TAIL_RTOL = 1e-18
 _TAIL_CONSECUTIVE = 8
 _TAIL_MAX_TERMS = 200_000
-#: shells probed when validating weight positivity
-_POSITIVITY_WINDOW = 96
 
 
 @dataclass(frozen=True)
@@ -91,23 +95,11 @@ class Weight:
     profile: RadialFunction
 
     def __post_init__(self) -> None:
-        w = self.profile
-        t = w.terms[0] if w.is_single_power() else None
-        # c|x|^beta with exact c > 0 and exact beta is an exact positive
-        # number on every shell, so it needs no check; a float coefficient or
-        # exponent can underflow to 0 on a probed shell, so those keep the scan
-        if t is not None and is_exact(t.coeff) and is_exact(t.beta) and t.coeff > 0:
-            return
-        for g in range(-_POSITIVITY_WINDOW, _POSITIVITY_WINDOW + 1):
-            if w.value_on_shell(g) <= 0:
-                raise ValueError(f"weight must be positive on every shell; fails at {g}")
-        (s_lo, e_lo), (s_hi, e_hi) = _end_signs(w)
-        if s_lo <= 0 or s_hi <= 0:  # 0: no term reaches that end, so w vanishes there
-            raise ValueError("weight must stay positive toward infinity")
-        # the shells between the two certified edges that the scan skipped
-        for g in chain(range(1 - e_lo, -_POSITIVITY_WINDOW), range(_POSITIVITY_WINDOW + 1, e_hi)):
-            if w.value_on_shell(g) <= 0:
-                raise ValueError(f"weight must be positive on every shell; fails at {g}")
+        fault = _sign_fault(self.profile, strict=True)
+        if fault is not None:
+            if math.isinf(fault):
+                raise ValueError("weight must stay positive toward infinity")
+            raise ValueError(f"weight must be positive on every shell; fails at {fault}")
 
     @property
     def p(self) -> int:
@@ -169,16 +161,11 @@ def _ball_totals(f: RadialFunction, lo: int, hi: int) -> list[ExtendedValue]:
     Each ball's total equals its closed form as a rational wherever the
     closed form is exact:
 
-      * c|x|^beta with exact c and beta sums the geometric series in the
-        exact ratio r = ppow(p, beta + n) (integrate_radial), so each ball is
-        the one below it times r, also for a fractional beta;
-      * with exact coefficients and integral exponents, each ball is the one
-        below it plus f(g)|S_g|.
-
-    A float c with an exact beta gives each ball as the float
-    (c (1 - p^-n)) float(S_g), where the geometric sum S_g is exact and is
-    the one below it times r; S_g is kept as an unreduced integer ratio,
-    whose true division rounds as float(S_g) does.
+      * c|x|^beta sums the geometric series in the exact ratio
+        r = ppow(p, beta + n) (integrate_radial), so each ball is the one
+        below it times r, also for a fractional beta;
+      * with integral exponents, each ball is the one below it plus
+        f(g)|S_g|.
 
     Where the first ball diverges, its deep tail lies in every ball above,
     so every ball takes that same signed infinity.  Otherwise each ball keeps
@@ -187,19 +174,9 @@ def _ball_totals(f: RadialFunction, lo: int, hi: int) -> list[ExtendedValue]:
     totals = [integrate_radial(f.restrict(None, lo))]
     if totals[0].divergent:
         return totals * (hi - lo + 1)
-    single = totals[0].is_finite and f.is_single_power() and is_exact(f.terms[0].beta)
+    single = totals[0].is_finite and f.is_single_power()
     ratio = ppow(f.p, f.terms[0].beta + f.n) if single else None
-    if single and not is_exact(f.terms[0].coeff):
-        coeff = f.terms[0].coeff * (1 - Fraction(f.p) ** -f.n)  # integrate_radial's factor, a float
-        s = power_log_sum(ratio, 0, None, lo).value
-        num, den = s.numerator, s.denominator
-        for _ in range(lo + 1, hi + 1):
-            num, den = num * ratio.numerator, den * ratio.denominator
-            # + 0.0: integrate_radial's fsum with its exact part 0 turns -0.0 into 0.0
-            totals.append(ExtendedValue.finite(coeff * (num / den) + 0.0))
-        return totals
-    exact = totals[0].is_finite and all(is_exact(t.coeff) and is_exact(t.beta) for t in f.terms)
-    running = exact and all(integral_part(t.beta) is not None for t in f.terms)
+    running = totals[0].is_finite and all(integral_part(t.beta) is not None for t in f.terms)
     sphere, step = sphere_measure(f.p, f.n, lo), f.p ** f.n
     for g in range(lo + 1, hi + 1):
         if ratio is not None:
@@ -218,9 +195,7 @@ def _tail_exponent(fsub: RadialFunction, wsub: RadialFunction, q: Number, n: int
     dw = _dominant_term(wsub, end)
     bf = df[0] if df else 0
     bw = dw[0] if dw else 0
-    if is_exact(bf) and is_exact(bw) and is_exact(q):
-        return Fraction(q) * bf + bw + n
-    return float(q) * float(bf) + float(bw) + n
+    return Fraction(q) * bf + bw + n
 
 
 def _numeric_tail(h: Callable[[int], float], edge: int, step: int) -> float:
@@ -246,8 +221,8 @@ def _rescaled_eval(fsub: RadialFunction, wsub: RadialFunction, q: Number, n: int
 
     Rescaling by the dominant exponents keeps every factor inside float range
     even when |f(g)| alone would overflow; the product is mathematically
-    unchanged.  A dominant exponent that is an exact 0 shifts nothing, so
-    that function is read as it is.  Each factor is read with
+    unchanged.  A dominant exponent 0 shifts nothing, so that function is
+    read as it is.  Each factor is read with
     float_on_shell, one integer division per exact shell value, and equals
     float(value_on_shell(g)) bit for bit; like it, it raises OverflowError
     off the float range.
@@ -270,9 +245,9 @@ def _rescaled_eval(fsub: RadialFunction, wsub: RadialFunction, q: Number, n: int
 
 
 def _shifted(fn: RadialFunction, beta: Number) -> RadialFunction:
-    """fn * |x|^(-beta); fn itself when beta is an exact 0, where the product
-    has the same value, exact or float, on every shell."""
-    if beta == 0 and is_exact(beta):
+    """fn * |x|^(-beta); fn itself when beta is 0, where the product has the
+    same value on every shell."""
+    if beta == 0:
         return fn
     return fn * RadialFunction.power(fn.p, fn.n, 1, -beta)
 
@@ -420,6 +395,7 @@ def integral_abs_power(
     The region is split at every breakpoint of f and w (_interval_pieces);
     each piece has a closed form or a numeric sum (_piece_integral).
     """
+    require_exact(q, "q")
     return _sum_pieces([_piece_integral(f, w.profile, q, a, b)
                         for a, b in _interval_pieces(f, w.profile, lo, hi)])
 
@@ -450,7 +426,7 @@ def lebesgue_norm(
     f: RadialFunction, w: Weight, q: Number, lo: int | None = None, hi: int | None = None
 ) -> NormResult:
     """Weighted L^q norm of f over the shell region [lo, hi] (all of Q_p^n by default)."""
-    if q < 1:
+    if require_exact(q, "q") < 1:
         raise ValueError("q must be at least 1")
     total = integral_abs_power(f, w, q, lo, hi)
     if not total.is_finite:
@@ -499,17 +475,17 @@ def morrey_norm(
     below s has quotient 0, and a ball above t has the integral of B_t over
     a larger mass, so no ball outside s..t exceeds the sup.  This value and
     witness are exact for any window, so ``window`` serves only an f with
-    unbounded support (or a float q or lam with 1/q + lam < 0): its sup is
-    taken over |g| <= window, and growth probes beyond the window are
-    integrated directly.
+    unbounded support: its sup is taken over |g| <= window, and growth
+    probes beyond the window are integrated directly.
     """
-    if q < 1:
+    if require_exact(q, "q") < 1:
         raise ValueError("q must be at least 1")
+    require_exact(lam, "lam")
     p, n = f.p, f.n
     if f.is_zero():
         return NormResult(ExtendedValue.finite(Fraction(0)))
-    expo = Fraction(1, 1) / Fraction(q) + Fraction(lam) if is_exact(q) and is_exact(lam) else 1 / float(q) + float(lam)
-    if is_exact(lam) and is_exact(q) and Fraction(lam) < -1 / Fraction(q):
+    expo = 1 / Fraction(q) + lam
+    if expo < 0:
         return NormResult(ExtendedValue.infinite(+1))
 
     def quotient(mass: ExtendedValue, part: ExtendedValue) -> float:
@@ -536,11 +512,7 @@ def morrey_norm(
         e_ball = _tail_exponent(f, w.profile, q, n, -1)
         if not e_ball > 0:
             return NormResult(ExtendedValue.infinite(+1))
-        if is_exact(ft.beta) and is_exact(alpha) and is_exact(q) and is_exact(lam):
-            slope = Fraction(q) * Fraction(ft.beta) + Fraction(alpha) + n - Fraction(q) * (Fraction(alpha) + n) * (Fraction(1) / Fraction(q) + Fraction(lam))
-        else:
-            slope = float(q) * float(ft.beta) + float(alpha) + n - float(q) * (float(alpha) + n) * (1 / float(q) + float(lam))
-        if slope == 0:
+        if q * ft.beta + alpha + n - q * (alpha + n) * expo == 0:
             return NormResult(ExtendedValue.finite(q_at(0)), None)
         return NormResult(ExtendedValue.infinite(+1))
 
@@ -564,8 +536,8 @@ def cmo_norm(b: RadialFunction, w: Weight, r: Number, window: int = 48) -> NormR
     For a power weight, the deviation integral and the mass over B_g both
     scale by p^(g(n + alpha)) under x -> p^(-g) x, so each ball's quotient is
     taken on B_0, of the deviation b - avg_g dilated by g and cut to B_0.
-    When the terms of b that reach shell -inf make up c log_p|x| + d with
-    exact c and d, b = c s + d on every ball B_g below b's lowest breakpoint
+    When the terms of b that reach shell -inf make up c log_p|x| + d,
+    b = c s + d on every ball B_g below b's lowest breakpoint
     e (+inf when b has none), and that deviation is c (s - m0) on B_0 for
     each of them, m0 being B_0's mean shell: one exact function, hence one
     quotient, computed at the first such ball reached.  Every other ball (at
@@ -573,13 +545,12 @@ def cmo_norm(b: RadialFunction, w: Weight, r: Number, window: int = 48) -> NormR
     integrated on its own, its average from one pass over the window
     (_ball_totals), each exactly the ball_average value.
     """
-    if r < 1:
+    if require_exact(r, "r") < 1:
         raise ValueError("r must be at least 1")
     if b.is_zero():
         return NormResult(ExtendedValue.finite(Fraction(0)))
     rescale = w.power_exponent() is not None
-    affine = rescale and all(is_exact(t.coeff) and is_exact(t.beta) and t.beta == 0 and t.logpow <= 1
-                             for t in b.terms if t.lo is None)
+    affine = rescale and all(t.beta == 0 and t.logpow <= 1 for t in b.terms if t.lo is None)
     # the balls B_g with g < reach share one quotient
     reach = min(b.breakpoints(), default=math.inf) if affine else -math.inf
     totals = None if window < reach else _ball_totals(b, -window, window)
@@ -646,7 +617,9 @@ def _power_profile(w: Weight, e: Number) -> RadialFunction | None:
 
     e = 1 gives the profile itself.  Otherwise w^e is taken term by term,
     which is w^e exactly when no two terms share a shell and none carries a
-    log factor (each term is then positive on its own range).
+    log factor (each term is then positive on its own range), and each
+    coefficient c^e is rational: c^(a/b) is the b-th root of c (exact_root),
+    to the power a.
     """
     prof = w.profile
     if e == 1:
@@ -656,12 +629,12 @@ def _power_profile(w: Weight, e: Number) -> RadialFunction | None:
         a.hi is None or b.lo is None or a.hi >= b.lo for a, b in zip(ts, ts[1:])
     ):
         return None
+    e = Fraction(e)
+    roots = [exact_root(t.coeff, e.denominator) for t in ts]
+    if None in roots:
+        return None
     return RadialFunction(prof.p, prof.n, tuple(
-        RadialTerm(abs_pow(t.coeff, e),
-                   Fraction(t.beta) * Fraction(e) if is_exact(t.beta) and is_exact(e)
-                   else float(t.beta) * float(e),
-                   0, t.lo, t.hi)
-        for t in ts
+        RadialTerm(c ** e.numerator, Fraction(t.beta) * e, 0, t.lo, t.hi) for t, c in zip(ts, roots)
     ))
 
 
@@ -691,7 +664,7 @@ def ap_constant(w: Weight, ell: Number, window: int = 40) -> ExtendedValue:
     truncated, even for a weight in the class such as |x|^(1/2) + |x|^(-1/2)
     on shells <= 0 (2 above) at ell = 2.
     """
-    if ell < 1:
+    if require_exact(ell, "ell") < 1:
         raise ValueError("ell must be at least 1")
     p, n = w.p, w.n
     truncated = False
@@ -699,8 +672,8 @@ def ap_constant(w: Weight, ell: Number, window: int = 40) -> ExtendedValue:
     masses = _power_masses(w, 1, window)
     if ell == 1:
         dom = _dominant_term(w.profile, -1)
-        vanishes_deep = dom is not None and float(dom[0]) > 0
-        flat_deep = dom is not None and float(dom[0]) == 0 and dom[1] == 0
+        vanishes_deep = dom is not None and dom[0] > 0
+        flat_deep = dom is not None and dom[0] == 0 and dom[1] == 0
         best = -math.inf
         low = math.inf  # min of w over the shells -window..g
         for g, (mass, tflag) in zip(range(-window, window + 1), masses):
@@ -713,8 +686,7 @@ def ap_constant(w: Weight, ell: Number, window: int = 40) -> ExtendedValue:
         return ExtendedValue(best, truncated=truncated)
 
     # sigma = w^(-1/(ell-1))
-    smasses = _power_masses(
-        w, Fraction(-1) / (Fraction(ell) - 1) if is_exact(ell) else -1 / (float(ell) - 1), window)
+    smasses = _power_masses(w, -1 / (Fraction(ell) - 1), window)
     best = -math.inf
     for g, (mass, t1), (smass, t2) in zip(range(-window, window + 1), masses, smasses):
         truncated |= t1 or t2
@@ -732,7 +704,7 @@ def rh_constant(w: Weight, r: Number, window: int = 40) -> ExtendedValue:
     w do not overlap and carry no log factor; otherwise the result is always
     flagged truncated.
     """
-    if r <= 1:
+    if require_exact(r, "r") <= 1:
         raise ValueError("r must exceed 1")
     p, n = w.p, w.n
     truncated = False
@@ -755,9 +727,6 @@ def critical_index(w: Weight) -> Number:
     so the index is -n/beta for beta < 0 and +inf otherwise.  Exact.
     """
     dom = _dominant_term(w.profile, -1)
-    if dom is None or not float(dom[0]) < 0:
+    if dom is None or not dom[0] < 0:
         return math.inf
-    beta = dom[0]
-    if is_exact(beta):
-        return Fraction(-w.n, 1) / Fraction(beta)
-    return -w.n / float(beta)
+    return Fraction(-w.n) / dom[0]

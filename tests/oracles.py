@@ -348,24 +348,14 @@ def oracle_constant(cid: str, p: int, n: int, kernel_terms, shell_lo: int, shell
     return math.fsum(contribs) * (1 - float(p) ** (-n))
 
 
-def _reference_sum_coeffs(cs):
-    """The coefficient sum of the canonical form: a Fraction when every
-    coefficient is int or Fraction (bool is not exact), else math.fsum."""
-    if not cs:
-        return 0
-    if all(isinstance(c, (int, Fraction)) and not isinstance(c, bool) for c in cs):
-        return sum(cs, Fraction(0))
-    return math.fsum(float(c) for c in cs)
-
-
 def canonicalize_reference(terms):
     """The canonical form by the per-piece rescan, as (coeff, beta, logpow, lo, hi).
 
     For each (beta, logpow) group, in order of first appearance and named
-    after the beta of its first term whose beta is an int or a Fraction (of
-    its first term when there is none), the line is split at every range end, each
-    piece sums the coefficients of every term active on it, adjacent equal
-    pieces merge keeping the first coefficient, and zero pieces are dropped.
+    after the beta of its first term, the line is split at every range end,
+    each piece sums the coefficients of every term active on it as a
+    Fraction, adjacent equal pieces merge keeping the first coefficient, and
+    zero pieces are dropped.
     The result is sorted stably on (float(beta), logpow, lo, hi).
     """
     neg, pos = -(10 ** 9), 10 ** 9
@@ -380,12 +370,10 @@ def canonicalize_reference(terms):
 
     out = []
     for (beta, k), ts in groups.items():
-        exact = [t.beta for t in ts if type(t.beta) in (int, Fraction)]
-        beta = exact[0] if exact else beta
         edges = sorted({e for t in ts for e in
                         ([t.lo] if t.lo is not None else []) + ([t.hi + 1] if t.hi is not None else [])})
         if not edges:
-            c = _reference_sum_coeffs([t.coeff for t in ts])
+            c = sum((t.coeff for t in ts), Fraction(0))
             if c != 0:
                 out.append((c, beta, k, None, None))
             continue
@@ -397,7 +385,7 @@ def canonicalize_reference(terms):
             if lo is not None and hi is not None and lo > hi:
                 continue
             rep = hi if lo is None else lo
-            pieces.append((lo, hi, _reference_sum_coeffs([t.coeff for t in ts if active(t, rep)])))
+            pieces.append((lo, hi, sum((t.coeff for t in ts if active(t, rep)), Fraction(0))))
         merged = []
         for lo, hi, c in pieces:
             if merged and merged[-1][2] == c and merged[-1][1] is not None and lo == merged[-1][1] + 1:

@@ -273,11 +273,11 @@ def test_rejects_unbounded_growth():
 
 
 def test_cancelled_deep_lead_raises_instead_of_hanging():
-    # the leads of A(g) and |f|(g) on the deep tail cancel to a float
-    # residue, whose sign certificate would start at shell -1 660 500 081 839 348
-    f = (RadialFunction.power(3, 2, 3.2477, -3, lo=7)
-         + RadialFunction.power(3, 2, 0.5, 0, hi=-7)
-         + RadialFunction.power(3, 2, 0.7374101693, 0, hi=-7, logpow=1))
+    # the deep tail 1/2 + 10^-12 g changes sign near shell -5 * 10^11, so
+    # its sign certificate would start beyond shell -10^12
+    f = (RadialFunction.power(3, 2, Fraction("3.2477"), -3, lo=7)
+         + RadialFunction.power(3, 2, Fraction(1, 2), 0, hi=-7)
+         + RadialFunction.power(3, 2, Fraction(1, 10 ** 12), 0, hi=-7, logpow=1))
     with pytest.raises(ValueError, match="not certified within"):
         maximal_mod(f)
 

@@ -19,6 +19,7 @@ from radialpadic.padic import (
     pnorm,
     valuation,
 )
+from radialpadic.radial import RadialFunction
 from radialpadic.sampling import sample_sphere
 
 from oracles import brute_shell, det_by_elimination
@@ -56,6 +57,17 @@ def test_is_prime_decides_large_numbers_by_strong_tests():
     check_prime(2 ** 61 - 1)
     with pytest.raises(ValueError):
         check_prime(3825123056546413051)
+
+
+def test_is_prime_names_its_bound_instead_of_trial_division():
+    # 2^89 - 1 is prime and above the bound, where trial division would take
+    # about 10^12 steps; a number with a small prime factor is still decided
+    big = 2 ** 89 - 1
+    with pytest.raises(ValueError, match="below 3317044064679887385961981"):
+        check_prime(big)
+    with pytest.raises(ValueError, match="below 3317044064679887385961981"):
+        RadialFunction(big, 1)
+    assert is_prime(3 * big) is False
 
 
 def test_accepted_prime_admits_no_lookalike():

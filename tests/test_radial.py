@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from radialpadic import radial
-from radialpadic.numeric import FloatRangeError, float_sat, is_exact
+from radialpadic.numeric import float_sat, ppow
 from radialpadic.radial import (
     RadialFunction,
     RadialTerm,
@@ -196,74 +196,55 @@ def test_dilate_log_picks_up_constant():
 
 
 def test_float_coefficient_times_out_of_range_power_saturates_only_out_of_range():
-    # 1e-300 * 5^500: the exact power is outside the float range, the product
+    # the decimal coefficient 1e-300, read exactly as a scenario file reads
+    # it, times 5^500: the power is outside the float range, the product
     # (about 3.05e49) is not
-    f = RadialFunction(5, 2, (RadialTerm(1e-300, -1, 0),))
-    want = float(Fraction(1e-300) * 5 ** 500)
-    assert math.isclose(f.value_on_shell(-500), want, rel_tol=1e-12)
-    assert RadialFunction(5, 2, (RadialTerm(-1e-300, -1, 2),)).value_on_shell(-500) == pytest.approx(
-        -want * 500 ** 2, rel=1e-12)
+    tiny = Fraction("1e-300")
+    f = RadialFunction(5, 2, (RadialTerm(tiny, -1, 0),))
+    want = tiny * 5 ** 500
+    assert f.value_on_shell(-500) == want
+    assert f.float_on_shell(-500) == f.float_on_shell(-500, saturate=True) == float(want)
+    assert RadialFunction(5, 2, (RadialTerm(-tiny, -1, 2),)).float_on_shell(-500) == float(-want * 500 ** 2)
     # the deep term 0.75 |x|^-1 of a maximal profile: 0.75 * 5^500 is itself
     # out of range, so it saturates
-    deep = RadialFunction(5, 2, (RadialTerm(0.75, -1, 0, None, -9),))
-    assert deep.value_on_shell(-500) == math.inf
+    deep = RadialFunction(5, 2, (RadialTerm(Fraction("0.75"), -1, 0, None, -9),))
+    assert deep.float_on_shell(-500, saturate=True) == math.inf
     # in-range products are the plain products, bit for bit
-    assert deep.value_on_shell(-9) == 0.75 * 5 ** 9
-    assert f.value_on_shell(-100) == 1e-300 * 5 ** 100
+    assert deep.float_on_shell(-9) == 0.75 * 5 ** 9
+    assert f.float_on_shell(-100) == float(tiny * 5 ** 100)
 
 
 def test_exact_term_beside_float_term_saturates_out_of_range():
-    # the exact 5^500 of the first term is outside the float range; with a
-    # float term beside it the sum saturates instead of raising OverflowError
-    f = RadialFunction(5, 2, (RadialTerm(1, -1, 0), RadialTerm(0.5, 0, 0)))
-    assert f.value_on_shell(-500) == math.inf
-    assert (-f).value_on_shell(-500) == -math.inf
-    # in range the sum is the plain fsum, bit for bit
-    assert f.value_on_shell(-9) == math.fsum([float(5 ** 9), 0.5])
+    # the 5^500 of the first term is outside the float range; beside the
+    # decimal term 0.5, read exactly, the sum saturates
+    f = RadialFunction(5, 2, (RadialTerm(1, -1, 0), RadialTerm(Fraction("0.5"), 0, 0)))
+    assert f.value_on_shell(-500) == 5 ** 500 + Fraction(1, 2)
+    assert f.float_on_shell(-500, saturate=True) == math.inf
+    assert (-f).float_on_shell(-500, saturate=True) == -math.inf
+    with pytest.raises(OverflowError):
+        f.float_on_shell(-500)
+    # in range the sum is correctly rounded
+    assert f.float_on_shell(-9) == 5 ** 9 + 0.5
 
 
 def test_opposite_out_of_range_exact_terms_beside_a_float_term_saturate():
-    # 5^500 and -500 * 5^500 each saturate, to inf and -inf; their sum is
-    # taken as one rational, -499 * 5^500, before it saturates
-    f = RadialFunction(5, 2, (RadialTerm(1, -1, 0), RadialTerm(1, -1, 1), RadialTerm(0.5, 0, 0)))
-    assert f.value_on_shell(-500) == -math.inf
-    assert (-f).value_on_shell(-500) == math.inf
-    # in range the sum is the plain fsum, bit for bit
-    assert f.value_on_shell(-9) == math.fsum([float(5 ** 9), float(-9 * 5 ** 9), 0.5])
+    # 5^500 and -500 * 5^500 are each outside the float range; their sum
+    # -499 * 5^500 (plus the decimal 0.5, read exactly) saturates once
+    f = RadialFunction(5, 2, (RadialTerm(1, -1, 0), RadialTerm(1, -1, 1), RadialTerm(Fraction("0.5"), 0, 0)))
+    assert f.value_on_shell(-500) == -499 * 5 ** 500 + Fraction(1, 2)
+    assert f.float_on_shell(-500, saturate=True) == -math.inf
+    assert (-f).float_on_shell(-500, saturate=True) == math.inf
+    # in range the sum is correctly rounded
+    assert f.float_on_shell(-9) == float(-8 * 5 ** 9 + Fraction(1, 2))
 
 
-def test_float_terms_off_the_float_range_saturate_where_fsum_raises():
-    # 1e308 + 1e308: fsum overflows in an intermediate sum; the true value
-    # 2e308 lies off the float range, so it reads inf
-    f = RadialFunction(2, 1, (RadialTerm(1e308, 0, 0), RadialTerm(1e308, 1, 0, 0, 0)))
-    assert f.value_on_shell(0) == f.float_on_shell(0) == math.inf
-    assert (-f).value_on_shell(0) == (-f).float_on_shell(0) == -math.inf
-    # 1.0 * 5^500 saturates to inf and -500 * 5^500 to -inf, which fsum
-    # cannot add; the true value -499 * 5^500 reads -inf
-    g = RadialFunction(5, 2, (RadialTerm(1.0, -1, 0), RadialTerm(1.0, -1, 1)))
-    assert g.value_on_shell(-500) == g.float_on_shell(-500) == -math.inf
-    assert (-g).value_on_shell(-500) == math.inf
-    # in range the sums are the plain fsums, bit for bit
-    assert f.value_on_shell(1) == 1e308
-    assert g.value_on_shell(-9) == math.fsum([5.0 ** 9, -9 * 5.0 ** 9])
-
-
-def test_float_exponent_term_in_the_rational_fallback():
-    # a float-exponent term in range joins the rational sum as its float value
-    exact = (RadialTerm(1, -1, 0), RadialTerm(1, -1, 1))
-    f = RadialFunction(5, 2, exact + (RadialTerm(0.5, 0.0, 0),))
-    assert f.value_on_shell(-500) == f.float_on_shell(-500) == -math.inf
-    # one off the float range has no value to join it: named, not inf - inf
-    g = RadialFunction(5, 2, exact + (RadialTerm(1.0, -1.5, 0),))
-    with pytest.raises(FloatRangeError):
-        g.value_on_shell(-500)
-    with pytest.raises(FloatRangeError):
-        g.float_on_shell(-500)
+def active(t, g):
+    return (t.lo is None or g >= t.lo) and (t.hi is None or g <= t.hi)
 
 
 def term_sum(f, g):
     """The exact shell value as a sum of the term values, one Fraction at a time."""
-    return sum((t.value(f.p, g) for t in f.terms if t.active(g)), Fraction(0))
+    return sum((t.coeff * ppow(f.p, g * t.beta) * g ** t.logpow for t in f.terms if active(t, g)), Fraction(0))
 
 
 @st.composite
@@ -283,7 +264,7 @@ def exact_functions(draw):
 @given(exact_functions(), st.one_of(st.integers(-40, 50), st.integers(-3000, 3000)))
 def test_exact_shell_value_is_the_sum_of_its_terms(f, g):
     got = f.value_on_shell(g)
-    if not any(t.active(g) for t in f.terms):
+    if not any(active(t, g) for t in f.terms):
         assert got == 0 and type(got) is int
         return
     want = term_sum(f, g)
@@ -307,15 +288,15 @@ def test_exact_shell_value_far_out_and_off_support():
 
 @st.composite
 def shell_cases(draw):
-    """(f, g): integral and fractional exponents, float and exact
-    coefficients, log powers 0..3, and a shell in [-600, 600]; some f are
-    cut so that no term is active at g, some cancel to 0 at g."""
+    """(f, g): integral and fractional exponents, coefficients from tiny to
+    huge, log powers 0..3, and a shell in [-600, 600]; some f are cut so that
+    no term is active at g, some cancel to 0 at g."""
     p = draw(st.sampled_from([2, 3, 5, 7]))
     terms = []
     for _ in range(draw(st.integers(1, 4))):
         coeff = draw(st.one_of(
             st.fractions(-9, 9, max_denominator=12).filter(bool),
-            st.floats(-1e300, 1e300, allow_nan=False).filter(bool),
+            st.builds(Fraction, st.floats(-1e300, 1e300, allow_nan=False).filter(bool)),
         ))
         beta = draw(st.one_of(st.integers(-4, 4), st.fractions(-4, 4, max_denominator=12)))
         lo = draw(st.one_of(st.none(), st.integers(-600, 600)))
@@ -325,7 +306,7 @@ def shell_cases(draw):
     g = draw(st.integers(-600, 600))
     if draw(st.booleans()):
         v = f.value_on_shell(g)
-        if v != 0 and (not isinstance(v, float) or math.isfinite(v)):
+        if v != 0:
             # a term on shell g alone that cancels the others there
             f = f + RadialFunction.power(p, f.n, -v, 0, lo=g, hi=g)
     return f, g
@@ -347,13 +328,10 @@ def outcome(read):
 def test_float_on_shell_is_float_of_value_on_shell(case):
     f, g = case
     v = f.value_on_shell(g)
-    active = [t for t in f.terms if t.active(g)]
-    if not active:
+    if not any(active(t, g) for t in f.terms):
         assert v == 0 and type(v) is int
-    elif all(is_exact(t.coeff) and is_exact(t.beta) for t in active):
-        assert type(v) is Fraction
     else:
-        assert type(v) is float
+        assert type(v) is Fraction
     # bit identical, raising the same OverflowError together
     assert outcome(lambda: f.float_on_shell(g)) == outcome(lambda: float(v))
     assert bits(f.float_on_shell(g, saturate=True)) == bits(float_sat(v))
@@ -370,9 +348,30 @@ def test_float_on_shell_saturates_exact_values_off_the_float_range():
     assert math.copysign(1, f.float_on_shell(-400)) == -1
 
 
+def test_float_terms_off_the_float_range_saturate_where_fsum_raises():
+    # 10^308 twice on one shell: each term's float is in range, but fsum of
+    # them overflows; the exact sum 2 * 10^308 is off the float range, so it
+    # saturates to inf
+    f = RadialFunction(2, 1, (RadialTerm(10 ** 308, 0, 0), RadialTerm(10 ** 308, 1, 0, 0, 0)))
+    with pytest.raises(OverflowError):
+        math.fsum([1e308, 1e308])
+    assert f.float_on_shell(0, saturate=True) == math.inf
+    assert (-f).float_on_shell(0, saturate=True) == -math.inf
+    # 5^500 and -500 * 5^500 have no floats for fsum to add; the exact
+    # sum -499 * 5^500 saturates to -inf
+    g = RadialFunction(5, 2, (RadialTerm(1, -1, 0), RadialTerm(1, -1, 1)))
+    with pytest.raises(OverflowError):
+        g.float_on_shell(-500)
+    assert g.float_on_shell(-500, saturate=True) == -math.inf
+    assert (-g).float_on_shell(-500, saturate=True) == math.inf
+    # in range the reads are the plain fsums, bit for bit
+    assert f.float_on_shell(1) == 1e308
+    assert g.float_on_shell(-9) == math.fsum([5.0 ** 9, -9 * 5.0 ** 9])
+
+
 def test_lazy_shell_data_is_invisible():
     f = RadialFunction(3, 2, (RadialTerm(Fraction(1, 2), Fraction(-1, 3), 2, None, 4),
-                              RadialTerm(0.25, 1, 0, 2, None)))
+                              RadialTerm(Fraction(1, 4), 1, 0, 2, None)))
     twin = RadialFunction(3, 2, f.terms)
     before, text, h = pickle.dumps(f), repr(f), hash(f)
     values = [(f.value_on_shell(g), f.float_on_shell(g)) for g in (-7, 3, 9)]
@@ -388,9 +387,10 @@ def test_equality_is_canonical():
     assert a == b
 
 
-COEFFS = [0, 1, -1, 2, True, False, Fraction(0), Fraction(1, 2), Fraction(-1, 2), Fraction(7, 3),
-          0.0, 0.5, -0.5, 1.0, -2.5, 1e-300, -1e-300]
-BETAS = [0, 0.0, Fraction(1, 2), 0.5, Fraction(1, 3), 1 / 3]  # the last two share a float
+COEFFS = [0, 1, -1, 2, Fraction(0), Fraction(1, 2), Fraction(-1, 2), Fraction(7, 3),
+          Fraction(1, 10 ** 300), Fraction(-1, 10 ** 300)]
+# 0 and Fraction(0) compare equal; the last two are distinct and share a float
+BETAS = [0, Fraction(0), Fraction(1, 2), Fraction(1, 3), Fraction(1, 3) + Fraction(1, 10 ** 30)]
 
 
 @st.composite
@@ -422,47 +422,37 @@ def test_canonical_form_matches_reference(terms):
     assert typed(as_tuples(RadialFunction(2, 1, terms))) == typed(canonicalize_reference(terms))
 
 
-SPELLINGS = [(0, 0.0), (Fraction(1, 2), 0.5), (Fraction(-3, 2), -1.5)]  # each pair compares equal
+SPELLINGS = [(0, Fraction(0)), (1, Fraction(1)), (-3, Fraction(-3))]  # each pair compares equal
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_exponent_spelling_does_not_depend_on_term_order(data):
-    # a group whose exponent is written both exactly and as a float is named
-    # by the exact spelling in every order, so its values take the exact path
+    # a group whose exponent is written both as an int and as a Fraction is
+    # named by its first term's spelling; the function, its values and the
+    # type of each value do not depend on the order
     terms = []
     for _ in range(data.draw(st.integers(1, 6))):
         lo = data.draw(st.one_of(st.none(), st.integers(-4, 4)))
         hi = None if lo is None else lo + data.draw(st.integers(0, 4))
         spelling = data.draw(st.sampled_from(SPELLINGS))[data.draw(st.integers(0, 1))]
-        coeff = data.draw(st.sampled_from([Fraction(1), Fraction(-2, 3), 0.5, -1.0]))
+        coeff = data.draw(st.sampled_from([Fraction(1), Fraction(-2, 3), 1, -2]))
         terms.append(RadialTerm(coeff, spelling, data.draw(st.integers(0, 1)), lo, hi))
     shuffled = data.draw(st.permutations(terms))
     f, g = RadialFunction(2, 1, tuple(terms)), RadialFunction(2, 1, tuple(shuffled))
-    assert typed(as_tuples(f)) == typed(as_tuples(g))
+    assert f == g
     for t in f.terms:
-        assert is_exact(t.beta) == any(is_exact(u.beta) for u in terms
-                                       if u.beta == t.beta and u.logpow == t.logpow)
-    assert [f.value_on_shell(v) for v in range(-6, 10)] == [g.value_on_shell(v) for v in range(-6, 10)]
-
-
-def test_exact_spelling_survives_a_cut_after_dilation():
-    # b = |x|^0.5 on shells >= 3 plus |x|^(1/2) log|x|: dilating b - 1/3 puts
-    # the float-spelled term first in its group; cutting to shells <= 0 then
-    # leaves only the exact term there, which must keep its exact exponent
-    p, n = 2, 1
-    b = RadialFunction(p, n, (RadialTerm(1, 0.5, 0, 3, None), RadialTerm(1, Fraction(1, 2), 1)))
-    cut = (b - RadialFunction.constant(p, n, Fraction(1, 3))).dilate(-2).restrict(None, 0)
-    assert all(is_exact(t.beta) for t in cut.terms)
-    assert type(cut.value_on_shell(-3)) is Fraction
-    assert cut == (b.dilate(-2).restrict(None, 0) - RadialFunction.power(p, n, Fraction(1, 3), hi=0))
+        first = next(u for u in terms if u.beta == t.beta and u.logpow == t.logpow)
+        assert type(t.beta) is type(first.beta) and type(t.coeff) is Fraction
+    values = [(f.value_on_shell(v), g.value_on_shell(v)) for v in range(-6, 10)]
+    assert all(a == b and type(a) is type(b) for a, b in values)
 
 
 def test_canonical_form_keeps_canonical_terms():
     exact = RadialTerm(Fraction(1, 2), 0, 0, 1, 3)
-    inexact = RadialTerm(0.25, Fraction(1, 2), 1, None, 0)
-    f = RadialFunction(2, 1, (inexact, exact))
-    assert f.terms[0] is exact and f.terms[1] is inexact
+    other = RadialTerm(Fraction(1, 4), Fraction(1, 2), 1, None, 0)
+    f = RadialFunction(2, 1, (other, exact))
+    assert f.terms[0] is exact and f.terms[1] is other
     # an int coefficient is normalized to a Fraction in a new term
     g = RadialFunction(2, 1, (RadialTerm(3, 0, 0, 1, 3),))
     assert type(g.terms[0].coeff) is Fraction
@@ -474,19 +464,20 @@ def test_canonical_form_keeps_canonical_terms():
 
 # -- canonical terms pass through ----------------------------------------------
 
-RUN_COEFFS = [1, Fraction(1), 1.0, True, 0, 2, Fraction(1, 2), 0.5, -1.0, Fraction(-1, 2), 1e-300]
-RUN_BETAS = [0, Fraction(0), 0.0, 1, Fraction(1), 1.0, Fraction(1, 3), 1 / 3, Fraction(1, 2), 0.5]
+RUN_COEFFS = [1, Fraction(1), 0, 2, Fraction(1, 2), -1, Fraction(-1, 2), Fraction(1, 10 ** 300)]
+THIRD_BESIDE = Fraction(1, 3) + Fraction(1, 10 ** 30)  # distinct from 1/3, with the same float
+RUN_BETAS = [0, Fraction(0), 1, Fraction(1), Fraction(1, 3), THIRD_BESIDE, Fraction(1, 2)]
 
 
 @st.composite
 def near_canonical_terms(draw):
     """Term lists in or near canonical form: runs of disjoint increasing
     ranges, some adjacent, sorted as canonical terms are sorted.  The
-    coefficients are int, bool, Fraction or float, often the last one again,
-    among them the spellings 1, Fraction(1), 1.0 and True.  A run repeats
-    its beta object, or each of its terms spells it as that object, as an
-    equal new Fraction or as its float, which for Fraction(1, 3) is 1/3, a
-    distinct exponent with the same float.  Some lists are shuffled."""
+    coefficients are int or Fraction, often the last one again, among them
+    the spellings 1 and Fraction(1).  A run repeats its beta object, or each
+    of its terms spells it as that object, as an equal new Fraction or as
+    the distinct exponent beside it with the same float.  Some lists are
+    shuffled."""
     terms = []
     for _ in range(draw(st.integers(0, 4))):
         beta, k = draw(st.sampled_from(RUN_BETAS)), draw(st.integers(0, 1))
@@ -496,7 +487,8 @@ def near_canonical_terms(draw):
             hi = draw(st.one_of(st.none(), st.integers(0, 3)))
             if hi is not None and lo is not None:
                 hi += lo
-            b = draw(st.sampled_from([beta, Fraction(beta), float(beta)])) if respell else beta
+            beside = THIRD_BESIDE if beta == Fraction(1, 3) else Fraction(1, 3)
+            b = draw(st.sampled_from([beta, Fraction(beta), beside])) if respell else beta
             if c is None or draw(st.booleans()):  # else the last coefficient again
                 c = draw(st.sampled_from(RUN_COEFFS))
             terms.append(RadialTerm(c, b, k, lo, hi))
@@ -522,7 +514,7 @@ def test_canonical_check_agrees_with_the_full_pass(terms):
     if radial._is_canonical(terms):
         assert got is terms
     # the full pass gives terms the check accepts, unless two groups have
-    # distinct exponents with one float (Fraction(1, 3) and 1/3)
+    # distinct exponents with one float (Fraction(1, 3) and THIRD_BESIDE)
     shared = len({t.beta for t in full}) > len({float(t.beta) for t in full})
     assert radial._is_canonical(full) or shared
 
@@ -532,14 +524,14 @@ THIRD, HALF, OTHER_HALF = Fraction(1, 3), Fraction(1, 2), Fraction(1, 2)
 
 @pytest.mark.parametrize("terms, kept", [
     (((Fraction(1), 0, 0, 0, 2), (Fraction(1), 0, 0, 3, 5)), False),   # adjacent equal pieces
-    (((Fraction(1), 0, 0, 0, 2), (1.0, 0, 0, 3, 5)), False),            # ... spelled apart
+    (((Fraction(1), 0, 0, 0, 2), (1, 0, 0, 3, 5)), False),              # ... spelled apart
     (((Fraction(1), 0, 0, 0, 2), (Fraction(2), 0, 0, 3, 5)), True),    # adjacent, different
     (((Fraction(1), HALF, 0, 0, 2), (Fraction(2), OTHER_HALF, 0, 4, 5)), False),  # equal objects
-    (((Fraction(1), THIRD, 0, 0, 2), (Fraction(2), 1 / 3, 0, 4, 5)), False),      # one float
-    (((Fraction(1), 1, 0, 0, 2), (Fraction(2), 1.0, 0, 4, 5)), False),  # 1 and 1.0
+    (((Fraction(1), THIRD, 0, 0, 2), (Fraction(2), THIRD_BESIDE, 0, 4, 5)), False),  # one float
+    (((Fraction(1), 1, 0, 0, 2), (Fraction(2), Fraction(1), 0, 4, 5)), False),  # 1 and Fraction(1)
     (((1, 0, 0, 0, 2),), False),
-    (((True, 0, 0, 0, 2),), False),
-    (((1.0, 0, 0, 0, 2),), True),
+    (((-3, 0, 0, 0, 2),), False),
+    (((Fraction(1, 2), THIRD, 1, None, None),), True),
     (((Fraction(0), 0, 0, 0, 2),), False),
     (((Fraction(1), 0, 1, None, 0), (Fraction(1), 0, 0, None, None)), False),  # out of order
     (((Fraction(1), 0, 0, 0, 4), (Fraction(2), 0, 0, 3, 5)), False),   # overlapping
@@ -627,10 +619,13 @@ def test_sum_of_products_is_the_fold_of_products_and_sums(case):
 @settings(max_examples=30, deadline=None)
 @given(f=radial_functions())
 def test_sum_of_products_scales_by_every_spelling_of_one(f):
-    # only the exact 1 is skipped: the float 1.0 makes each coefficient a float
-    for c in (1, Fraction(1), 1.0):
+    # 1 and Fraction(1) both leave every coefficient as it is
+    for c in (1, Fraction(1)):
         got = sum_of_products(f.p, f.n, [(c, (f,))])
-        assert typed(as_tuples(got)) == typed(as_tuples(f.scale(c)))
+        assert typed(as_tuples(got)) == typed(as_tuples(f.scale(c))) == typed(as_tuples(f))
+    if not f.is_zero():  # the float 1.0 is no coefficient
+        with pytest.raises(ValueError, match="coeff must be an int or a Fraction"):
+            sum_of_products(f.p, f.n, [(1.0, (f,))])
 
 
 def test_sum_of_products_checks_contexts():

@@ -58,6 +58,11 @@ def with_empty_term_range(row):
     return row
 
 
+def with_undecided_prime(row):
+    row["prime"] = 2 ** 89 - 1  # prime, above the bound of is_prime
+    return row
+
+
 def with_negative_logpow(row):
     row["inputs"][0]["terms"][0][2] = -1
     return row
@@ -66,6 +71,7 @@ def with_negative_logpow(row):
 @pytest.mark.parametrize("suite, spoil, field", [
     ("prop-power-weights", with_boolean_ell, "'ell'"),
     ("prop-power-weights", with_prime_four, "'prime'"),
+    ("prop-power-weights", with_undecided_prime, "'prime': primality"),
     ("c2-lebesgue", with_empty_term_range, "'terms'"),
     ("c2-lebesgue", with_negative_logpow, "'terms'"),
 ])

@@ -1,5 +1,6 @@
 """Closed-form series sums against direct partial summation."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -91,13 +92,6 @@ def test_tail_peeling(num, den, k, edge):
     assert tail == peeled + head
 
 
-def test_float_ratio_falls_back_to_float():
-    got = power_log_sum(0.5, 1, 0, None)
-    want = float(power_log_sum(Fraction(1, 2), 1, 0, None).value)
-    assert got.is_finite and not got.exact
-    assert abs(float(got) - want) < 1e-13 * abs(want)
-
-
 def test_huge_finite_range_uses_closed_form():
     r = Fraction(1, 2)
     got = power_log_sum(r, 1, 0, 10 ** 5)
@@ -142,11 +136,35 @@ def float_cases(r):
     return [(None, hi) for hi in (-40, -5, 0, 3, 20)] + [(-4200, 20), (-5000, -3)]
 
 
+def float_sum(r, k, lo, hi):
+    """sum g^k r^g over lo..hi by math.fsum of float terms; a tail is cut
+    past its peak once a term falls below 1e-20 of the running sum."""
+    rf = float(r)
+    if lo is not None and hi is not None:
+        return math.fsum(g ** k * rf ** g for g in range(lo, hi + 1))
+    step, g = (1, lo) if hi is None else (-1, hi)
+    peak = k / abs(math.log(rf))
+    terms, run = [], 0.0
+    while True:
+        t = g ** k * rf ** g
+        terms.append(t)
+        run += t
+        if g * step > peak and abs(t) <= 1e-20 * abs(run):
+            return math.fsum(terms)
+        g += step
+
+
 @pytest.mark.parametrize("r", FLOAT_RATIOS)
 @pytest.mark.parametrize("k", [0, 1, 2, 3])
 def test_float_closed_forms_match_exact_rational(r, k):
-    for lo, hi in float_cases(r):
-        got = power_log_sum(r, k, lo, hi)
-        want = power_log_sum(Fraction(r), k, lo, hi).value
-        assert not got.exact
-        assert abs(float(got) - float(want)) <= 1e-12 * abs(float(want)), (lo, hi)
+    # a float ratio is refused; the same ratio read with decimal intent, as
+    # scenario files read it (0.1 is 1/10), has exact closed forms, and each
+    # matches the float sum of its terms
+    with pytest.raises(ValueError, match="ratio must be an int or a Fraction"):
+        power_log_sum(r, k, 0, None)
+    exact = Fraction(str(r))
+    for lo, hi in float_cases(exact):
+        got = power_log_sum(exact, k, lo, hi)
+        assert got.exact
+        want = float_sum(exact, k, lo, hi)
+        assert math.isclose(float(got), want, rel_tol=1e-9), (lo, hi)

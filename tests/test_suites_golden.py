@@ -10,10 +10,14 @@ the verdict, the type and ``repr`` of every value, and each value's
 c4-04 is ``holds=False``.
 
 A change to any recorded value must show in the diff of the golden file.
-Regenerate it with ``PYTHONPATH=src python tests/test_suites_golden.py``.
+Regenerate it with ``PYTHONPATH=src python tests/test_suites_golden.py``;
+``--diff`` instead prints each row and field that would change, one line
+each, and writes nothing.
 """
 
+import copy
 import json
+import sys
 from pathlib import Path
 
 from radialpadic import harness, scenarios, weights
@@ -82,5 +86,48 @@ def test_golden_records_c4_04_as_computed():
     assert failing == ["c4-morrey/c4-04"]
 
 
+def test_golden_diff_names_each_changed_field():
+    golden = json.loads(GOLDEN.read_text())
+    got = copy.deepcopy(golden)
+    row = got["c4-morrey/c4-04"]
+    row["values"][1][1] = "1.0"
+    del row["checks"]["delta"]
+    assert golden_diff(golden, golden) == []
+    assert golden_diff(golden, got) == [
+        'c4-morrey/c4-04 checks.delta: "Fraction(3, 2)" -> "<absent>"',
+        'c4-morrey/c4-04 values[1]: ["float", "21059.226589955895", false, false] -> ["float", "1.0", false, false]',
+    ]
+
+
+def _fields(record, path=""):
+    """(path, value) of each recorded field of a row: nested dicts down to
+    their leaves, and each item of ``values`` on its own."""
+    if isinstance(record, dict):
+        for k, v in record.items():
+            yield from _fields(v, f"{path}.{k}" if path else k)
+    elif path == "values":
+        for i, v in enumerate(record):
+            yield f"values[{i}]", v
+    else:
+        yield path, record
+
+
+def golden_diff(golden, got):
+    """One line 'row field: old -> new' per field that differs; a field one
+    side lacks reads <absent> there."""
+    lines = []
+    for key in sorted(golden.keys() | got.keys()):
+        old, new = dict(_fields(golden.get(key, {}))), dict(_fields(got.get(key, {})))
+        for field in sorted(old.keys() | new.keys()):
+            a, b = old.get(field, "<absent>"), new.get(field, "<absent>")
+            if a != b:
+                lines.append(f"{key} {field}: {json.dumps(a)} -> {json.dumps(b)}")
+    return lines
+
+
 if __name__ == "__main__":
-    GOLDEN.write_text(json.dumps(all_rows(), indent=1, sort_keys=True) + "\n")
+    rows = json.loads(json.dumps(all_rows()))
+    if sys.argv[1:] == ["--diff"]:
+        print("\n".join(golden_diff(json.loads(GOLDEN.read_text()), rows)) or "no change")
+    else:
+        GOLDEN.write_text(json.dumps(rows, indent=1, sort_keys=True) + "\n")

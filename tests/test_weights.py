@@ -9,8 +9,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from radialpadic import weights
-from radialpadic.numeric import FloatRangeError, abs_pow, exp_sat, float_sat, fpow, is_exact, log_exact
+from radialpadic import radial, weights
+from radialpadic.numeric import FloatRangeError, abs_pow, exact_root, exp_sat, float_sat, fpow, is_exact, log_exact
 from radialpadic.radial import RadialFunction, RadialTerm, ball_measure, integrate_radial
 from radialpadic.weights import (
     _GROWTH_PROBES,
@@ -382,6 +382,25 @@ def test_step_weight_constants_have_closed_forms():
     assert not rh_constant(w, 2, window=24).truncated
 
 
+def test_power_profile_is_exact_or_absent():
+    # w^e term by term: each c^e is rational here, by integer roots
+    w = Weight(RadialFunction.power(2, 1, 4, 0, hi=0) + RadialFunction.power(2, 1, 9, Fraction(1, 3), lo=1))
+    assert weights._power_profile(w, Fraction(1, 2)) == (
+        RadialFunction.power(2, 1, 2, 0, hi=0) + RadialFunction.power(2, 1, 3, Fraction(1, 6), lo=1))
+    assert weights._power_profile(w, Fraction(-3, 2)) == (
+        RadialFunction.power(2, 1, Fraction(1, 8), 0, hi=0)
+        + RadialFunction.power(2, 1, Fraction(1, 27), Fraction(-1, 2), lo=1))
+    # 2^(1/2) is irrational: no closed form, so the masses are window sums
+    assert weights._power_profile(Weight.power(2, 1, 0, 2), Fraction(1, 2)) is None
+    assert rh_constant(Weight.power(2, 1, 0, 2), Fraction(3, 2), window=8).truncated
+    assert not rh_constant(Weight.power(2, 1, 0, 4), Fraction(3, 2), window=8).truncated
+    # |1|^-1, sigma's coefficient at ell = 2, is the exact 1
+    assert abs_pow(1, -1) == 1 and type(abs_pow(1, -1)) is Fraction
+    big = 10 ** 40 + 7
+    assert exact_root(Fraction(big ** 5, 32), 5) == Fraction(big, 2)
+    assert exact_root(big ** 5 + 1, 5) is None and exact_root(Fraction(8, 27), 3) == Fraction(2, 3)
+
+
 def test_rh_beyond_critical_truncated():
     got = rh_constant(power_weight(2, 1, Fraction(-1, 2)), 3, window=16)
     assert got.truncated  # r alpha + n = -1/2 < 0
@@ -507,8 +526,8 @@ def test_a1_running_min_matches_quadratic_reference(extra):
 
 
 # b's constant part and a log term both feed the constant of the dilated
-# deviation, here with a float constant
-CONST_LOG = RadialFunction.constant(2, 1, 0.1) + LOG
+# deviation, here with the decimal constant 0.1, read exactly
+CONST_LOG = RadialFunction.constant(2, 1, Fraction("0.1")) + LOG
 
 
 @pytest.mark.parametrize(
@@ -536,12 +555,13 @@ def test_cmo_constant_part_matches_reference(b, w):
 @pytest.mark.parametrize(
     "b",
     [
-        RadialFunction(2, 1, (RadialTerm(Fraction(1, 3), 0, 0, -2, 4), RadialTerm(2, 0.0, 2, None, 1),
-                              RadialTerm(0.5, Fraction(-1, 2), 1, 0, None))),
-        # no constant part, but a log term whose exponent is the float 0.0
-        RadialFunction(2, 1, (RadialTerm(2, 0.0, 1, None, 1), RadialTerm(0.5, Fraction(-1, 2), 1, 0, None))),
-        # one exponent written as 0.5 and as 1/2: the dilation merges the two
-        RadialFunction(2, 1, (RadialTerm(1, 0.5, 0, 3, None), RadialTerm(1, Fraction(1, 2), 1, None, None))),
+        RadialFunction(2, 1, (RadialTerm(Fraction(1, 3), 0, 0, -2, 4), RadialTerm(2, Fraction(0), 2, None, 1),
+                              RadialTerm(Fraction(1, 2), Fraction(-1, 2), 1, 0, None))),
+        # no constant part, but a log term whose exponent is the decimal 0.0, read exactly
+        RadialFunction(2, 1, (RadialTerm(2, Fraction("0.0"), 1, None, 1),
+                              RadialTerm(Fraction("0.5"), Fraction(-1, 2), 1, 0, None))),
+        # one exponent written as "0.5" and as 1/2: the dilation merges the two
+        RadialFunction(2, 1, (RadialTerm(1, Fraction("0.5"), 0, 3, None), RadialTerm(1, Fraction(1, 2), 1, None, None))),
     ],
     ids=["mixed", "float-zero-log", "two-spellings"],
 )
@@ -598,10 +618,8 @@ def test_cmo_shared_quotient_matches_reference(case, alpha, r):
     "b, w",
     [
         (RadialFunction.power(2, 1, 1, 0, logpow=2), power_weight(2, 1, Fraction(1, 2))),
-        (RadialFunction.log(2, 1, 0.5), power_weight(2, 1, Fraction(1, 2))),
-        (RadialFunction(2, 1, (RadialTerm(1, 0.0, 1),)), power_weight(2, 1, Fraction(1, 2))),
     ],
-    ids=["log-squared", "float-coeff", "float-zero-exponent"],
+    ids=["log-squared"],
 )
 def test_cmo_integrates_every_ball_outside_the_identity(monkeypatch, b, w):
     # the non-power weight is test_cmo_memo_matches_reference[non-power-weight]
@@ -683,11 +701,12 @@ def rescaled_reference(fsub, wsub, q, n, end):
         # Fraction(0) and int exponents in one function
         (RadialFunction(2, 1, (RadialTerm(Fraction(1, 3), Fraction(0), 1), RadialTerm(2, -3, 0, 2, 9))),
          RadialFunction.power(2, 1, 1, Fraction(-1, 2)), 2),
-        # float exponent 0.0 beside exact exponents: the shift is kept
-        (RadialFunction(2, 1, (RadialTerm(1.5, 0.0, 1), RadialTerm(Fraction(1, 2), Fraction(-1, 3), 0))),
+        # the decimal exponent 0.0, read exactly, beside a fractional one
+        (RadialFunction(2, 1, (RadialTerm(Fraction("1.5"), Fraction("0.0"), 1),
+                               RadialTerm(Fraction(1, 2), Fraction(-1, 3), 0))),
          RadialFunction.power(2, 1, 1, Fraction(1, 4)), Fraction(5, 2)),
-        # fractional dominant exponents, float coefficient, huge shells
-        (RadialFunction(5, 1, (RadialTerm(0.75, Fraction(7, 4), 2), RadialTerm(3, 1, 0, None, 4))),
+        # fractional dominant exponents, a decimal coefficient, huge shells
+        (RadialFunction(5, 1, (RadialTerm(Fraction("0.75"), Fraction(7, 4), 2), RadialTerm(3, 1, 0, None, 4))),
          RadialFunction(5, 1, (RadialTerm(1, Fraction(-1, 2), 0, None, 0), RadialTerm(2, Fraction(1, 2), 0, 1, None))),
          3),
     ],
@@ -710,18 +729,18 @@ SWEPT = [
     RadialFunction.power(3, 2, Fraction(2, 3), Fraction(-5, 4)),  # fractional exponent
     LOG + RadialFunction.power(2, 1, 1, -1, lo=-3),  # integral exponents: running sum
     RadialFunction.power(2, 1, 1, Fraction(1, 2)) + RadialFunction.power(2, 1, 1, 0, hi=2),  # per ball
-    RadialFunction.power(2, 1, 1.5, 0.25),  # float data: per ball
-    RadialFunction.power(2, 1, 0.1, 1) + LOG,  # float coefficient, integral exponents: per ball
+    RadialFunction.power(2, 1, Fraction("1.5"), Fraction("0.25")),  # decimal data read exactly
+    RadialFunction.power(2, 1, Fraction("0.1"), 1) + LOG,  # decimal coefficient: running sum
     RadialFunction.power(2, 1, 1, -2),  # not locally integrable
     RadialFunction.log(3, 2) + RadialFunction.power(3, 2, Fraction(1, 2), 1, hi=4),  # running sum, n = 2
     # a negative divergent deep tail, and a term entering inside the window:
     # every ball reads -inf, as its own closed form does
     RadialFunction.power(2, 1, Fraction(-1, 3), Fraction(-3, 2), hi=5) + RadialFunction.power(2, 1, 4, 1, lo=-2),
-    # float coefficient, exact exponent: the geometric sum steps by r
-    RadialFunction.power(2, 1, 1.0, Fraction(1, 2)),  # _power_profile's abs_pow(1, 1/2)
-    RadialFunction.power(2, 1, 1.0, Fraction(-1, 2)),
-    RadialFunction.power(3, 2, -0.7, 1),
-    RadialFunction.power(5, 1, 2.5, Fraction(-2, 3)),
+    # single powers: the geometric sum steps by r
+    RadialFunction.power(2, 1, 1, Fraction(1, 2)),  # _power_profile's w^(1/2) of |x|
+    RadialFunction.power(2, 1, 1, Fraction(-1, 2)),
+    RadialFunction.power(3, 2, Fraction("-0.7"), 1),
+    RadialFunction.power(5, 1, Fraction("2.5"), Fraction(-2, 3)),
     RadialFunction(2, 1, ()),  # no term at all
 ]
 
@@ -738,24 +757,28 @@ def test_ball_totals_equal_each_closed_form(f):
 @pytest.mark.parametrize(
     "f, lo, hi, edge",
     [
-        (RadialFunction.power(5, 3, -1.5, 40), -12, 3, "0.0"),  # deep balls underflow: no -0.0
-        (RadialFunction.power(2, 1, 0.5, 90), -12, 12, OverflowError),  # top balls overflow
-        (RadialFunction.power(3, 1, 1.0, Fraction(1301, 2)), -2, 3, OverflowError),
+        (RadialFunction.power(5, 3, Fraction("1.5"), 40), -12, 3, "0.0"),  # deep balls underflow
+        (RadialFunction.power(2, 1, Fraction("0.5"), 90), -12, 12, OverflowError),  # top balls overflow
+        (RadialFunction.power(3, 1, 1, Fraction(1301, 2)), -2, 3, OverflowError),
     ],
 )
 def test_float_power_ball_totals_at_the_float_limits(f, lo, hi, edge):
+    # the ball totals are exact however far they lie off the float range;
+    # read as floats they underflow to 0.0 or overflow, as each closed form does
     def outcome(totals):
         try:
-            return [repr(t.value) for t in totals()]
+            return [repr(float(t.value)) for t in totals]
         except OverflowError as exc:
             return type(exc)
 
-    got = outcome(lambda: weights._ball_totals(f, lo, hi))
-    assert got == outcome(lambda: [integrate_radial(f.restrict(None, g)) for g in range(lo, hi + 1)])
+    totals = weights._ball_totals(f, lo, hi)
+    closed = [integrate_radial(f.restrict(None, g)) for g in range(lo, hi + 1)]
+    assert [(t.value, type(t.value)) for t in totals] == [(t.value, type(t.value)) for t in closed]
+    got = outcome(totals)
     assert got is edge or edge in got
 
 
-@pytest.mark.parametrize("q", [2, Fraction(5, 2), 1.5])
+@pytest.mark.parametrize("q", [2, Fraction(5, 2), Fraction(3, 2)], ids=["2", "q1", "1.5"])
 @pytest.mark.parametrize("f", SWEPT[2:4] + [RadialFunction.power(2, 1, 1, Fraction(-1, 2), lo=-3, hi=5) + LOG])
 def test_ball_integrals_equal_each_direct_integral(f, q):
     w = Weight(RadialFunction.constant(2, 1, 1) + RadialFunction.power(2, 1, 1, Fraction(1, 2), lo=1))
@@ -767,10 +790,7 @@ def test_ball_integrals_equal_each_direct_integral(f, q):
 
 def morrey_reference(f, w, q, lam, window):
     """morrey_norm's window sup with every ball integrated from -inf."""
-    if is_exact(q) and is_exact(lam):
-        expo = float(Fraction(1) / Fraction(q) + Fraction(lam))
-    else:
-        expo = 1 / float(q) + float(lam)
+    expo = float(Fraction(1) / Fraction(q) + Fraction(lam))
 
     def q_at(g):
         mass = weight_ball_mass(w, g)
@@ -803,7 +823,7 @@ MULTI = RadialFunction.power(2, 1, 1, Fraction(-1, 2), lo=-3, hi=10) + RadialFun
     ids=["integer-alpha", "fractional-alpha", "non-integer-q", "non-power-weight", "deep-divergent"],
 )
 def test_morrey_sweep_matches_per_ball_reference(monkeypatch, f, w, q, finite):
-    lam = Fraction(-1, 4) / q if is_exact(q) else -0.1
+    lam = Fraction(-1, 4) / q
     want, want_witness = morrey_reference(f, w, q, lam, 12)
     assert math.isfinite(want) == finite
     calls = count_calls(monkeypatch, "integral_abs_power")
@@ -835,7 +855,7 @@ def compact_functions(draw):
         hi = min(12, lo + draw(st.integers(0, 6)))
         coeff = draw(st.one_of(
             st.fractions(-4, 4, max_denominator=6).filter(bool),
-            st.floats(0.1, 4.0) | st.floats(-4.0, -0.1)))
+            st.builds(Fraction, st.floats(0.1, 4.0) | st.floats(-4.0, -0.1))))
         beta = draw(st.one_of(st.integers(-2, 2), st.fractions(-2, 2, max_denominator=4)))
         terms.append(RadialTerm(coeff, beta, draw(st.integers(0, 1)), lo, hi))
     return RadialFunction(2, 1, tuple(terms))
@@ -854,12 +874,12 @@ HULL_WEIGHTS = [
 @given(
     f=compact_functions(),
     w=st.sampled_from(HULL_WEIGHTS),
-    q=st.sampled_from([1, 2, Fraction(5, 2), 1.5]),
+    q=st.sampled_from([1, 2, Fraction(5, 2), Fraction(3, 2)]),
     share=st.sampled_from([0, Fraction(1, 4), Fraction(1, 2), 1]),
 )
 def test_morrey_hull_matches_windowed_reference(f, w, q, share):
     # lam = -share/q, so 1/q + lam = (1 - share)/q >= 0, zero for share = 1
-    lam = -share / q if is_exact(q) else -float(share) / q
+    lam = -Fraction(share) / q
     s, t = f.support_bounds()
     want, want_witness = morrey_reference(f, w, q, lam, 12)
     with pytest.MonkeyPatch.context() as mp:
@@ -885,21 +905,18 @@ def windowed_mass_reference(closed, density, p, n, g, window):
     return math.fsum(density(k) * fpow(float(p), n * k) * unit for k in range(-window, g + 1)), True
 
 
-def power_closed_form(w, coeff, beta):
-    """Ball masses of coeff|x|^beta, when w is a power weight, else None."""
+def power_closed_form(w, e):
+    """Ball masses of w^e when w is the power weight |x|^alpha, else None."""
     if w.power_exponent() is None:
         return None
-    return lambda g: integrate_radial(RadialFunction.power(w.p, w.n, coeff(w.profile.terms[0].coeff), beta(w.power_exponent()), hi=g))
+    assert w.profile.terms[0].coeff == 1
+    return lambda g: integrate_radial(RadialFunction.power(w.p, w.n, 1, w.power_exponent() * e, hi=g))
 
 
 def ap_reference(w, ell, window):
     """A_ell (ell > 1) with every ball mass and truncated sum from scratch."""
     p, n = w.p, w.n
-    sigma = power_closed_form(
-        w,
-        lambda c: abs_pow(c, Fraction(-1, 1) / (Fraction(ell) - 1)),
-        lambda a: -Fraction(a) / (Fraction(ell) - 1),
-    )
+    sigma = power_closed_form(w, -1 / (Fraction(ell) - 1))
     best, truncated = -math.inf, False
     for g in range(-window, window + 1):
         mass, t1 = windowed_mass_reference(lambda k: weight_ball_mass(w, k), lambda k: float_sat(w.profile.value_on_shell(k)), p, n, g, window)
@@ -913,7 +930,7 @@ def ap_reference(w, ell, window):
 def rh_reference(w, r, window):
     """Reverse-Holder constant with every ball mass and truncated sum from scratch."""
     p, n = w.p, w.n
-    wr = power_closed_form(w, lambda c: abs_pow(c, r), lambda a: Fraction(a) * Fraction(r))
+    wr = power_closed_form(w, Fraction(r))
     best, truncated = -math.inf, False
     for g in range(-window, window + 1):
         mass, t1 = windowed_mass_reference(lambda k: weight_ball_mass(w, k), lambda k: float_sat(w.profile.value_on_shell(k)), p, n, g, window)
@@ -963,9 +980,8 @@ def test_rh_sweep_matches_quadratic_reference(w, r, truncated):
 
 
 def scan_accepts(profile):
-    """Weight's shell-by-shell positivity scan, on its own."""
-    window = weights._POSITIVITY_WINDOW
-    return all(profile.value_on_shell(g) > 0 for g in range(-window, window + 1))
+    """Positivity on every shell of a wide window, on its own."""
+    return all(profile.value_on_shell(g) > 0 for g in range(-300, 301))
 
 
 @pytest.mark.parametrize(
@@ -975,9 +991,10 @@ def scan_accepts(profile):
         (RadialFunction.power(3, 2, Fraction(1, 3), Fraction(-7, 3)), True),
         (RadialFunction.power(2, 1, Fraction(1, 10 ** 30), 50), True),
         (RadialFunction.power(2, 1, 1, -50), True),
-        (RadialFunction.power(2, 1, 1, 200.0), False),  # underflows to 0 deep down
-        (RadialFunction.power(2, 1, 1e-300, 1), False),
-        (RadialFunction.power(2, 1, 0.5, Fraction(1, 2)), False),
+        # decimal data, read exactly: an exact positive power on every shell
+        (RadialFunction.power(2, 1, 1, Fraction("200.0")), True),
+        (RadialFunction.power(2, 1, Fraction("1e-300"), 1), True),
+        (RadialFunction.power(2, 1, Fraction("0.5"), Fraction(1, 2)), True),
         (RadialFunction.power(2, 1, -1, 0), False),
         (RadialFunction.power(2, 1, 1, 0) + RadialFunction.power(2, 1, 1, 1, lo=3), False),
     ],
@@ -985,13 +1002,13 @@ def scan_accepts(profile):
          "float-coeff", "negative", "two-terms"],
 )
 def test_weight_fast_path_agrees_with_scan(monkeypatch, profile, fast):
+    # an exact positive single power skips the certified sign scan
     want = scan_accepts(profile)
-    shells = count_calls(monkeypatch, "value_on_shell", RadialFunction)
+    scans = count_calls(monkeypatch, "_end_signs", radial)
     try:
         Weight(profile)
         accepted = True
     except ValueError:
         accepted = False
     assert accepted == want
-    assert (len(shells) == 0) == fast
-
+    assert (len(scans) == 0) == fast
