@@ -4,10 +4,17 @@ import copy
 import hashlib
 import json
 
+from dataclasses import FrozenInstanceError
+from fractions import Fraction
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from radialpadic import harness, scenarios
-from radialpadic.scenario_io import SchemaError, build_scenario, load_scenario_file, load_scenario_text
+from radialpadic.scenario_io import (
+    ScenarioModel, SchemaError, _parse_exact, build_scenario, load_scenario_file, load_scenario_text,
+)
 
 
 def load_and_build(row):
@@ -68,17 +75,132 @@ def with_negative_logpow(row):
     return row
 
 
+DELETE = object()
+
+
+def put(path, value, name):
+    """A spoil that sets the entry at a dotted path (list entries by index)
+    to value, or removes it when value is DELETE."""
+    def spoil(row):
+        *parents, last = path.split(".")
+        node = row
+        for key in parents:
+            node = node[int(key) if isinstance(node, list) else key]
+        key = int(last) if isinstance(node, list) else last
+        if value is DELETE:
+            del node[key]
+        else:
+            node[key] = copy.deepcopy(value)
+        return row
+    spoil.__name__ = name
+    return spoil
+
+
+TERM = [1, 0, 0, None, None]
+
+
 @pytest.mark.parametrize("suite, spoil, field", [
     ("prop-power-weights", with_boolean_ell, "'ell'"),
     ("prop-power-weights", with_prime_four, "'prime'"),
     ("prop-power-weights", with_undecided_prime, "'prime': primality"),
     ("c2-lebesgue", with_empty_term_range, "'terms'"),
     ("c2-lebesgue", with_negative_logpow, "'terms'"),
+    # unknown keys, at the top level and nested
+    ("c2-lebesgue", put("colour", "red", "with_unknown_key"), "'colour': unknown"),
+    ("c2-lebesgue", put("params.qq", 2, "with_unknown_param"), "'params.qq': unknown"),
+    ("c2-lebesgue", put("families.0.scale", 2, "with_unknown_family_key"), "'families.0.scale': unknown"),
+    ("c2-lebesgue", put("inputs.0.beta", 2, "with_unknown_profile_key"), "'inputs.0.beta': unknown"),
+    # required fields
+    ("c2-lebesgue", put("id", DELETE, "without_id"), "'id': field required"),
+    ("c2-lebesgue", put("kind", DELETE, "without_kind"), "'kind': field required"),
+    ("c2-lebesgue", put("prime", DELETE, "without_prime"), "'prime': field required"),
+    ("c2-lebesgue", put("inputs.0.terms", DELETE, "without_terms"), "'inputs.0.terms': field required"),
+    ("c2-lebesgue", put("prime", None, "with_null_prime"), "'prime': must not be null"),
+    ("c2-lebesgue", put("dim", None, "with_null_dim"), "'dim': must not be null"),
+    # listed values and strings
+    ("c2-lebesgue", put("kind", "bounds", "with_unlisted_kind"), "'kind'"),
+    ("c2-lebesgue", put("constant", "C11", "with_unlisted_constant"), "'constant'"),
+    ("c2-lebesgue", put("constant", 2, "with_numeric_constant"), "'constant'"),
+    ("c2-lebesgue", put("id", "", "with_empty_id"), "'id': must not be empty"),
+    ("c2-lebesgue", put("id", 7, "with_numeric_id"), "'id'"),
+    # range bounds
+    ("c2-lebesgue", put("prime", 1, "with_prime_one"), "'prime': must be at least 2"),
+    ("c2-lebesgue", put("dim", 0, "with_dim_zero"), "'dim': must be at least 1"),
+    ("c2-lebesgue", put("arity", 0, "with_arity_zero"), "'arity': must be at least 1"),
+    ("prop-power-weights", put("window", 3, "with_window_three"), "'window': must be at least 4"),
+    ("c1-sharpness", put("tol", 0, "with_tol_zero"), "'tol': must be greater than 0"),
+    ("c1-sharpness", put("tol", -0.5, "with_negative_tol"), "'tol': must be greater than 0"),
+    ("c1-sharpness", put("tol", 10 ** 400, "with_tol_past_the_floats"), "'tol': too large"),
+    # terms
+    ("c2-lebesgue", put("inputs.0.terms.0", [1, 0, 0, None], "with_four_entry_term"), "'inputs.0.terms.0'"),
+    ("c2-lebesgue", put("kernel.terms.0", 1, "with_scalar_term"), "'kernel.terms.0'"),
+    ("c2-lebesgue", put("inputs.0.terms.0.1", "1/0", "with_zero_denominator"), "'inputs.0.terms.0.1'"),
+    # the one-shape rules
+    ("c2-lebesgue", put("families.0.matrix", [[1]], "with_family_of_both_shapes"), "'families.0': a family"),
+    ("c2-lebesgue", put("families.0", {}, "with_family_of_no_shape"), "'families.0': a family"),
+    ("c2-lebesgue", put("families.0.offset", DELETE, "with_family_without_offset"), "'families.0': scalar"),
+    ("c2-lebesgue", put("weight.terms", [TERM], "with_weight_of_both_shapes"), "'weight': a weight"),
+    ("c2-lebesgue", put("weight", {}, "with_weight_of_no_shape"), "'weight': a weight"),
+    ("c2-lebesgue", put("weight", {"terms": [TERM], "coeff": 2}, "with_coeff_on_weight_terms"),
+     "'weight': coeff"),
+    ("c5-local", put("symbols.1.terms", [TERM], "with_symbol_of_both_shapes"), "'symbols.1': a symbol"),
+    ("c5-local", put("symbols.0", {}, "with_symbol_of_no_shape"), "'symbols.0': a symbol"),
+    # a scalar where a list or an object is expected
+    ("c2-lebesgue", put("params.q_i", 5, "with_scalar_q_i"), "'params.q_i': expected a list"),
+    ("c2-lebesgue", put("families", {"slope": 1, "offset": 1}, "with_object_families"),
+     "'families': expected a list"),
+    ("c2-lebesgue", put("inputs.0.terms", TERM, "with_flat_terms"), "'inputs.0.terms.0'"),
+    ("c2-lebesgue", put("kernel", [TERM], "with_list_kernel"), "'kernel': expected an object"),
+    # integer fields take JSON integers only
+    ("c2-lebesgue", put("dim", True, "with_boolean_dim"), "'dim': expected an integer"),
+    ("c2-lebesgue", put("inputs.0.terms.0.2", True, "with_boolean_logpow"), "'inputs.0.terms.0.2'"),
+    ("c2-lebesgue", put("inputs.0.terms.0.3", "-3", "with_string_lo"), "'inputs.0.terms.0.3'"),
+    ("c2-lebesgue", put("kernel.terms.0.4", 2.0, "with_float_hi"), "'kernel.terms.0.4'"),
+    ("c2-lebesgue", put("families.0.slope", 1.0, "with_float_slope"), "'families.0.slope'"),
+    ("c2-lebesgue", put("families.0.offset", "2", "with_string_offset"), "'families.0.offset'"),
+    ("c2-lebesgue", put("arity", 1.0, "with_float_arity"), "'arity'"),
+    ("prop-power-weights", put("window", "48", "with_string_window"), "'window'"),
+    ("prop-power-weights", put("prime", 3.0, "with_float_prime"), "'prime': expected an integer"),
+    ("c5-local", put("params.gamma", 2.0, "with_float_gamma"), "'params.gamma'"),
+    ("c1-sharpness", put("rs", [True, 2], "with_boolean_radius"), "'rs.0'"),
+    ("c1-sharpness", put("rs", [1, "2"], "with_string_radius"), "'rs.1'"),
+    ("c1-sharpness", put("tol", True, "with_boolean_tol"), "'tol'"),
+    ("c1-sharpness", put("tol", "0.05", "with_string_tol"), "'tol'"),
+    ("c1-sharpness", put("rs", [], "with_no_radii"), "'rs': must hold at least one entry"),
 ])
 def test_schema_error_names_the_field(suite, spoil, field):
     row = spoil(first_row(suite))
     with pytest.raises(SchemaError, match=f"field {field}"):
         load_and_build(row)
+
+
+def test_only_the_first_error_is_reported():
+    row = first_row("c2-lebesgue")
+    row["dim"] = True
+    row["window"] = "48"
+    with pytest.raises(SchemaError) as info:
+        load_and_build(row)
+    assert str(info.value) == "field 'dim': expected an integer, got a boolean"
+
+
+def test_a_parsed_model_equals_the_one_its_constructor_builds():
+    (model,) = load_scenario_text('{"id": "w", "kind": "weights", "prime": 3, "ell": "3/2"}')
+    assert model == ScenarioModel(id="w", kind="weights", prime=3, ell=Fraction(3, 2))
+    assert vars(model) == vars(ScenarioModel(id="w", kind="weights", prime=3, ell=Fraction(3, 2)))
+    with pytest.raises(FrozenInstanceError):
+        model.dim = 2
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet="-+/0123456789_. e\u0663", max_size=8))
+def test_exact_strings_read_as_fraction_reads_them(text):
+    try:
+        expected = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        with pytest.raises(ValueError, match="not a rational number"):
+            _parse_exact(text)
+    else:
+        assert _parse_exact(text) == expected
 
 
 def test_scenario_file_loads_like_its_text(tmp_path):
