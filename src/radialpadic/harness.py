@@ -15,6 +15,13 @@ is written as a function of k and pulled back along k(g) once, which keeps
 the series in the radial power-log algebra with a closed form; constant-matrix
 slots contribute shell-independent prefactors.
 
+Each ingredient is stated once.  A spec gives a scalar slot's exponent e of
+``p^(e k)`` and a matrix slot's factor.  A one-weight bound (C2, C4, C6, C10)
+adds the delta split of ``_delta_split`` to both, on the sign of k or of
+``log_p ||A||``.  A commutator bound multiplies a scalar slot by ``c + |k|``
+(``_oscillation``, c = ``BoundSpec.oscillation``); its matrix slots carry
+``psi * mu`` (``_psi_mu``) or their own ``|log_p ||A|| |`` term.
+
 A :class:`Scenario` bundles the kernel, the families, and the space
 parameters.  ``validate_scenario`` runs the hypothesis steps, raises
 :class:`ScenarioError` naming the first violated condition, and returns the
@@ -157,14 +164,14 @@ class BoundSpec:
     """Everything the harness knows about one inequality; one per id in ``_SPECS``."""
 
     steps: tuple[Callable, ...]      # hypothesis steps, run in order as step(s, rec, window)
-    exponents: Callable              # slot -> (e,) of the factor p^(e k) for every k, or the
-    #                                  pair (on k <= 0, on k > 0) of a delta split
+    exponents: Callable              # slot -> e of the factor p^(e k) of a scalar slot
     matrix: Callable                 # slot -> the factor of a constant-matrix slot
     envelope: float                  # K of ``holds``: lhs <= K * rhs
-    oscillation: Callable | None = None  # (p, n) -> |k| or 4 + |k| of a commutator, as a
-    #                                      function of k; both factors pull back along k(g)
+    oscillation: int | None = None   # c of the commutator factor c + |k|, pulled back along
+    #                                  k(g) like p^(e k); None: no commutator factor
     morrey: bool = False             # Morrey norms on both sides, else Lebesgue norms
-    shared_weight: bool = False      # one Muckenhoupt weight, else |x|^alpha and |x|^alpha_i
+    shared_weight: bool = False      # one Muckenhoupt weight, else |x|^alpha and |x|^alpha_i;
+    #                                  the constant then splits at the weight's delta
     out_q: str = "q"                 # record key of the output exponent
     in_q: str = "q_i"                # record key of the input exponents
     cmo_r: str | None = None         # record key of the CMO exponents; None: no commutator
@@ -485,7 +492,7 @@ def validate_scenario(cid: ConstantId, s: Scenario, *, window: int = 48) -> dict
 
 def _k_factor(p: int, n: int, es: Sequence[Number]) -> RadialFunction:
     """A slot's power factor in the shell variable k: |x|^e for es = (e,), or
-    for the delta split (e_le, e_gt) |x|^e_le on shells <= 0 plus |x|^e_gt on
+    for a delta split (e_le, e_gt) |x|^e_le on shells <= 0 plus |x|^e_gt on
     shells >= 1."""
     if len(es) == 1:
         return RadialFunction(p, n, (RadialTerm(Fraction(1), es[0], 0),))
@@ -493,104 +500,70 @@ def _k_factor(p: int, n: int, es: Sequence[Number]) -> RadialFunction:
                                  RadialTerm(Fraction(1), es[1], 0, 1, None)))
 
 
-# The oscillation factors as functions of k: |k| of a log symbol, and 4 + |k|,
-# where for scalar dilations the four bookkeeping summands of the commutator
-# factor collapse to the constant 4, leaving only the |log_p ||A|| | term.
-_ABS_K = (RadialTerm(Fraction(-1), 0, 1, None, 0), RadialTerm(Fraction(1), 0, 1, 1, None))
+def _oscillation(p: int, n: int, c: int) -> RadialFunction:
+    """The oscillation factor c + |k| of a commutator bound as a function of k:
+    c = 0 for a log symbol's |k| (C8, C9), and c = 4 where for scalar dilations
+    the four bookkeeping summands of the commutator factor collapse to the
+    constant 4, leaving only the |log_p ||A|| | term (C5, C6, C7, C10)."""
+    abs_k = (RadialTerm(Fraction(-1), 0, 1, None, 0), RadialTerm(Fraction(1), 0, 1, 1, None))
+    return RadialFunction(p, n, ((RadialTerm(Fraction(c), 0, 0),) if c else ()) + abs_k)
 
 
-def _abs_k(p: int, n: int) -> RadialFunction:
-    return RadialFunction(p, n, _ABS_K)
-
-
-def _abs_k_plus_four(p: int, n: int) -> RadialFunction:
-    return RadialFunction(p, n, (RadialTerm(Fraction(4), 0, 0),) + _ABS_K)
+def _delta_split(v: SimpleNamespace, lam: Number) -> tuple[Number, Number]:
+    """The exponents (on k <= 0, on k > 0) that a one-weight bound adds for the
+    weight's reverse-Holder delta: n zeta lam and n lam (delta - 1)/delta.  A
+    Morrey slot splits at its lam_i; a Lebesgue slot of input exponent q at
+    lam = -1/q, since L^q is the Morrey space of index -1/q."""
+    return v.n * v.zeta * lam, v.n * lam * (v.delta - 1) / v.delta
 
 
 def _slot(s: Scenario, rec: dict[str, object], i: int, **extra) -> SimpleNamespace:
     """Slot i's view of a validated record (each per-slot list read at i), with p,
     n and pw(e) = p^e; a constant-matrix slot adds kp = log_p ||A||,
-    km = log_p ||A^{-1}||, vd = log_p |det A^{-1}| and logf = |kp|."""
+    km = log_p ||A^{-1}|| and vd = log_p |det A^{-1}|."""
     return SimpleNamespace(p=s.p, n=s.n, pw=lambda e: ppow(s.p, _fr(e)), **extra,
                            **{k: v[i] if isinstance(v, list) else v for k, v in rec.items()})
 
 
-# Slot exponents of the scalar factor p^(e k): one exponent for every k, or
-# the pair (on k <= 0, on k > 0) of a delta split (_k_factor).
-
-def _lebesgue_exponent(v: SimpleNamespace) -> tuple[Number]:
-    return (-(v.alpha_i + v.n) / v.q_i,)
+def _lebesgue_exponent(v: SimpleNamespace) -> Number:
+    return -(v.alpha_i + v.n) / v.q_i
 
 
-def _morrey_exponent(v: SimpleNamespace) -> tuple[Number]:
-    return ((v.alpha_i + v.n) * v.lam_i,)
+def _morrey_exponent(v: SimpleNamespace) -> Number:
+    return (v.alpha_i + v.n) * v.lam_i
 
 
-def _c2_exponents(v: SimpleNamespace) -> tuple[Number, Number]:
-    n, zq = v.n, v.zeta / v.q_i
-    return zq * (1 - n) - n * zq, zq * (1 - n) - n * (v.delta - 1) / (v.q_i * v.delta)
-
-
-def _c4_exponents(v: SimpleNamespace) -> tuple[Number, Number]:
-    n, zq, li = v.n, v.zeta / v.q_i, v.lam_i
-    return zq * (1 - n) + n * v.zeta * li, zq * (1 - n) + n * li * (v.delta - 1) / v.delta
-
-
-def _c2_matrix(v: SimpleNamespace) -> Number:
-    kp, n, zq, delta = v.kp, v.n, v.zeta / v.q_i, v.delta
-    branch = v.pw(-kp * n * zq) if kp <= 0 else v.pw(-kp * n * (delta - 1) / (v.q_i * delta))
-    return v.pw((v.vd + kp) * zq) * branch
+def _composite_exponent(v: SimpleNamespace) -> Number:
+    return -(v.zeta + v.n) / (v.zeta * v.q_i)
 
 
 def _morrey_matrix(v: SimpleNamespace) -> Number:
     return v.pw(-v.km * (v.alpha_i + v.n) * v.lam_i)
 
 
-def _c4_matrix(v: SimpleNamespace) -> Number:
-    kp, n, zq, delta, li = v.kp, v.n, v.zeta / v.q_i, v.delta, v.lam_i
-    branch = v.pw(kp * n * v.zeta * li) if kp <= 0 else v.pw(kp * n * li * (delta - 1) / delta)
-    return v.pw((v.vd + kp) * zq) * branch
-
-
 def _c5_matrix(v: SimpleNamespace) -> Number:
     kp, vd, n, a, ri, pw = v.kp, v.vd, v.n, v.alpha_i, v.r_i, v.pw
     mx = max(v.km * a, -kp * a)      # exponent of max{||A^{-1}||^a, ||A||^{-a}}
-    psi = 1 + pw((mx + vd) / ri + kp * (n + a) / ri) + v.logf + 2 * pw(kp * n + vd)
+    psi = 1 + pw((mx + vd) / ri + kp * (n + a) / ri) + abs(kp) + 2 * pw(kp * n + vd)
     return psi * pw((mx + vd) / v.q_i)
 
 
-def _psi_mu(v: SimpleNamespace) -> Number:
-    """The factors psi and mu shared by the one-weight commutator bounds (C6, C10)."""
-    kp, vd, n, pw, zeta = v.kp, v.vd, v.n, v.pw, v.zeta
-    psi = 1 + 2 * pw(kp * n + vd) + pw((vd + kp * n) * zeta / v.r_star_i) + v.logf
-    return psi * pw((vd + kp * n) * zeta / v.q_star_i)
-
-
-def _c6_matrix(v: SimpleNamespace) -> Number:
-    kp, n, qsi, delta = v.kp, v.n, v.q_star_i, v.delta
-    branch = v.pw(-kp * n * v.zeta / qsi) if kp <= 0 else v.pw(-kp * n * (delta - 1) / (qsi * delta))
-    return _psi_mu(v) * branch
-
-
-def _c7_matrix(v: SimpleNamespace) -> Number:
-    kp, vd, n, pw, zeta, qi = v.kp, v.vd, v.n, v.pw, v.zeta, v.q_i
-    gam = (1 + v.logf + 2 * pw(kp * n + vd) + pw((kp * n + vd) / v.r_star_i)) * pw((vd + kp * n) / qi)
-    return gam * pw(-kp * (zeta + n) / (zeta * qi))
-
-
-def _c10_matrix(v: SimpleNamespace) -> Number:
-    kp, n, li, delta = v.kp, v.n, v.lam_i, v.delta
-    branch = v.pw(kp * n * v.zeta * li) if kp <= 0 else v.pw(kp * n * li * (delta - 1) / delta)
-    return _psi_mu(v) * branch
+def _psi_mu(v: SimpleNamespace, zeta: Number, r: Number, q: Number) -> Number:
+    """The factors psi and mu of a commutator's matrix slot: at zeta, r*_i and
+    q*_i for the one-weight bounds (C6, C10), at 1, r*_i and q_i for C7."""
+    kp, pw = v.kp, v.pw
+    e = v.vd + kp * v.n              # log_p of |det A^{-1}| ||A||^n
+    psi = 1 + 2 * pw(e) + pw(e * zeta / r) + abs(kp)
+    return psi * pw(e * zeta / q)
 
 
 @lru_cache(maxsize=256)
-def _slot_factor(p: int, n: int, oscillation: Callable | None, slope: int, offset: int,
+def _slot_factor(p: int, n: int, oscillation: int | None, slope: int, offset: int,
                  *es: Number) -> RadialFunction:
     """A scalar slot's factor on the kernel line: the power factor of the
     exponents es (_k_factor) pulled back along k(g) = slope*g + offset, times
-    the oscillation pulled back alike when there is one.  With no exponents
-    it is the pulled-back oscillation alone.
+    the oscillation c + |k| (c = oscillation) pulled back alike when there is
+    one.  With no exponents it is the pulled-back oscillation alone.
 
     Built once per key (p, n, oscillation, slope, offset, es) and kept for the
     process in a bounded cache of immutable functions.  The exponents are
@@ -599,7 +572,7 @@ def _slot_factor(p: int, n: int, oscillation: Callable | None, slope: int, offse
     oscillation, keyed without them, is found again.
     """
     if not es:
-        return oscillation(p, n).pullback(slope, offset)
+        return _oscillation(p, n, oscillation).pullback(slope, offset)
     factor = _k_factor(p, n, es).pullback(slope, offset)
     if oscillation is not None:
         factor = _slot_factor(p, n, oscillation, slope, offset) * factor
@@ -610,18 +583,28 @@ def _constant(spec: BoundSpec, s: Scenario, rec: dict[str, object]) -> ExtendedV
     """compute_constant on a validated record: the kernel line times each scalar
     slot's factor (_slot_factor, cached on (p, n, spec.oscillation, slope,
     offset, the slot's exponents)), summed, times each constant-matrix slot's
-    factor."""
+    factor.  A one-weight bound's delta split (_delta_split) adds its pair to
+    a scalar slot's exponent, and multiplies a matrix slot's factor by
+    p^(kp e) with e the pair's entry for the sign of kp."""
     p, n = s.p, s.n
     line = s.kernel.phi
     pre: Number = Fraction(1)
     for i, fam in enumerate(s.families):
-        if isinstance(fam, ScalarRadial):
-            es = (_fr(e) for e in spec.exponents(_slot(s, rec, i)))
+        scalar = isinstance(fam, ScalarRadial)
+        v = _slot(s, rec, i) if scalar else _slot(
+            s, rec, i, kp=fam.k_norm, km=fam.k_inverse, vd=valuation(fam.matrix.det(), p))
+        split = None
+        if spec.shared_weight:
+            split = _delta_split(v, v.lam_i if spec.morrey else -1 / getattr(v, spec.in_q))
+        if scalar:
+            e = _fr(spec.exponents(v))
+            es = (e,) if split is None else (e + split[0], e + split[1])
             line = line * _slot_factor(p, n, spec.oscillation, fam.slope, fam.offset, *es)
         else:
-            kp = fam.k_norm
-            pre = pre * spec.matrix(_slot(s, rec, i, kp=kp, km=fam.k_inverse,
-                                          vd=valuation(fam.matrix.det(), p), logf=abs(kp)))
+            factor = spec.matrix(v)
+            if split is not None:
+                factor = factor * v.pw(v.kp * (split[1] if v.kp > 0 else split[0]))
+            pre = pre * factor
     unit = 1 - Fraction(p) ** (-n)
     return shell_sum(line).scaled(pre * unit)
 
@@ -690,37 +673,35 @@ _SPECS: dict[ConstantId, BoundSpec] = {
         steps=(_validate_power_lebesgue, _record_nu), exponents=_lebesgue_exponent,
         matrix=lambda v: v.pw(v.km * (v.alpha_i + v.n) / v.q_i), envelope=1.0, extremal=_truncated_powers),
     ConstantId.C2: BoundSpec(
-        steps=(_validate_weighted_holder,), exponents=_c2_exponents,
-        matrix=_c2_matrix, envelope=1.25, shared_weight=True, out_q="q_star"),
+        steps=(_validate_weighted_holder,), exponents=lambda v: v.zeta / v.q_i * (1 - v.n),
+        matrix=lambda v: v.pw((v.vd + v.kp) * v.zeta / v.q_i), envelope=1.25, shared_weight=True,
+        out_q="q_star"),
     ConstantId.C3: BoundSpec(
         steps=(_validate_power_lebesgue, _validate_lambda_morrey, _record_nu), exponents=_morrey_exponent,
         matrix=_morrey_matrix, envelope=1.0, morrey=True, extremal=_power_eigenfunctions),
-    ConstantId.C4: BoundSpec(
-        steps=(_validate_weighted_holder, partial(_validate_lambda_sum, key="q_i", label="q")),
-        exponents=_c4_exponents, matrix=_c4_matrix, envelope=1.25, morrey=True, shared_weight=True,
-        out_q="q_star"),
     ConstantId.C5: BoundSpec(
-        steps=(_validate_section4_balances,), exponents=_lebesgue_exponent, oscillation=_abs_k_plus_four,
+        steps=(_validate_section4_balances,), exponents=_lebesgue_exponent, oscillation=4,
         matrix=_c5_matrix, envelope=1.25, cmo_r="r_i", local=True),
     ConstantId.C6: BoundSpec(
-        steps=(_validate_weighted_commutator,),
-        exponents=lambda v: (-v.n * (v.zeta / v.q_star_i), -v.n * (v.delta - 1) / (v.q_star_i * v.delta)),
-        oscillation=_abs_k_plus_four, matrix=_c6_matrix, envelope=1.25, shared_weight=True,
+        steps=(_validate_weighted_commutator,), exponents=lambda v: 0, oscillation=4,
+        matrix=lambda v: _psi_mu(v, v.zeta, v.r_star_i, v.q_star_i), envelope=1.25, shared_weight=True,
         out_q="q_star", in_q="q_star_i", cmo_r="r_star_i"),
     ConstantId.C7: BoundSpec(
-        steps=(_validate_composite,), exponents=lambda v: (-(v.zeta + v.n) / (v.zeta * v.q_i),),
-        oscillation=_abs_k_plus_four, matrix=_c7_matrix, envelope=1.25, out_q="q_star",
-        cmo_r="r_star_i", maximal=True),
+        steps=(_validate_composite,), exponents=_composite_exponent, oscillation=4,
+        matrix=lambda v: _psi_mu(v, 1, v.r_star_i, v.q_i) * v.pw(v.kp * _composite_exponent(v)),
+        envelope=1.25, out_q="q_star", cmo_r="r_star_i", maximal=True),
     ConstantId.C8: BoundSpec(
         steps=(_validate_section4_balances, _validate_lambda_morrey, _check_support_condition, _record_nu),
-        exponents=_morrey_exponent, oscillation=_abs_k, matrix=lambda v: _morrey_matrix(v) * v.logf,
+        exponents=_morrey_exponent, oscillation=0, matrix=lambda v: _morrey_matrix(v) * abs(v.kp),
         envelope=1.25, morrey=True, cmo_r="r_i", extremal=_power_eigenfunctions),
-    ConstantId.C10: BoundSpec(
-        steps=(_validate_weighted_commutator, partial(_validate_lambda_sum, key="q_star_i", label="q*")),
-        exponents=lambda v: (v.n * v.zeta * v.lam_i, v.n * v.lam_i * (v.delta - 1) / v.delta),
-        oscillation=_abs_k_plus_four, matrix=_c10_matrix, envelope=1.25, morrey=True, shared_weight=True,
-        out_q="q_star", in_q="q_star_i", cmo_r="r_star_i"),
 }
+# C4 and C10 are C2 and C6 on Morrey spaces, and C9 is C8 on scalar families.
+_SPECS[ConstantId.C4] = replace(
+    _SPECS[ConstantId.C2], morrey=True,
+    steps=_SPECS[ConstantId.C2].steps + (partial(_validate_lambda_sum, key="q_i", label="q"),))
+_SPECS[ConstantId.C10] = replace(
+    _SPECS[ConstantId.C6], morrey=True,
+    steps=_SPECS[ConstantId.C6].steps + (partial(_validate_lambda_sum, key="q_star_i", label="q*"),))
 _SPECS[ConstantId.C9] = replace(_SPECS[ConstantId.C8], scalar_only=True)
 
 K_ENVELOPE: dict[ConstantId, float] = {cid: _SPECS[cid].envelope for cid in ConstantId}

@@ -39,9 +39,11 @@ params    optional exact numbers q, alpha, lam, q_star, zeta, delta; optional
 
 Exact numbers may be written as integers, decimal strings, fraction
 strings ("3/4"), or floats (read with decimal intent, so 0.1 means 1/10);
-they are read as :class:`~fractions.Fraction`.  Integer fields take JSON
-integers only: a boolean, a float (even 3.0) or a string is refused.  Null
-is accepted where a field is optional and its default is none.
+they are read as :class:`~fractions.Fraction`.  A decimal string's exponent
+may be at most 10 000 in size ("1e-3" and "2.5E2" are read, "1e10001" is
+refused).  Integer fields take JSON integers only: a boolean, a float (even
+3.0) or a string is refused.  Null is accepted where a field is optional and
+its default is none.
 Kind-specific required fields are checked at build time.  Every error is a
 :class:`SchemaError` reading ``field '<dotted.path>': <reason>``, the path
 counting list entries from 0 (``families.0``); only the first error found
@@ -86,7 +88,16 @@ class SchemaError(ValueError):
     """A scenario file fails schema or kind-specific structural checks."""
 
 
+_MAX_EXPONENT = 10_000
+
+
 def _parse_exact(v: Any) -> Any:
+    """An exact number of a scenario file as a Fraction.
+
+    A string whose text after its first "e" or "E" reads as an integer of
+    size above _MAX_EXPONENT = 10 000 is refused: Fraction builds 10^e
+    exactly, in time and memory that grow with e.
+    """
     t = type(v)
     if t is int:
         return Fraction(v)
@@ -99,9 +110,12 @@ def _parse_exact(v: Any) -> Any:
             if (num.isdecimal() or num[:1] == "-" and num[1:].isdecimal()) and (
                     den.isdecimal() or not slash):
                 return Fraction(int(num), int(den)) if slash else Fraction(int(num))
-            return Fraction(v)
+            _, e, exp = v.lower().partition("e")
+            if not (e and abs(int(exp)) > _MAX_EXPONENT):
+                return Fraction(v)
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"not a rational number: {v!r}") from exc
+        raise ValueError(f"decimal exponent {exp.strip()} is larger than {_MAX_EXPONENT} in size")
     if t is float:
         if math.isinf(v) or math.isnan(v):
             raise ValueError("numbers must be finite")
@@ -145,23 +159,6 @@ class SymbolModel:
 
 
 @dataclass(frozen=True)
-class ParamsModel:
-    q: Fraction | None = None
-    q_i: tuple[Fraction, ...] | None = None
-    alpha: Fraction | None = None
-    alpha_i: tuple[Fraction, ...] | None = None
-    lam: Fraction | None = None
-    lam_i: tuple[Fraction, ...] | None = None
-    r_i: tuple[Fraction, ...] | None = None
-    r_star_i: tuple[Fraction, ...] | None = None
-    q_star_i: tuple[Fraction, ...] | None = None
-    q_star: Fraction | None = None
-    zeta: Fraction | None = None
-    delta: Fraction | None = None
-    gamma: int | None = None
-
-
-@dataclass(frozen=True)
 class ScenarioModel:
     """One scenario as :func:`load_scenario_text` reads it; the constructor
     itself checks nothing."""
@@ -174,7 +171,7 @@ class ScenarioModel:
     arity: int | None = None
     kernel: ProfileModel | None = None
     families: tuple[FamilyModel, ...] | None = None
-    params: ParamsModel | None = None
+    params: SpaceParams | None = None
     weight: WeightModel | None = None
     symbols: tuple[SymbolModel, ...] | None = None
     inputs: tuple[ProfileModel, ...] | None = None
@@ -373,7 +370,7 @@ _parse_scenario = _model(ScenarioModel, {
     "families": _list_of(_model(FamilyModel, {
         "slope": _integer, "offset": _integer, "matrix": _list_of(_exact_list),
     }, _family_shape)),
-    "params": _model(ParamsModel, {
+    "params": _model(SpaceParams, {
         **dict.fromkeys(("q", "alpha", "lam", "q_star", "zeta", "delta"), _parse_exact),
         **dict.fromkeys(("q_i", "alpha_i", "lam_i", "r_i", "r_star_i", "q_star_i"), _exact_list),
         "gamma": _integer,
@@ -495,7 +492,7 @@ def build_scenario(model: ScenarioModel) -> BuiltScenario:
                   if model.inputs is not None else None)
         scenario = Scenario(
             p=p, n=n, m=len(families), kernel=kernel, families=families,
-            params=SpaceParams(**vars(model.params or ParamsModel())),
+            params=model.params or SpaceParams(),
             symbols=symbols,
             weight=weight, inputs=inputs,
         )

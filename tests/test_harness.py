@@ -9,6 +9,7 @@ import json
 import math
 import random
 from dataclasses import replace
+from functools import partial
 from fractions import Fraction as Fr
 
 import pytest
@@ -28,6 +29,7 @@ from radialpadic.harness import (
     validate_scenario,
     verify_bound,
 )
+from radialpadic.numeric import ExtendedValue
 from radialpadic.operators import KernelSpec, hausdorff_apply
 from radialpadic.padic import PAdicMatrix
 from radialpadic.radial import RadialFunction, RadialTerm
@@ -353,22 +355,31 @@ def _bundled_scenarios():
                 yield row["id"], b.constant, b.scenario, b.window
 
 
-@pytest.mark.parametrize("k", [-1, -2])
+@pytest.mark.parametrize("k", [-2, -1, 1, 2])
 def test_matrix_factor_agrees_with_scalar_factor(k):
     # ConstantMatrix(p^-k I_n) and ScalarRadial(0, k) are the same dilation,
-    # so the matrix-slot factors and the scalar-slot factors must agree.
-    cases = 0
+    # so the matrix-slot factors and the scalar-slot factors must agree, on
+    # both sides of a delta split.  For k > 0, ||A|| = p^k >= 1 breaks C8's
+    # support condition for either form.
+    cases, refused = 0, []
     for rid, cid, s, window in _bundled_scenarios():
         mat = ConstantMatrix(PAdicMatrix(s.p, tuple(
             tuple(Fr(s.p) ** -k if i == j else Fr(0) for j in range(s.n)) for i in range(s.n))))
         scalar = replace(s, families=(ScalarRadial(0, k),) * s.m)
         matrix = replace(s, families=(mat,) * s.m)
-        want = compute_constant(cid, scalar, window=window)
+        try:
+            want = compute_constant(cid, scalar, window=window)
+        except ScenarioError as exc:
+            with pytest.raises(ScenarioError, match=exc.condition):
+                compute_constant(cid, matrix, window=window)
+            refused.append((cid, exc.condition))
+            continue
         got = compute_constant(cid, matrix, window=window)
         assert want.is_finite and got.is_finite, rid
         assert math.isclose(float(got.value), float(want.value), rel_tol=1e-12), rid
         cases += 1
-    assert cases == 94
+    assert refused == ([] if k < 0 else [(C.C8, "support-condition")] * 5)
+    assert cases == 94 - len(refused)
 
 
 def test_divergent_constant_reports_infinite():
@@ -655,16 +666,83 @@ def _verify_infinite_support_kernel():
     return lambda: verify_bound(C.C1, s, (RadialFunction.chi_ball(3, 1, 0),))
 
 
+def _no_factors():
+    return lambda: compute_constant(C.C3, replace(_c3_symmetric(), m=0, families=()))
+
+
+def _verify_one_input_short():
+    f = RadialFunction.chi_ball(2, 1, 0)
+    return lambda: verify_bound(C.C3, _c3_symmetric(), (f,))
+
+
+def _verify_input_on_p3():
+    f = RadialFunction.chi_ball(3, 1, 0)
+    return lambda: verify_bound(C.C3, _c3_symmetric(), (f, f))
+
+
+def _verify_matrix_family():
+    s = replace(_c3_symmetric(), families=(ConstantMatrix(PAdicMatrix(2, ((Fr(1, 2),),))),) * 2)
+    f = RadialFunction.chi_ball(2, 1, 0)
+    return lambda: verify_bound(C.C3, s, (f, f))
+
+
+def _one_symbol_short():
+    s8, *_ = _c8_scenario()
+    return lambda: compute_constant(C.C8, replace(s8, symbols=s8.symbols[:1]))
+
+
+def _symbols_on_p3():
+    s8, *_ = _c8_scenario()
+    return lambda: compute_constant(C.C8, replace(s8, symbols=(RadialFunction.log(3, 1),) * 2))
+
+
+def _params(make, cid, **changes):
+    """The scenario of make() with its params changed, for bound cid."""
+    s, *_ = make()
+    return lambda: compute_constant(cid, replace(s, params=replace(s.params, **changes)))
+
+
 @pytest.mark.parametrize("spoiled, condition", [
     (_kernel_on_p3, "kernel-domain"),
     (_weight_on_p3, "weight-domain"),
     (_weight_not_reverse_holder, "reverse-holder-index"),
     (_verify_infinite_support_kernel, "kernel-support"),
+    (_no_factors, "arity"),
+    (_verify_one_input_short, "arity"),
+    (_verify_input_on_p3, "arity"),
+    (_verify_matrix_family, "family-class"),
+    (_one_symbol_short, "symbols-required"),
+    (_symbols_on_p3, "symbols-required"),
+    # the power-weight commutator balances (C5, C8) and the composite ones (C7)
+    (partial(_params, _c8_scenario, C.C8, q=2), "holder-balance-q"),
+    (partial(_params, _c8_scenario, C.C8, alpha=2), "holder-balance-alpha"),
+    (partial(_params, _c7_scenario, C.C7, alpha_i=(1, -1)), "alpha-range"),
+    (partial(_params, _c7_scenario, C.C7, q_star=4), "holder-balance-q"),
+    (partial(_params, _c7_scenario, C.C7, alpha=1), "holder-balance-alpha"),
 ])
 def test_spoiled_scenario_names_its_condition(spoiled, condition):
     with pytest.raises(ScenarioError) as exc:
         spoiled()()
     assert exc.value.condition == condition
+
+
+@pytest.mark.parametrize("cid, make, delta", [
+    (C.C2, _shared_weight_scenario_c2, Fr(3, 2)),  # (1 + r)/2 at the critical index r = 2
+    (C.C6, _c6_scenario, 2),                       # the weight 1 has index inf
+])
+def test_delta_defaults_inside_the_reverse_holder_range(cid, make, delta):
+    s, *_ = make()
+    rec = validate_scenario(cid, replace(s, params=replace(s.params, delta=None)))
+    assert rec["delta"] == delta
+
+
+def test_a_divergent_lhs_against_a_finite_rhs_fails(monkeypatch):
+    s = _c3_symmetric()
+    monkeypatch.setattr(harness, "_sides", lambda *a: (ExtendedValue.infinite(), [], [Fr(1)] * s.m))
+    f = RadialFunction.chi_ball(2, 1, 0)
+    rep = verify_bound(C.C3, s, (f, f))
+    assert rep.rhs.is_finite and not rep.lhs.is_finite
+    assert (rep.holds, rep.slack) == (False, 0.0)
 
 
 # ---------------------------------------------------------------- extremal inputs
@@ -753,9 +831,9 @@ def test_slot_factor_is_built_once_per_key():
     # exponents that compare equal share one factor
     one = harness._slot_factor(2, 1, None, 1, 0, Fr(1))
     assert harness._slot_factor(2, 1, None, 1, 0, 1) is one
-    osc = harness._slot_factor(3, 1, harness._abs_k_plus_four, -1, 2, Fr(1, 3))
+    osc = harness._slot_factor(3, 1, 4, -1, 2, Fr(1, 3))
     power = RadialFunction.power(3, 1, 1, Fr(1, 3))
-    assert osc == harness._abs_k_plus_four(3, 1).pullback(-1, 2) * power.pullback(-1, 2)
+    assert osc == harness._oscillation(3, 1, 4).pullback(-1, 2) * power.pullback(-1, 2)
 
 
 @pytest.mark.parametrize("cid, norm", [(C.C1, "lebesgue_norm"), (C.C3, "morrey_norm")])

@@ -3,6 +3,7 @@
 import copy
 import hashlib
 import json
+import math
 
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
@@ -12,9 +13,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from radialpadic import harness, scenarios
+from radialpadic.families import ConstantMatrix
+from radialpadic.padic import PAdicMatrix
+from radialpadic.radial import RadialFunction
 from radialpadic.scenario_io import (
-    ScenarioModel, SchemaError, _parse_exact, build_scenario, load_scenario_file, load_scenario_text,
+    ScenarioModel, SchemaError, _MAX_EXPONENT, _parse_exact, build_scenario, fmt_num, load_scenario_file,
+    load_scenario_text,
 )
+from radialpadic.weights import Weight
 
 
 def load_and_build(row):
@@ -167,11 +173,63 @@ TERM = [1, 0, 0, None, None]
     ("c1-sharpness", put("tol", True, "with_boolean_tol"), "'tol'"),
     ("c1-sharpness", put("tol", "0.05", "with_string_tol"), "'tol'"),
     ("c1-sharpness", put("rs", [], "with_no_radii"), "'rs': must hold at least one entry"),
+    # matrix families
+    ("c2-lebesgue", put("families.0", {"matrix": [[1, 0]]}, "with_non_square_matrix"),
+     "'families': matrix must be square"),
+    ("c2-lebesgue", put("families.0", {"matrix": [[1, 0], [0]]}, "with_ragged_matrix"),
+     "'families': matrix must be square"),
+    ("c2-lebesgue", put("families.0", {"matrix": []}, "with_empty_matrix"), "'families': matrix must be square"),
+    ("c2-lebesgue", put("families.0", {"matrix": [[1, 2], ["1/2", 1]]}, "with_singular_matrix"),
+     "'families': family matrix must be invertible"),
+    # {terms} weights and symbols
+    ("c2-lebesgue", put("weight", {"terms": [[1, -1, 0, 3, 1]]}, "with_weight_of_empty_term"), "'weight'"),
+    ("c5-local", put("symbols.0", {"terms": [[1, 0, 1, 3, 1]]}, "with_symbol_of_empty_term"), "'terms'"),
+    # the fields a kind requires, checked at build time
+    ("c2-lebesgue", put("constant", DELETE, "bound_without_constant"), "'constant' is required"),
+    ("c2-lebesgue", put("kernel", DELETE, "bound_without_kernel"), "'kernel' is required"),
+    ("c2-lebesgue", put("families", DELETE, "bound_without_families"), "'families' is required"),
+    ("prop-power-weights", put("weight", DELETE, "weights_without_weight"), "'weight' is required"),
+    ("prop-power-weights", put("ell", DELETE, "weights_without_ell"), "'ell' is required"),
+    ("c1-sharpness", put("rs", [2, 0], "with_radius_zero"), "'rs': entries must be positive"),
+    ("c7-composite", put("constant", "C6", "composite_of_c6"), "'constant': composite scenarios"),
+    ("c2-lebesgue", put("arity", 2, "with_arity_past_the_families"), "'arity': does not match"),
+    ("c2-lebesgue", put("kernel.terms", [[-1, 0, 0, 0, 0]], "with_negative_kernel"),
+     "'kernel': kernel must be nonnegative"),
+    # a decimal exponent past the bound, which Fraction would build as 10^e
+    ("c2-lebesgue", put("params.q_star", "1e10001", "with_exponent_past_the_bound"),
+     "'params.q_star': decimal exponent 10001 is larger than 10000"),
+    ("c2-lebesgue", put("params.q_i.0", "2.5E-1000000000", "with_negative_exponent_past_the_bound"),
+     "'params.q_i.0': decimal exponent -1000000000"),
 ])
 def test_schema_error_names_the_field(suite, spoil, field):
     row = spoil(first_row(suite))
     with pytest.raises(SchemaError, match=f"field {field}"):
         load_and_build(row)
+
+
+def test_matrix_families_build_constant_matrix_slots():
+    row = first_row("c2-lebesgue")
+    row["families"] = [{"matrix": [["1/2", 0], [0, 2]]}]
+    (fam,) = load_and_build(row).scenario.families
+    assert isinstance(fam, ConstantMatrix)
+    assert fam.matrix == PAdicMatrix(2, ((Fraction(1, 2), Fraction(0)), (Fraction(0), Fraction(2))))
+    assert (fam.k_norm, fam.k_inverse) == (1, 1)
+
+
+def test_terms_spell_the_same_weight_and_symbol():
+    row = first_row("c5-local")
+    row["weight"] = {"terms": [["3/2", "-1/2", 0, None, None]]}
+    row["symbols"] = [{"terms": [[2, 0, 1, None, None]]}, {"log_coeff": 2}]
+    built = load_and_build(row)
+    assert built.weight == Weight.power(3, 2, Fraction(-1, 2), Fraction(3, 2))
+    assert built.scenario.symbols == (RadialFunction.log(3, 2, 2),) * 2
+
+
+@pytest.mark.parametrize("x, text", [
+    (math.inf, "inf"), (-math.inf, "-inf"), (math.nan, "nan"), (Fraction(1, 3), "0.333333333333333"),
+])
+def test_fmt_num_renders_fifteen_digits_and_the_non_finite(x, text):
+    assert fmt_num(x) == text
 
 
 def test_only_the_first_error_is_reported():
@@ -194,6 +252,16 @@ def test_a_parsed_model_equals_the_one_its_constructor_builds():
 @settings(max_examples=300, deadline=None)
 @given(st.text(alphabet="-+/0123456789_. e\u0663", max_size=8))
 def test_exact_strings_read_as_fraction_reads_them(text):
+    # Fraction builds 10^e for an exponent e, so one past the bound is refused
+    _, e, exp = text.partition("e")
+    try:
+        too_large = bool(e) and abs(int(exp)) > _MAX_EXPONENT
+    except ValueError:
+        too_large = False
+    if too_large:
+        with pytest.raises(ValueError, match="decimal exponent .* is larger than 10000"):
+            _parse_exact(text)
+        return
     try:
         expected = Fraction(text)
     except (ValueError, ZeroDivisionError):
@@ -201,6 +269,17 @@ def test_exact_strings_read_as_fraction_reads_them(text):
             _parse_exact(text)
     else:
         assert _parse_exact(text) == expected
+
+
+@pytest.mark.parametrize("text, value", [
+    ("1e-3", Fraction(1, 1000)), ("2.5E2", Fraction(250)), ("-1e10000", -Fraction(10) ** 10000),
+    ("1E-10000", Fraction(1, 10 ** 10000)),
+])
+def test_exponents_up_to_the_bound_are_read(text, value):
+    assert _MAX_EXPONENT == 10_000
+    row = first_row("c2-lebesgue")
+    row["params"]["q_star"] = text
+    assert load_and_build(row).scenario.params.q_star == value
 
 
 def test_scenario_file_loads_like_its_text(tmp_path):

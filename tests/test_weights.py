@@ -1012,3 +1012,43 @@ def test_weight_fast_path_agrees_with_scan(monkeypatch, profile, fast):
         accepted = False
     assert accepted == want
     assert (len(scans) == 0) == fast
+
+
+# ---------------------------------------------------------------- divergent integrals and masses
+
+
+@pytest.mark.parametrize("betas, lo, hi", [((-3, -4), None, 0), ((3, 4), 0, None)])
+def test_a_two_term_integrand_diverging_at_either_end_is_infinite(betas, lo, hi):
+    # |x|^-3 + |x|^-4 is not integrable near 0 on Q_2, nor |x|^3 + |x|^4 near
+    # infinity; with two terms the piece takes the tail test, not the
+    # single-power closed form
+    f = RadialFunction(2, 1, tuple(RadialTerm(Fraction(1), b, 0) for b in betas))
+    got = integral_abs_power(f, power_weight(2, 1, 0), 1, lo, hi)
+    assert not got.is_finite and float(got.value) == math.inf
+
+
+def test_morrey_of_a_power_not_integrable_on_balls_is_infinite():
+    # q beta + alpha + n = -4 + 1 <= 0: every ball integral of |x|^-2 diverges
+    f = RadialFunction.power(2, 1, 1, -2)
+    got = morrey_norm(f, power_weight(2, 1, 0), 2, Fraction(-1, 4))
+    assert not got.value.is_finite
+
+
+def test_morrey_under_a_weight_not_locally_integrable_is_infinite():
+    # |x|^-2 has infinite mass on every ball, so every quotient is infinite
+    f = RadialFunction.power(2, 1, 1, 0, lo=0, hi=1)
+    got = morrey_norm(f, power_weight(2, 1, -2), 2, Fraction(-1, 4))
+    assert not got.value.is_finite
+
+
+def test_cmo_under_a_weight_not_locally_integrable_is_infinite():
+    got = cmo_norm(RadialFunction.log(2, 1), power_weight(2, 1, -2), 2, window=8)
+    assert not got.value.is_finite
+
+
+def test_cmo_of_a_symbol_not_in_l_r_near_the_origin_is_infinite():
+    # |x|^(-3/4) has finite ball averages, but |x|^(-3/2) is not integrable
+    b = RadialFunction.power(2, 1, 1, Fraction(-3, 4))
+    assert math.isfinite(float(ball_average(b, 0)))
+    got = cmo_norm(b, power_weight(2, 1, 0), 2, window=8)
+    assert not got.value.is_finite
